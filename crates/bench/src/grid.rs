@@ -687,11 +687,16 @@ impl CellStore {
         }
     }
 
+    /// Every cell in the grid's stable order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&Job, &CellValue)> {
+        self.cells.iter()
+    }
+
     /// Serializes every cell, one JSON object per line, in the grid's
     /// stable order.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
-        for (job, value) in &self.cells {
+        for (job, value) in self.iter() {
             out.push_str(&cell_to_json(job, value).encode());
             out.push('\n');
         }
@@ -1294,7 +1299,7 @@ fn status_from_name(name: &str) -> Result<RunStatus, GridError> {
     })
 }
 
-pub(crate) fn str_field(json: &Json, key: &str) -> Result<String, GridError> {
+fn str_field(json: &Json, key: &str) -> Result<String, GridError> {
     json.get(key)
         .and_then(Json::as_str)
         .map(str::to_string)
@@ -1309,7 +1314,7 @@ fn opt_str_field(json: &Json, key: &str) -> Result<Option<String>, GridError> {
     }
 }
 
-pub(crate) fn u64_field(json: &Json, key: &str) -> Result<u64, GridError> {
+fn u64_field(json: &Json, key: &str) -> Result<u64, GridError> {
     json.get(key)
         .and_then(Json::as_u64)
         .ok_or_else(|| GridError(format!("missing or non-integer field '{key}'")))

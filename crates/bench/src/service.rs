@@ -424,10 +424,10 @@ impl Daemon {
     }
 
     fn fetch(&self) -> Json {
-        let store_lines = self.store.to_jsonl();
-        let cells: Vec<Json> = store_lines
-            .lines()
-            .map(|line| Json::parse(line).expect("store serialization is valid JSON"))
+        let cells = self
+            .store
+            .iter()
+            .map(|(job, value)| crate::grid::cell_to_json(job, value))
             .collect();
         ok_response(vec![("cells", Json::Arr(cells))])
     }
@@ -952,6 +952,58 @@ mod tests {
         )]));
         assert_eq!(resp.get("ok"), Some(&Json::Bool(true)));
         assert!(stop);
+    }
+
+    #[test]
+    fn fetch_frame_matches_the_encode_then_parse_form() {
+        use crate::grid::CellValue;
+        let mut d = Daemon::new(GridMode::Quick, None, 0);
+        let (resp, _) = d.handle(&crate::grid::obj(vec![
+            ("op", Json::Str("submit".into())),
+            (
+                "jobs",
+                Json::Arr(vec![Json::Str("support/Schematic/crc/0".into())]),
+            ),
+        ]));
+        assert_eq!(resp.get("ok"), Some(&Json::Bool(true)));
+        for (key, value) in [
+            (
+                "bare/-/fft/0",
+                CellValue::Bare {
+                    cycles: u64::MAX,
+                    data_bytes: 0,
+                },
+            ),
+            (
+                "run/Ratchet/aes/stoch:10000:2000:3",
+                CellValue::Run {
+                    outcome: None,
+                    reason: Some("no \"sound\" placement \\ †\n\u{1} 🦀".into()),
+                },
+            ),
+            (
+                "fig7/Schematic/crc/10000",
+                CellValue::Measured {
+                    metrics: None,
+                    note: Some("error: x".into()),
+                },
+            ),
+        ] {
+            d.store.insert(Job::parse(key).unwrap(), value).unwrap();
+        }
+        // The form fetch had when it re-parsed the encoded store.
+        let cells = d
+            .store
+            .to_jsonl()
+            .lines()
+            .map(|line| Json::parse(line).unwrap())
+            .collect();
+        let old = ok_response(vec![("cells", Json::Arr(cells))]);
+        let (new, _) = d.handle(&crate::grid::obj(vec![("op", Json::Str("fetch".into()))]));
+        let (mut old_frame, mut new_frame) = (Vec::new(), Vec::new());
+        write_frame(&mut old_frame, &old).unwrap();
+        write_frame(&mut new_frame, &new).unwrap();
+        assert_eq!(new_frame, old_frame);
     }
 
     #[test]

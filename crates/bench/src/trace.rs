@@ -14,7 +14,9 @@
 //! construction).
 //!
 //! Traces serialize through the same offline JSON dialect as the cell
-//! artifacts ([`crate::json`]): one JSON object per cell per line.
+//! artifacts ([`crate::json`]): one JSON object per cell per line,
+//! written and read directly through the dialect's writer helpers and
+//! pull [`Reader`], with no `Json` tree in between.
 //! `gridrun --trace F` writes the artifact; the `tracereport` binary
 //! renders it — a phase-time table across the grid, the top-K hottest
 //! cells, and a per-run epoch timeline whose final row reproduces the
@@ -30,13 +32,13 @@
 //! ordered stream no matter how long the run was, while peak memory
 //! stays bounded at the cap.
 
-use crate::grid::{self, evaluate, CellStore, GridError, Job, JobKind};
-use crate::json::Json;
+use crate::grid::{evaluate, CellStore, GridError, Job, JobKind};
+use crate::json::{write_str, write_u64, JsonError, Reader};
 use crate::parallel::par_map;
 use crate::{render_table, uj};
 use schematic_energy::{CostTable, Energy};
 use schematic_obs as obs;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -118,10 +120,11 @@ fn capture_cell<T>(job: &Job, sink: Option<&SharedSink>, f: impl FnOnce() -> T) 
         let job = job.clone();
         let mut seq = 0u64;
         obs::set_spill(Some(Box::new(move |events: Vec<obs::Event>| {
-            let chunk = spill_to_json(&job, seq, &events);
+            let mut line = String::new();
+            write_spill_line(&mut line, &job, seq, &events);
             seq += 1;
             if let Ok(mut w) = sink.lock() {
-                let _ = writeln!(w, "{}", chunk.encode());
+                let _ = w.write_all(line.as_bytes());
             }
         })))
     });
@@ -188,8 +191,11 @@ pub fn capture_grid_streaming(
     let sink: SharedSink = Arc::new(Mutex::new(Box::new(writer)));
     let (store, traces) = capture_grid_with_sink(jobs, Some(&sink));
     let mut w = sink.lock().expect("no worker holds the sink any more");
+    let mut line = String::new();
     for t in &traces {
-        writeln!(w, "{}", trace_to_json(t).encode())?;
+        line.clear();
+        write_trace_line(&mut line, t);
+        w.write_all(line.as_bytes())?;
     }
     w.flush()?;
     Ok((store, traces))
@@ -198,231 +204,326 @@ pub fn capture_grid_streaming(
 // ---------------------------------------------------------------------
 // Artifact codec
 // ---------------------------------------------------------------------
+//
+// Lines are written and read directly, with no `Json` tree in between:
+// `write_*` append to a `String` through the shared writer helpers, and
+// `read_*` pull from a `json::Reader`. A trace line is
+//
+//   {"job":{"kind","technique","benchmark","tbpf"|"scenario"},
+//    "wall_nanos":N,"phases":[{"name","calls","total_nanos","p50_nanos",
+//    "p95_nanos"}…],"counters":[[name,N]…],"events":[EVENT…],
+//    "dropped_events":N,"spilled_events":N}
+//
+// and a spill chunk line `{"spill":{"job":KEY,"seq":N,"events":[EVENT…]}}`,
+// where EVENT is `{"kind":K,"fields":[[name,N|"str"]…]}`. Readers take
+// keys in any order and skip unknown ones.
 
-fn value_to_json(v: &obs::Value) -> Json {
-    match v {
-        obs::Value::U64(n) => Json::UInt(*n),
-        obs::Value::Str(s) => Json::Str(s.clone()),
+fn write_events(out: &mut String, events: &[obs::Event]) {
+    out.push('[');
+    for (i, ev) in events.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str("{\"kind\":");
+        write_str(out, &ev.kind);
+        out.push_str(",\"fields\":[");
+        for (j, (name, value)) in ev.fields.iter().enumerate() {
+            if j > 0 {
+                out.push(',');
+            }
+            out.push('[');
+            write_str(out, name);
+            out.push(',');
+            match value {
+                obs::Value::U64(n) => write_u64(out, *n),
+                obs::Value::Str(s) => write_str(out, s),
+            }
+            out.push(']');
+        }
+        out.push_str("]}");
+    }
+    out.push(']');
+}
+
+/// Appends one trace as an artifact line, newline included.
+fn write_trace_line(out: &mut String, t: &CellTrace) {
+    out.push_str("{\"job\":{\"kind\":");
+    write_str(out, t.job.kind.name());
+    out.push_str(",\"technique\":");
+    write_str(out, &t.job.technique);
+    out.push_str(",\"benchmark\":");
+    write_str(out, &t.job.benchmark);
+    // Same scenario encoding as the cell artifact codec: legacy numeric
+    // `tbpf` for periodic, a `scenario` spelling otherwise.
+    match &t.job.scenario {
+        crate::Scenario::Periodic { tbpf } => {
+            out.push_str(",\"tbpf\":");
+            write_u64(out, *tbpf);
+        }
+        other => {
+            out.push_str(",\"scenario\":");
+            write_str(out, &other.to_string());
+        }
+    }
+    out.push_str("},\"wall_nanos\":");
+    write_u64(out, t.wall_nanos);
+    out.push_str(",\"phases\":[");
+    for (i, p) in t.phases.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str("{\"name\":");
+        write_str(out, &p.name);
+        for (key, n) in [
+            ("calls", p.calls),
+            ("total_nanos", p.total_nanos),
+            ("p50_nanos", p.p50_nanos),
+            ("p95_nanos", p.p95_nanos),
+        ] {
+            out.push(',');
+            write_str(out, key);
+            out.push(':');
+            write_u64(out, n);
+        }
+        out.push('}');
+    }
+    out.push_str("],\"counters\":[");
+    for (i, (name, n)) in t.counters.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push('[');
+        write_str(out, name);
+        out.push(',');
+        write_u64(out, *n);
+        out.push(']');
+    }
+    out.push_str("],\"events\":");
+    write_events(out, &t.events);
+    out.push_str(",\"dropped_events\":");
+    write_u64(out, t.dropped_events);
+    out.push_str(",\"spilled_events\":");
+    write_u64(out, t.spilled_events);
+    out.push_str("}\n");
+}
+
+/// Appends one spill chunk (a streamed-out slice of a cell's event
+/// buffer) as an artifact line, newline included.
+fn write_spill_line(out: &mut String, job: &Job, seq: u64, events: &[obs::Event]) {
+    out.push_str("{\"spill\":{\"job\":");
+    write_str(out, &job.to_string());
+    out.push_str(",\"seq\":");
+    write_u64(out, seq);
+    out.push_str(",\"events\":");
+    write_events(out, events);
+    out.push_str("}}\n");
+}
+
+/// One decoded artifact line.
+enum Line {
+    Trace(CellTrace),
+    Spill {
+        job: String,
+        seq: u64,
+        events: Vec<obs::Event>,
+    },
+}
+
+/// The value of a required field, or a `missing field` error.
+fn need<T>(r: &Reader, value: Option<T>, name: &str) -> Result<T, JsonError> {
+    value.ok_or_else(|| r.err(format!("missing field '{name}'")))
+}
+
+/// Reads an array whose elements `item` decodes.
+fn read_vec<'a, T>(
+    r: &mut Reader<'a>,
+    mut item: impl FnMut(&mut Reader<'a>) -> Result<T, JsonError>,
+) -> Result<Vec<T>, JsonError> {
+    let mut items = Vec::new();
+    r.array(|r| {
+        items.push(item(r)?);
+        Ok(())
+    })?;
+    Ok(items)
+}
+
+/// Reads a two-element `[name, value]` array.
+fn read_pair<'a, T>(
+    r: &mut Reader<'a>,
+    what: &str,
+    mut value: impl FnMut(&mut Reader<'a>) -> Result<T, JsonError>,
+) -> Result<(String, T), JsonError> {
+    let mut name = None;
+    let mut val = None;
+    let mut n = 0;
+    r.array(|r| {
+        match n {
+            0 => name = Some(r.str()?.into_owned()),
+            1 => val = Some(value(r)?),
+            _ => return Err(r.err(format!("{what} must be a [name, value] pair"))),
+        }
+        n += 1;
+        Ok(())
+    })?;
+    match (name, val) {
+        (Some(name), Some(val)) => Ok((name, val)),
+        _ => Err(r.err(format!("{what} must be a [name, value] pair"))),
     }
 }
 
-fn value_from_json(json: &Json) -> Result<obs::Value, GridError> {
-    match json {
-        Json::UInt(n) => Ok(obs::Value::U64(*n)),
-        Json::Str(s) => Ok(obs::Value::Str(s.clone())),
-        other => Err(GridError(format!(
-            "event field value must be integer or string, got {other:?}"
-        ))),
+fn read_value(r: &mut Reader) -> Result<obs::Value, JsonError> {
+    match r.peek() {
+        Some(b'"') => Ok(obs::Value::Str(r.str()?.into_owned())),
+        Some(b'0'..=b'9') => Ok(obs::Value::U64(r.u64()?)),
+        _ => Err(r.err("event field value must be integer or string")),
     }
 }
 
-fn event_to_json(ev: &obs::Event) -> Json {
-    grid::obj(vec![
-        ("kind", Json::Str(ev.kind.clone())),
-        (
-            "fields",
-            Json::Arr(
-                ev.fields
-                    .iter()
-                    .map(|(k, v)| Json::Arr(vec![Json::Str(k.clone()), value_to_json(v)]))
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn event_from_json(json: &Json) -> Result<obs::Event, GridError> {
-    let kind = grid::str_field(json, "kind")?;
-    let fields_json = match json.get("fields") {
-        Some(Json::Arr(items)) => items,
-        _ => return Err(GridError("missing or non-array field 'fields'".into())),
-    };
-    let mut fields = Vec::with_capacity(fields_json.len());
-    for item in fields_json {
-        let pair = match item {
-            Json::Arr(p) if p.len() == 2 => p,
-            _ => return Err(GridError("event field must be a [name, value] pair".into())),
-        };
-        let name = pair[0]
-            .as_str()
-            .ok_or_else(|| GridError("event field name must be a string".into()))?;
-        fields.push((name.to_string(), value_from_json(&pair[1])?));
-    }
-    Ok(obs::Event { kind, fields })
-}
-
-/// Encodes one trace as a JSON object (one artifact line).
-pub fn trace_to_json(t: &CellTrace) -> Json {
-    grid::obj(vec![
-        (
-            "job",
-            grid::obj({
-                let mut fields = vec![
-                    ("kind", Json::Str(t.job.kind.name().into())),
-                    ("technique", Json::Str(t.job.technique.clone())),
-                    ("benchmark", Json::Str(t.job.benchmark.clone())),
-                ];
-                // Same scenario encoding as the cell artifact codec:
-                // legacy numeric `tbpf` for periodic, a `scenario`
-                // spelling otherwise.
-                match &t.job.scenario {
-                    crate::Scenario::Periodic { tbpf } => fields.push(("tbpf", Json::UInt(*tbpf))),
-                    other => fields.push(("scenario", Json::Str(other.to_string()))),
-                }
-                fields
-            }),
-        ),
-        ("wall_nanos", Json::UInt(t.wall_nanos)),
-        (
-            "phases",
-            Json::Arr(
-                t.phases
-                    .iter()
-                    .map(|p| {
-                        grid::obj(vec![
-                            ("name", Json::Str(p.name.clone())),
-                            ("calls", Json::UInt(p.calls)),
-                            ("total_nanos", Json::UInt(p.total_nanos)),
-                            ("p50_nanos", Json::UInt(p.p50_nanos)),
-                            ("p95_nanos", Json::UInt(p.p95_nanos)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "counters",
-            Json::Arr(
-                t.counters
-                    .iter()
-                    .map(|(k, n)| Json::Arr(vec![Json::Str(k.clone()), Json::UInt(*n)]))
-                    .collect(),
-            ),
-        ),
-        (
-            "events",
-            Json::Arr(t.events.iter().map(event_to_json).collect()),
-        ),
-        ("dropped_events", Json::UInt(t.dropped_events)),
-        ("spilled_events", Json::UInt(t.spilled_events)),
-    ])
-}
-
-/// Encodes one spill chunk (a streamed-out slice of a cell's event
-/// buffer) as an artifact line: `{"spill":{"job":…,"seq":N,"events":…}}`.
-fn spill_to_json(job: &Job, seq: u64, events: &[obs::Event]) -> Json {
-    grid::obj(vec![(
-        "spill",
-        grid::obj(vec![
-            ("job", Json::Str(job.to_string())),
-            ("seq", Json::UInt(seq)),
-            (
-                "events",
-                Json::Arr(events.iter().map(event_to_json).collect()),
-            ),
-        ]),
-    )])
-}
-
-/// Decodes a spill chunk line into `(job key, seq, events)`.
-fn spill_from_json(json: &Json) -> Result<(String, u64, Vec<obs::Event>), GridError> {
-    let job = grid::str_field(json, "job")?;
-    let seq = grid::u64_field(json, "seq")?;
-    let events_json = match json.get("events") {
-        Some(Json::Arr(items)) => items,
-        _ => return Err(GridError("missing or non-array field 'events'".into())),
-    };
-    let events = events_json
-        .iter()
-        .map(event_from_json)
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok((job, seq, events))
-}
-
-/// Decodes one artifact line back into a trace.
-///
-/// # Errors
-///
-/// A [`GridError`] describing the missing or mistyped field.
-pub fn trace_from_json(json: &Json) -> Result<CellTrace, GridError> {
-    let job_json = json
-        .get("job")
-        .ok_or_else(|| GridError("missing field 'job'".into()))?;
-    let kind_name = grid::str_field(job_json, "kind")?;
-    let kind = JobKind::from_name(&kind_name)
-        .ok_or_else(|| GridError(format!("unknown cell kind '{kind_name}'")))?;
-    let scenario = match job_json.get("scenario") {
-        Some(Json::Str(s)) => crate::Scenario::parse(s).map_err(GridError)?,
-        Some(_) => return Err(GridError("field 'scenario' is not a string".into())),
-        None => crate::Scenario::periodic(grid::u64_field(job_json, "tbpf")?),
-    };
-    let job = Job {
-        kind,
-        technique: grid::str_field(job_json, "technique")?,
-        benchmark: grid::str_field(job_json, "benchmark")?,
-        scenario,
-    };
-    let phases_json = match json.get("phases") {
-        Some(Json::Arr(items)) => items,
-        _ => return Err(GridError("missing or non-array field 'phases'".into())),
-    };
-    let mut phases = Vec::with_capacity(phases_json.len());
-    for p in phases_json {
-        phases.push(PhaseLine {
-            name: grid::str_field(p, "name")?,
-            calls: grid::u64_field(p, "calls")?,
-            total_nanos: grid::u64_field(p, "total_nanos")?,
-            p50_nanos: grid::u64_field(p, "p50_nanos")?,
-            p95_nanos: grid::u64_field(p, "p95_nanos")?,
-        });
-    }
-    let counters_json = match json.get("counters") {
-        Some(Json::Arr(items)) => items,
-        _ => return Err(GridError("missing or non-array field 'counters'".into())),
-    };
-    let mut counters = Vec::with_capacity(counters_json.len());
-    for item in counters_json {
-        let pair = match item {
-            Json::Arr(p) if p.len() == 2 => p,
-            _ => return Err(GridError("counter must be a [name, count] pair".into())),
-        };
-        let name = pair[0]
-            .as_str()
-            .ok_or_else(|| GridError("counter name must be a string".into()))?;
-        let n = pair[1]
-            .as_u64()
-            .ok_or_else(|| GridError("counter value must be an unsigned integer".into()))?;
-        counters.push((name.to_string(), n));
-    }
-    let events_json = match json.get("events") {
-        Some(Json::Arr(items)) => items,
-        _ => return Err(GridError("missing or non-array field 'events'".into())),
-    };
-    let events = events_json
-        .iter()
-        .map(event_from_json)
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(CellTrace {
-        job,
-        wall_nanos: grid::u64_field(json, "wall_nanos")?,
-        phases,
-        counters,
-        events,
-        dropped_events: grid::u64_field(json, "dropped_events")?,
-        // Absent in pre-streaming artifacts: default to 0.
-        spilled_events: json
-            .get("spilled_events")
-            .and_then(Json::as_u64)
-            .unwrap_or(0),
+fn read_event(r: &mut Reader) -> Result<obs::Event, JsonError> {
+    let mut kind = None;
+    let mut fields = None;
+    r.object(|r, key| {
+        match &*key {
+            "kind" => kind = Some(r.str()?.into_owned()),
+            "fields" => fields = Some(read_vec(r, |r| read_pair(r, "event field", read_value))?),
+            _ => r.skip()?,
+        }
+        Ok(())
+    })?;
+    Ok(obs::Event {
+        kind: need(r, kind, "kind")?,
+        fields: need(r, fields, "fields")?,
     })
+}
+
+fn read_job(r: &mut Reader) -> Result<Job, JsonError> {
+    let mut kind = None;
+    let mut technique = None;
+    let mut benchmark = None;
+    let mut tbpf = None;
+    let mut scenario = None;
+    r.object(|r, key| {
+        match &*key {
+            "kind" => {
+                let name = r.str()?;
+                kind = Some(
+                    JobKind::from_name(&name)
+                        .ok_or_else(|| r.err(format!("unknown cell kind '{name}'")))?,
+                );
+            }
+            "technique" => technique = Some(r.str()?.into_owned()),
+            "benchmark" => benchmark = Some(r.str()?.into_owned()),
+            "tbpf" => tbpf = Some(r.u64()?),
+            "scenario" => {
+                let spelling = r.str()?;
+                scenario = Some(crate::Scenario::parse(&spelling).map_err(|e| r.err(e))?);
+            }
+            _ => r.skip()?,
+        }
+        Ok(())
+    })?;
+    let scenario = match scenario {
+        Some(s) => s,
+        None => crate::Scenario::periodic(need(r, tbpf, "tbpf")?),
+    };
+    Ok(Job {
+        kind: need(r, kind, "kind")?,
+        technique: need(r, technique, "technique")?,
+        benchmark: need(r, benchmark, "benchmark")?,
+        scenario,
+    })
+}
+
+fn read_phase(r: &mut Reader) -> Result<PhaseLine, JsonError> {
+    let mut name = None;
+    let mut n = [None; 4];
+    r.object(|r, key| {
+        match &*key {
+            "name" => name = Some(r.str()?.into_owned()),
+            "calls" => n[0] = Some(r.u64()?),
+            "total_nanos" => n[1] = Some(r.u64()?),
+            "p50_nanos" => n[2] = Some(r.u64()?),
+            "p95_nanos" => n[3] = Some(r.u64()?),
+            _ => r.skip()?,
+        }
+        Ok(())
+    })?;
+    Ok(PhaseLine {
+        name: need(r, name, "name")?,
+        calls: need(r, n[0], "calls")?,
+        total_nanos: need(r, n[1], "total_nanos")?,
+        p50_nanos: need(r, n[2], "p50_nanos")?,
+        p95_nanos: need(r, n[3], "p95_nanos")?,
+    })
+}
+
+fn read_spill(r: &mut Reader) -> Result<Line, JsonError> {
+    let mut job = None;
+    let mut seq = None;
+    let mut events = None;
+    r.object(|r, key| {
+        match &*key {
+            "job" => job = Some(r.str()?.into_owned()),
+            "seq" => seq = Some(r.u64()?),
+            "events" => events = Some(read_vec(r, read_event)?),
+            _ => r.skip()?,
+        }
+        Ok(())
+    })?;
+    Ok(Line::Spill {
+        job: need(r, job, "job")?,
+        seq: need(r, seq, "seq")?,
+        events: need(r, events, "events")?,
+    })
+}
+
+/// Decodes one artifact line: a spill chunk when it has a `spill` key,
+/// a cell trace otherwise.
+fn read_line(text: &str) -> Result<Line, JsonError> {
+    let mut r = Reader::new(text);
+    let mut spill = None;
+    let mut job = None;
+    let mut wall_nanos = None;
+    let mut phases = None;
+    let mut counters = None;
+    let mut events = None;
+    let mut dropped_events = None;
+    let mut spilled_events = None;
+    r.object(|r, key| {
+        match &*key {
+            "spill" => spill = Some(read_spill(r)?),
+            "job" => job = Some(read_job(r)?),
+            "wall_nanos" => wall_nanos = Some(r.u64()?),
+            "phases" => phases = Some(read_vec(r, read_phase)?),
+            "counters" => counters = Some(read_vec(r, |r| read_pair(r, "counter", Reader::u64))?),
+            "events" => events = Some(read_vec(r, read_event)?),
+            "dropped_events" => dropped_events = Some(r.u64()?),
+            "spilled_events" => spilled_events = Some(r.u64()?),
+            _ => r.skip()?,
+        }
+        Ok(())
+    })?;
+    r.finish()?;
+    if let Some(spill) = spill {
+        return Ok(spill);
+    }
+    Ok(Line::Trace(CellTrace {
+        job: need(&r, job, "job")?,
+        wall_nanos: need(&r, wall_nanos, "wall_nanos")?,
+        phases: need(&r, phases, "phases")?,
+        counters: need(&r, counters, "counters")?,
+        events: need(&r, events, "events")?,
+        dropped_events: need(&r, dropped_events, "dropped_events")?,
+        // Absent in pre-streaming artifacts: default to 0.
+        spilled_events: spilled_events.unwrap_or(0),
+    }))
 }
 
 /// Serializes traces, one JSON object per line, in the given order.
 pub fn to_jsonl(traces: &[CellTrace]) -> String {
     let mut out = String::new();
     for t in traces {
-        out.push_str(&trace_to_json(t).encode());
-        out.push('\n');
+        write_trace_line(&mut out, t);
     }
     out
 }
@@ -445,23 +546,24 @@ pub fn from_jsonl(text: &str) -> Result<Vec<CellTrace>, GridError> {
         if line.trim().is_empty() {
             continue;
         }
-        fn err(lineno: usize, e: impl std::fmt::Display) -> GridError {
-            GridError(format!("line {}: {e}", lineno + 1))
-        }
-        let json = Json::parse(line).map_err(|e| err(lineno, e))?;
-        match json.get("spill") {
-            Some(spill) => {
-                let (job, seq, events) = spill_from_json(spill).map_err(|e| err(lineno, e))?;
-                chunks.entry(job).or_default().push((seq, events));
-            }
-            None => traces.push(trace_from_json(&json).map_err(|e| err(lineno, e))?),
+        match read_line(line).map_err(|e| GridError(format!("line {}: {e}", lineno + 1)))? {
+            Line::Trace(t) => traces.push(t),
+            Line::Spill { job, seq, events } => chunks.entry(job).or_default().push((seq, events)),
         }
     }
+    if chunks.is_empty() {
+        return Ok(traces);
+    }
+    // Chunks attach to the first trace line of their cell.
+    let mut index: HashMap<String, usize> = HashMap::with_capacity(traces.len());
+    for (i, t) in traces.iter().enumerate() {
+        index.entry(t.job.to_string()).or_insert(i);
+    }
     for (job, mut cell_chunks) in chunks {
-        let trace = traces
-            .iter_mut()
-            .find(|t| t.job.to_string() == job)
+        let &i = index
+            .get(&job)
             .ok_or_else(|| GridError(format!("spill chunks for '{job}' have no trace line")))?;
+        let trace = &mut traces[i];
         cell_chunks.sort_by_key(|(seq, _)| *seq);
         let mut events = Vec::new();
         for (i, (seq, chunk)) in cell_chunks.into_iter().enumerate() {
@@ -918,14 +1020,19 @@ mod tests {
         // The artifact = streamed chunks + the trace line; reassembly
         // restores the full ordered stream.
         let mut text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
-        text.push_str(&trace_to_json(&trace).encode());
-        text.push('\n');
+        write_trace_line(&mut text, &trace);
         let back = from_jsonl(&text).unwrap();
         assert_eq!(back.len(), 1);
         assert_eq!(back[0].events.len(), total);
         for (i, ev) in back[0].events.iter().enumerate() {
             assert_eq!(ev.u64_field("i"), Some(i as u64), "event {i} out of order");
         }
+    }
+
+    fn spill_line(job: &Job, seq: u64, events: &[obs::Event]) -> String {
+        let mut line = String::new();
+        write_spill_line(&mut line, job, seq, events);
+        line
     }
 
     #[test]
@@ -946,12 +1053,12 @@ mod tests {
         };
         // Chunks written out of order (seq 1 before seq 0) still
         // splice back in sequence, ahead of the resident tail.
-        let text = format!(
-            "{}\n{}\n{}\n",
-            spill_to_json(&job, 1, &[ev(2), ev(3)]).encode(),
-            trace_to_json(&trace).encode(),
-            spill_to_json(&job, 0, &[ev(0), ev(1)]).encode(),
-        );
+        let text = [
+            spill_line(&job, 1, &[ev(2), ev(3)]),
+            to_jsonl(std::slice::from_ref(&trace)),
+            spill_line(&job, 0, &[ev(0), ev(1)]),
+        ]
+        .concat();
         let back = from_jsonl(&text).unwrap();
         assert_eq!(back.len(), 1);
         let got: Vec<u64> = back[0]
@@ -962,21 +1069,80 @@ mod tests {
         assert_eq!(got, vec![0, 1, 2, 3, 4, 5]);
 
         // An orphan chunk (no trace line for its cell) is an error…
-        let orphan = format!(
-            "{}\n",
-            spill_to_json(&Job::bare("fft"), 0, &[ev(0)]).encode()
-        );
+        let orphan = spill_line(&Job::bare("fft"), 0, &[ev(0)]);
         let e = from_jsonl(&orphan).unwrap_err();
         assert!(e.to_string().contains("no trace line"), "got: {e}");
 
         // …and so is a gap in the sequence.
-        let gap = format!(
-            "{}\n{}\n",
-            spill_to_json(&job, 1, &[ev(2)]).encode(),
-            trace_to_json(&trace).encode(),
-        );
+        let gap = [
+            spill_line(&job, 1, &[ev(2)]),
+            to_jsonl(std::slice::from_ref(&trace)),
+        ]
+        .concat();
         let e = from_jsonl(&gap).unwrap_err();
         assert!(e.to_string().contains("missing"), "got: {e}");
+    }
+
+    const GOLDEN_ARTIFACT: &str = include_str!("../../../tests/goldens/trace_artifact.jsonl");
+    const GOLDEN_REPORT: &str = include_str!("../../../tests/goldens/trace_report.txt");
+
+    /// The golden artifact pins the wire format: one spill chunk, a
+    /// periodic and a stochastic cell, fixed wall times and every
+    /// escape class. Decoding it and writing it back — spilled prefix
+    /// as a chunk line, the rest through `to_jsonl` — reproduces it
+    /// byte for byte, and it renders the golden report.
+    #[test]
+    fn golden_artifact_roundtrips_byte_for_byte() {
+        let traces = from_jsonl(GOLDEN_ARTIFACT).unwrap();
+        assert_eq!(traces.len(), 2);
+        let mut text = String::new();
+        let mut resident = traces.clone();
+        for t in &mut resident {
+            let spilled = t.spilled_events as usize;
+            if spilled > 0 {
+                write_spill_line(&mut text, &t.job, 0, &t.events[..spilled]);
+                t.events.drain(..spilled);
+            }
+        }
+        text.push_str(&to_jsonl(&resident));
+        assert_eq!(text, GOLDEN_ARTIFACT);
+
+        let cell = Job::run("Schematic", "crc", 10_000);
+        assert_eq!(render_trace_report(&traces, Some(&cell), 5), GOLDEN_REPORT);
+    }
+
+    #[test]
+    fn pre_streaming_line_reads_spilled_events_as_zero() {
+        let line = GOLDEN_ARTIFACT.lines().last().unwrap();
+        let old = line.replace(",\"spilled_events\":0", "");
+        assert_ne!(old, line, "golden line carries the field");
+        let back = from_jsonl(&old).unwrap();
+        assert_eq!(back, from_jsonl(line).unwrap());
+        assert_eq!(back[0].spilled_events, 0);
+    }
+
+    #[test]
+    fn errors_name_the_line_and_the_missing_field() {
+        let line = GOLDEN_ARTIFACT.lines().last().unwrap();
+        let text = format!("\n{}\n", line.replace("\"wall_nanos\"", "\"wall\""));
+        let e = from_jsonl(&text).unwrap_err().to_string();
+        assert!(
+            e.starts_with("line 2: missing field 'wall_nanos'"),
+            "got: {e}"
+        );
+        for (field, spill) in [
+            (
+                "seq",
+                "{\"spill\":{\"job\":\"bare/-/crc/0\",\"events\":[]}}",
+            ),
+            ("events", "{\"spill\":{\"job\":\"bare/-/crc/0\",\"seq\":0}}"),
+        ] {
+            let e = from_jsonl(spill).unwrap_err().to_string();
+            assert!(
+                e.starts_with(&format!("line 1: missing field '{field}'")),
+                "got: {e}"
+            );
+        }
     }
 
     #[test]

@@ -12,6 +12,39 @@ use schematic_bench::experiments::render_all;
 use schematic_bench::grid::{CellStore, GridMode, GridSpec, Job};
 use schematic_bench::trace;
 use schematic_bench::ENERGY_TBPF;
+use schematic_benchsuite::inputs::SplitMix64;
+
+/// Decodes `text`, which must either parse or return an error that
+/// names its line.
+fn parses_or_names_line(text: &str, what: &str) {
+    if let Err(e) = trace::from_jsonl(text) {
+        let e = e.to_string();
+        let numbered = e
+            .strip_prefix("line ")
+            .and_then(|rest| rest.split_once(": "))
+            .is_some_and(|(n, _)| n.parse::<usize>().is_ok());
+        assert!(numbered, "{what}: error without a line number: {e}");
+    }
+}
+
+/// Truncates a real trace line at sampled byte offsets and applies 200
+/// random single-byte mutations.
+fn damaged_lines_fail_cleanly(line: &str) {
+    let bytes = line.as_bytes();
+    let mut rng = SplitMix64::new(0x70A_11E5);
+    for _ in 0..200 {
+        let cut = (rng.next_u64() % bytes.len() as u64) as usize;
+        let text = String::from_utf8_lossy(&bytes[..cut]);
+        parses_or_names_line(&text, &format!("cut at {cut}"));
+    }
+    for round in 0..200 {
+        let mut damaged = bytes.to_vec();
+        let at = (rng.next_u64() % damaged.len() as u64) as usize;
+        damaged[at] = rng.next_u64() as u8;
+        let text = String::from_utf8_lossy(&damaged);
+        parses_or_names_line(&text, &format!("mutation {round} at byte {at}"));
+    }
+}
 
 #[test]
 fn traced_quick_grid_is_byte_identical_and_roundtrips() {
@@ -54,6 +87,10 @@ fn traced_quick_grid_is_byte_identical_and_roundtrips() {
     let text = trace::to_jsonl(&traces);
     let back = trace::from_jsonl(&text).expect("artifact parses");
     assert_eq!(back, traces, "trace artifact roundtrip drift");
+
+    // A damaged copy of the flagship cell's real line never panics the
+    // reader: it either still parses or fails with a line-numbered error.
+    damaged_lines_fail_cleanly(&trace::to_jsonl(std::slice::from_ref(t)));
 
     // Flags were restored: a fresh compute sees no tracing.
     assert!(!schematic_obs::enabled());

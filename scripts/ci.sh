@@ -68,6 +68,13 @@ echo "tracereport rendered $(wc -l < "$GRIDDIR/tracereport.txt") lines"
   > "$GRIDDIR/tracediff.txt"
 grep -q "verdict: OK" "$GRIDDIR/tracediff.txt"
 echo "tracereport --diff self-comparison clean"
+# The checked-in golden artifact pins the trace wire format (one spill
+# chunk, a periodic and a stochastic cell, every escape class, fixed
+# wall times); its render must match the golden report exactly.
+"$TRACEREPORT" tests/goldens/trace_artifact.jsonl --cell run/Schematic/crc/10000 \
+  --top 5 > "$GRIDDIR/golden_trace_report.txt"
+diff -u tests/goldens/trace_report.txt "$GRIDDIR/golden_trace_report.txt"
+echo "golden trace artifact renders tests/goldens/trace_report.txt"
 
 echo "== gridrun cache + resume smoke (release) =="
 # Cold in-process run populates a fresh content-addressed cell cache
