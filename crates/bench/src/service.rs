@@ -47,6 +47,8 @@ use schematic_obs::Registry;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{Read, Write};
+use std::path::{Path, PathBuf};
+use std::process::Child;
 use std::time::Instant;
 
 /// Upper bound on one frame's payload (16 MiB — a full-grid fetch is
@@ -366,49 +368,7 @@ impl Daemon {
             std::process::id(),
             self.batches
         ));
-        std::fs::create_dir_all(&dir).map_err(|e| GridError(format!("mkdir: {e}")))?;
-        let n = self.workers.min(misses.len());
-        let mut children = Vec::with_capacity(n);
-        for i in 0..n {
-            let jobs_path = dir.join(format!("jobs-{i}.txt"));
-            let out_path = dir.join(format!("out-{i}.jsonl"));
-            let keys: String = misses
-                .iter()
-                .skip(i)
-                .step_by(n)
-                .map(|j| format!("{j}\n"))
-                .collect();
-            std::fs::write(&jobs_path, keys).map_err(|e| GridError(format!("write jobs: {e}")))?;
-            let mut cmd = std::process::Command::new(&gridrun);
-            if self.mode == GridMode::Quick {
-                cmd.arg("--quick");
-            }
-            cmd.arg("--jobs").arg(&jobs_path).arg("-o").arg(&out_path);
-            // Children report through artifact telemetry, not heartbeats.
-            cmd.env("SCHEMATIC_PROGRESS", "0");
-            let child = cmd
-                .spawn()
-                .map_err(|e| GridError(format!("spawn {}: {e}", gridrun.display())))?;
-            children.push((child, out_path));
-        }
-        let mut outputs = Vec::with_capacity(n);
-        let mut failed = 0usize;
-        for (mut child, out_path) in children {
-            let status = child.wait().map_err(|e| GridError(format!("wait: {e}")))?;
-            if !status.success() {
-                failed += 1;
-                continue;
-            }
-            outputs.push(
-                std::fs::read_to_string(&out_path)
-                    .map_err(|e| GridError(format!("read {}: {e}", out_path.display())))?,
-            );
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-        if failed > 0 {
-            return Err(GridError(format!("{failed} worker process(es) failed")));
-        }
-        Ok(outputs)
+        run_batch(&gridrun, dir, self.mode, self.workers, misses)
     }
 
     fn status(&self) -> Json {
@@ -461,6 +421,88 @@ impl Daemon {
             ("registry", Json::Str(schematic_obs::codec::encode(&reg))),
         ])
     }
+}
+
+/// One dispatched batch in flight: its scratch directory and the
+/// workers spawned so far. Dropping it kills and reaps every child not
+/// yet waited for, then removes the directory, so no return path —
+/// success or any early error — leaks either.
+struct Batch {
+    dir: PathBuf,
+    children: Vec<(Child, PathBuf)>,
+}
+
+impl Batch {
+    fn create(dir: PathBuf) -> Result<Batch, GridError> {
+        std::fs::create_dir_all(&dir).map_err(|e| GridError(format!("mkdir: {e}")))?;
+        Ok(Batch {
+            dir,
+            children: Vec::new(),
+        })
+    }
+}
+
+impl Drop for Batch {
+    fn drop(&mut self) {
+        // Both calls are no-ops for a child that was already reaped.
+        for (child, _) in &mut self.children {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
+}
+
+/// Partitions `misses` round-robin over `workers` `gridrun --jobs`
+/// children run from `dir` and returns their artifact texts.
+fn run_batch(
+    gridrun: &Path,
+    dir: PathBuf,
+    mode: GridMode,
+    workers: usize,
+    misses: &[Job],
+) -> Result<Vec<String>, GridError> {
+    let mut batch = Batch::create(dir)?;
+    let n = workers.min(misses.len());
+    for i in 0..n {
+        let jobs_path = batch.dir.join(format!("jobs-{i}.txt"));
+        let out_path = batch.dir.join(format!("out-{i}.jsonl"));
+        let keys: String = misses
+            .iter()
+            .skip(i)
+            .step_by(n)
+            .map(|j| format!("{j}\n"))
+            .collect();
+        std::fs::write(&jobs_path, keys).map_err(|e| GridError(format!("write jobs: {e}")))?;
+        let mut cmd = std::process::Command::new(gridrun);
+        if mode == GridMode::Quick {
+            cmd.arg("--quick");
+        }
+        cmd.arg("--jobs").arg(&jobs_path).arg("-o").arg(&out_path);
+        // Children report through artifact telemetry, not heartbeats.
+        cmd.env("SCHEMATIC_PROGRESS", "0");
+        let child = cmd
+            .spawn()
+            .map_err(|e| GridError(format!("spawn {}: {e}", gridrun.display())))?;
+        batch.children.push((child, out_path));
+    }
+    let mut outputs = Vec::with_capacity(n);
+    let mut failed = 0usize;
+    for (child, out_path) in &mut batch.children {
+        let status = child.wait().map_err(|e| GridError(format!("wait: {e}")))?;
+        if !status.success() {
+            failed += 1;
+            continue;
+        }
+        outputs.push(
+            std::fs::read_to_string(&*out_path)
+                .map_err(|e| GridError(format!("read {}: {e}", out_path.display())))?,
+        );
+    }
+    if failed > 0 {
+        return Err(GridError(format!("{failed} worker process(es) failed")));
+    }
+    Ok(outputs)
 }
 
 /// A `stats` response decoded for rendering. [`StatsSnapshot::parse`]
@@ -1004,6 +1046,36 @@ mod tests {
         write_frame(&mut old_frame, &old).unwrap();
         write_frame(&mut new_frame, &new).unwrap();
         assert_eq!(new_frame, old_frame);
+    }
+
+    #[test]
+    fn failed_batch_removes_its_scratch_directory() {
+        let dir = std::env::temp_dir().join(format!("gridd-test-{}-spawnfail", std::process::id()));
+        let jobs = [
+            Job::parse("support/Schematic/crc/0").unwrap(),
+            Job::parse("support/Mementos/crc/0").unwrap(),
+        ];
+        let missing = dir.with_extension("no-such-gridrun");
+        let err = run_batch(&missing, dir.clone(), GridMode::Quick, 2, &jobs).unwrap_err();
+        assert!(err.to_string().starts_with("spawn "), "got: {err}");
+        assert!(!dir.exists(), "{} left behind", dir.display());
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn dropped_batch_kills_and_reaps_its_workers() {
+        let dir = std::env::temp_dir().join(format!("gridd-test-{}-kill", std::process::id()));
+        let mut batch = Batch::create(dir.clone()).unwrap();
+        std::fs::write(dir.join("jobs-0.txt"), "x\n").unwrap();
+        let child = std::process::Command::new("sleep")
+            .arg("30")
+            .spawn()
+            .unwrap();
+        batch.children.push((child, dir.join("out-0.jsonl")));
+        let t0 = Instant::now();
+        drop(batch);
+        assert!(t0.elapsed().as_secs() < 20, "drop waited for the worker");
+        assert!(!dir.exists(), "{} left behind", dir.display());
     }
 
     #[test]

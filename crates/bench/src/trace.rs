@@ -714,9 +714,9 @@ fn detail_of(ev: &obs::Event) -> String {
 }
 
 /// Renders the epoch timeline of one traced cell: every lifecycle
-/// event of the cell's *last* emulator run (a cell may run the
-/// emulator several times — profiling runs inside compilation, the
-/// measured run last), with the Fig. 6 energy delta each
+/// event of the cell's *last* emulator run (the measured one, should
+/// a cell run the emulator more than once; profiling runs inside
+/// compilation are never traced), with the Fig. 6 energy delta each
 /// inter-checkpoint segment consumed. The closing `run_end` row's
 /// cumulative split equals the run's metrics exactly, so the final
 /// "Fig. 6 split" line reproduces the cell's energy breakdown from

@@ -16,6 +16,7 @@ use schematic_benchsuite::inputs::SplitMix64;
 use schematic_emu::{Machine, Metrics, PowerModel, RunConfig, RunStatus};
 use schematic_energy::CostTable;
 use schematic_obs as obs;
+use std::sync::{Mutex, PoisonError};
 
 fn traced_crc_run() -> (RunStatus, Metrics, Vec<obs::Event>) {
     let table = CostTable::msp430fr5969();
@@ -38,10 +39,15 @@ fn count_kind(events: &[obs::Event], kind: &str) -> u64 {
     events.iter().filter(|e| e.kind == kind).count() as u64
 }
 
+/// Serializes the tests that flip the process-global obs and trace
+/// flags, so one never restores a flag while another is capturing.
+static OBS_GATE: Mutex<()> = Mutex::new(());
+
 #[test]
 fn golden_crc_epoch_timeline() {
     // One global obs flag; keep enable/disable inside a single test so
     // parallel test threads cannot observe a half-enabled collector.
+    let _gate = OBS_GATE.lock().unwrap_or_else(PoisonError::into_inner);
     let was = obs::enabled();
     obs::set_enabled(true);
     let (status, metrics, events) = traced_crc_run();
@@ -128,6 +134,57 @@ fn golden_crc_epoch_timeline() {
     assert!(timeline.contains(&format!("save {} uJ", uj(metrics.save))));
     assert!(timeline.contains(&format!("restore {} uJ", uj(metrics.restore))));
     assert!(timeline.contains(&format!("re-execution {} uJ", uj(metrics.reexecution))));
+}
+
+fn counter(t: &trace::CellTrace, name: &str) -> u64 {
+    t.counters
+        .iter()
+        .filter(|(n, _)| n == name)
+        .map(|(_, v)| *v)
+        .sum()
+}
+
+/// Profiling runs are compile-time work and never traced, so a traced
+/// Schematic cell holds exactly one emulator run, and its stream does
+/// not depend on whether the profile memo was cold or warm.
+#[test]
+fn traced_cells_hold_one_run_whatever_the_profile_memo_state() {
+    let _gate = OBS_GATE.lock().unwrap_or_else(PoisonError::into_inner);
+    // Programs no other test in this process compiles: the first
+    // capture meets a cold memo, the second a warm one.
+    let jobs = [
+        Job::run("Schematic", "fft", ENERGY_TBPF),
+        Job::run("Schematic", "bitcount", 1_000),
+        Job::run("Rockclimb", "fft", ENERGY_TBPF),
+    ];
+    let (_, cold) = trace::capture_grid(&jobs);
+    let (_, warm) = trace::capture_grid(&jobs);
+    let total = |traces: &[trace::CellTrace], name| -> u64 {
+        traces.iter().map(|t| counter(t, name)).sum()
+    };
+    assert!(
+        total(&cold, "compile/profile_miss") > 0,
+        "cold capture profiles"
+    );
+    assert_eq!(
+        total(&warm, "compile/profile_miss"),
+        0,
+        "warm capture profiles nothing"
+    );
+    assert!(
+        total(&warm, "compile/profile_hit") > 0,
+        "warm capture hits the memo"
+    );
+    for (c, w) in cold.iter().zip(&warm) {
+        assert_eq!(c.job, w.job);
+        assert_eq!(count_kind(&c.events, "run_start"), 1, "{}", c.job);
+        assert_eq!(count_kind(&c.events, "run_end"), 1, "{}", c.job);
+        assert_eq!(
+            c.events, w.events,
+            "{}: stream depends on memo state",
+            c.job
+        );
+    }
 }
 
 /// Text that exercises every escape path of the codec: quotes,

@@ -36,8 +36,8 @@ pub struct Compiled {
     pub repairs: usize,
 }
 
-/// Compiles `module` with SCHEMATIC, collecting a fresh execution
-/// profile internally.
+/// Compiles `module` with SCHEMATIC, profiling it internally (once per
+/// process per distinct program, see [`Profile::shared`]).
 ///
 /// # Errors
 ///
@@ -53,9 +53,9 @@ pub fn compile(
 
 /// Like [`compile`] but reusing pre-collected profile traces.
 ///
-/// The profile must have been collected on `module` as-is; if the block
-///-splitting pre-pass changes the CFG, a fresh profile is collected
-/// internally instead.
+/// The profile must have been collected on `module` as-is; if the
+/// block-splitting pre-pass changes the CFG, the split module is
+/// profiled internally instead (through [`Profile::shared`]).
 ///
 /// # Errors
 ///
@@ -79,13 +79,13 @@ pub fn compile_with_profile(
         split_large_blocks(&mut m, table, config.eb)?
     };
 
-    let own_profile;
+    let shared;
     let profile = match (profile, splits) {
         (Some(p), 0) => p,
         _ => {
             let _span = schematic_obs::span("compile/profile");
-            own_profile = Profile::collect(&m, table, config.profile_runs);
-            &own_profile
+            shared = Profile::shared(&m, table, config.profile_runs);
+            &*shared
         }
     };
 

@@ -5,11 +5,31 @@
 //! one continuous-power run; per-function paths are extracted by
 //! filtering to one function's blocks and cutting at back-edges (so
 //! every path is acyclic), then ranked by decreasing frequency.
+//!
+//! A profile is a pure function of the module, the cost table and the
+//! run count, so [`Profile::shared`] memoises it process-wide under a
+//! content digest of those three: a grid that compiles the same kernel
+//! for many cells profiles it once.
 
 use schematic_emu::{InstrumentedModule, Machine, RunConfig};
 use schematic_energy::CostTable;
+use schematic_ir::hash::{hash_module_into, Digest, StableHasher};
 use schematic_ir::{paths_from_trace, BlockId, Cfg, Dominators, FuncId, LoopForest, Module, Path};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+
+/// One memo slot per content digest. The slot is created under the map
+/// lock but filled outside it, so distinct programs profile in parallel
+/// while concurrent requests for the same program wait for one
+/// collection.
+type Slot = Arc<OnceLock<Arc<Profile>>>;
+
+static MEMO: Mutex<BTreeMap<Digest, Slot>> = Mutex::new(BTreeMap::new());
+
+/// Entries kept before the memo starts over. A grid holds a few dozen
+/// distinct programs; the cap only bounds a long-lived process that
+/// compiles an unbounded stream of them.
+const MEMO_CAP: usize = 4096;
 
 /// Ranked execution paths per function.
 #[derive(Debug, Clone, Default)]
@@ -94,6 +114,43 @@ impl Profile {
             }
         }
         profile
+    }
+
+    /// [`Profile::collect`], memoised for the life of the process under
+    /// a digest of `module`, `table` and `runs`. Collection is
+    /// deterministic, so a hit returns exactly the profile a fresh
+    /// collection would. Counts `compile/profile_hit` or
+    /// `compile/profile_miss` when observation is on.
+    pub fn shared(module: &Module, table: &CostTable, runs: usize) -> Arc<Profile> {
+        let mut h = StableHasher::new();
+        hash_module_into(&mut h, module);
+        table.identity_into(&mut h);
+        h.write_usize(runs);
+        let key = h.finish();
+        let slot = {
+            // A panic elsewhere cannot leave the map half-updated (every
+            // mutation is one insert or clear), so a poisoned lock still
+            // guards consistent data.
+            let mut map = MEMO.lock().unwrap_or_else(PoisonError::into_inner);
+            if map.len() >= MEMO_CAP && !map.contains_key(&key) {
+                map.clear();
+            }
+            Arc::clone(map.entry(key).or_default())
+        };
+        let mut missed = false;
+        let profile = slot.get_or_init(|| {
+            missed = true;
+            Arc::new(Profile::collect(module, table, runs))
+        });
+        schematic_obs::count(
+            if missed {
+                "compile/profile_miss"
+            } else {
+                "compile/profile_hit"
+            },
+            1,
+        );
+        Arc::clone(profile)
     }
 
     /// Ranked `(path, count)` pairs for a function (empty slice if the

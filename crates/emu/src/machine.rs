@@ -69,6 +69,8 @@ pub struct RunConfig {
     /// paper's §VII future-work direction and quantifies its benefit.
     pub retentive_sleep: bool,
     /// Record the sequence of executed blocks (for path profiling).
+    /// Such a run is never lifecycle-traced: `trace`, [`crate::trace::set_forced`]
+    /// and `SCHEMATIC_TRACE` are ignored for it.
     pub record_trace: bool,
     /// Cap on recorded trace entries.
     pub max_trace: usize,
@@ -83,7 +85,7 @@ pub struct RunConfig {
     /// [`schematic_obs`] events (see [`crate::trace`]). Also enabled by
     /// `SCHEMATIC_TRACE=1` or [`crate::trace::set_forced`]. Like
     /// [`RunConfig::shadow_war`], disables fused dispatch for the run;
-    /// metrics stay bit-identical.
+    /// metrics stay bit-identical. Ignored when `record_trace` is set.
     pub trace: bool,
     /// Highest execution tier the run may use (see [`ExecTier`]); the
     /// effective tier additionally drops to [`ExecTier::Interp`] when
@@ -120,7 +122,7 @@ impl Default for RunConfig {
 }
 
 impl RunConfig {
-    /// Continuous power with tracing enabled (profiling runs).
+    /// Continuous power with block-sequence recording (profiling runs).
     pub fn profiling() -> Self {
         RunConfig {
             record_trace: true,
@@ -383,9 +385,12 @@ impl<'a> Machine<'a> {
         let shadow_on =
             config.shadow_war || std::env::var_os("SCHEMATIC_SHADOW_WAR").is_some_and(|v| v == "1");
         let shadow = shadow_on.then(|| ShadowRecorder::new(im.module.vars.iter().map(|v| v.words)));
-        let tracing = config.trace
-            || crate::trace::forced()
-            || std::env::var_os("SCHEMATIC_TRACE").is_some_and(|v| v == "1");
+        // Path-recording runs are compile-time profiling, not
+        // intermittent runs, so they never emit lifecycle events.
+        let tracing = !config.record_trace
+            && (config.trace
+                || crate::trace::forced()
+                || std::env::var_os("SCHEMATIC_TRACE").is_some_and(|v| v == "1"));
         // Shadowing and tracing must observe every access/step
         // individually, so they force the per-instruction tier (metrics
         // stay bit-identical either way).

@@ -10,7 +10,10 @@
 //! [`set_forced`] (which the grid driver uses to avoid environment
 //! races between threads). Events only land somewhere when the
 //! `schematic_obs` collector is also enabled
-//! ([`schematic_obs::set_enabled`]).
+//! ([`schematic_obs::set_enabled`]). Path-recording runs
+//! ([`RunConfig::record_trace`](crate::RunConfig::record_trace), i.e.
+//! compile-time profiling) are never traced, so a stream always holds
+//! the events of intermittent runs only.
 //!
 //! Like the shadow recorder, tracing disables the fused block dispatch
 //! for the run so every lifecycle site is observed individually;

@@ -188,6 +188,17 @@ test "$MISSES" -eq "$JOBS" \
 grep -q '^gridd_span_calls_total{name="service/job_wall"} '"$JOBS"'$' \
   "$GRIDDIR/expo_cold.txt"
 grep -q "^gridd_worker_jobs_total $JOBS\$" "$GRIDDIR/expo_cold.txt"
+# Each worker profiles each distinct program once: the cold batch must
+# hit the profile memo, and every compile/profile span is exactly one
+# memo hit or one miss.
+PHITS="$(expo_counter "$GRIDDIR/expo_cold.txt" "compile/profile_hit")"
+PMISSES="$(expo_counter "$GRIDDIR/expo_cold.txt" "compile/profile_miss")"
+PCALLS="$(sed -n 's|^gridd_span_calls_total{name="compile/profile"} ||p' \
+  "$GRIDDIR/expo_cold.txt")"
+test "$PHITS" -gt 0 \
+  || { echo "cold stats: the profile memo never hit"; exit 1; }
+test "$((PHITS + PMISSES))" -eq "${PCALLS:-0}" \
+  || { echo "cold stats: profile hits($PHITS)+misses($PMISSES) != ${PCALLS:-0} spans"; exit 1; }
 # The dumped registry renders offline.
 "$TRACEREPORT" --service "$GRIDDIR/service_reg.txt" --top 3 \
   > "$GRIDDIR/service_report.txt"
@@ -198,7 +209,7 @@ grep -q "cache hit rate by report kind" "$GRIDDIR/service_report.txt"
 diff -u "$GRIDDIR/direct.txt" "$GRIDDIR/gridd.txt"
 "$GRIDRUN" --quick --connect "$ADDR" --shutdown
 wait "$GRIDD_PID"
-echo "cold daemon: $MISSES misses across $JOBS jobs, telemetry merged from 2 workers"
+echo "cold daemon: $MISSES misses across $JOBS jobs, telemetry merged from 2 workers, profile memo $PHITS/$PCALLS hits"
 
 # Warm restart: a fresh daemon over the populated cache answers every
 # cell from it — stats must show hits == jobs and zero misses.
