@@ -1,20 +1,22 @@
-//! Differential fuzz of the emulator's execution tier ladder.
+//! Differential fuzz of the emulator's two execution tiers.
 //!
-//! The whole point of the tier ladder ([`ExecTier`]: per-instruction →
-//! block-fused → trace superblocks → AOT micro-op tapes) is that each
-//! rung is *only* a faster encoding of the one below: every run must
-//! produce bit-identical [`Metrics`], the same result, and the same
-//! trap, no matter the tier. This sweep generates random looping
-//! modules (seeded [`SplitMix64`], deterministic), instruments them
-//! with random checkpoints and VM placements under both failure
-//! policies, runs each case at every tier — with the AOT threshold
-//! dropped to 1 so the tape tier actually builds — and asserts the
-//! outcomes are indistinguishable.
+//! The fused tier ([`ExecTier::Fused`]: each fusable block dispatched
+//! as one step) is *only* a faster encoding of per-instruction
+//! interpretation ([`ExecTier::Interp`]): every run must produce
+//! bit-identical [`Metrics`], the same result, the same trap and the
+//! same recorded block path, no matter the tier. This sweep generates
+//! random looping modules (seeded [`SplitMix64`], deterministic),
+//! instruments them with random checkpoints and VM placements under
+//! both failure policies, runs each case at both tiers and asserts the
+//! outcomes are indistinguishable. Path recording
+//! ([`RunConfig::record_trace`], the profiler's input) is part of the
+//! sweep: under the case's periodic supply, and under continuous power
+//! as `Profile::collect` runs it.
 //!
 //! A golden companion test pins the tier-forcing contract: the shadow
 //! recorder and the phase tracer observe individual accesses/steps, so
 //! enabling either must force the per-instruction tier regardless of
-//! the configured rung.
+//! the configured one.
 
 use schematic_benchsuite::inputs::SplitMix64;
 use schematic_emu::{
@@ -30,11 +32,15 @@ use schematic_ir::{
 const CASES: u64 = 256;
 const SEED: u64 = 0x7143_B17E;
 
+/// Both tiers; [`ExecTier::Interp`] is the reference the other must
+/// match.
+const TIERS: [ExecTier; 2] = [ExecTier::Interp, ExecTier::Fused];
+
 /// One random module: a bounded counting loop whose body is 2–4 blocks
 /// of random loads, stores and arithmetic over 2–4 scalars and 1–2
-/// small arrays. The loop's unconditional interior edges give the
-/// decoder real trace superblocks, and its conditional back edge
-/// exercises the superloop's mid-trace re-entry.
+/// small arrays. The body blocks chain through unconditional edges, so
+/// fused blocks dispatch back to back, and the conditional back edge
+/// re-enters the loop head every round.
 fn random_module(rng: &mut SplitMix64) -> (Module, Vec<(VarId, usize)>) {
     let mut mb = ModuleBuilder::new("fuzz");
     let mut vars: Vec<(VarId, usize)> = Vec::new();
@@ -67,10 +73,10 @@ fn random_module(rng: &mut SplitMix64) -> (Module, Vec<(VarId, usize)>) {
                 (1, 1) => f.store_scalar(var, last),
                 (w, 0) => last = f.load_idx(var, rng.below(w as u32) as i32),
                 (w, 1) => {
-                    // Register-indexed access: the AOT tape's inline
-                    // bounds-checked path. `i < iters <= 33`, so wrap
-                    // it into range with a masked immediate index when
-                    // the array is smaller.
+                    // Register-indexed access: the fused body's
+                    // bounds-checked path. `i < iters <= 33`, so index
+                    // by a register holding an in-range constant
+                    // instead when the array is smaller.
                     let idx = if u64::from(iters) <= w as u64 {
                         last = f.copy(i);
                         last
@@ -116,7 +122,7 @@ fn random_module(rng: &mut SplitMix64) -> (Module, Vec<(VarId, usize)>) {
 
 /// Random instrumentation: plain checkpoints in ~a third of the blocks
 /// and a random per-block VM set (the blocks without a checkpoint stay
-/// fusable, so traces still form around the instrumented ones).
+/// fusable, so fused dispatch still runs around the instrumented ones).
 fn instrument(
     rng: &mut SplitMix64,
     m: Module,
@@ -161,28 +167,30 @@ fn instrument(
     im
 }
 
-/// Runs `im` at `tier` and returns a comparable digest of everything
-/// observable: the formatted outcome (result + status + metrics, or
-/// the error).
+/// Runs `im` at `tier` under `power`, recording the executed block path
+/// when `record_trace` is set, and returns a comparable digest of
+/// everything observable: the formatted outcome (result + status +
+/// metrics + recorded path, or the error).
 ///
 /// One field is deliberately excluded: `peak_vm_bytes`. The fused
-/// tiers establish a block's VM residency up front (the prep pass),
+/// tier establishes a block's VM residency up front (the prep pass),
 /// so a copy another block left resident can still be counted toward
 /// the high-water mark when the per-instruction order would have
 /// dropped it (an NVM write earlier in the body) before the next
 /// fault-in. The transient peak gauge is interleaving-sensitive by
 /// nature; every energy, count and cycle total must still match
 /// bit-for-bit.
-fn digest(im: &InstrumentedModule, tbpf: u64, tier: ExecTier) -> String {
-    digest_model(im, PowerModel::Periodic { tbpf }, tier)
-}
-
-fn digest_model(im: &InstrumentedModule, power: PowerModel, tier: ExecTier) -> String {
+fn digest_model(
+    im: &InstrumentedModule,
+    power: PowerModel,
+    tier: ExecTier,
+    record_trace: bool,
+) -> String {
     let cfg = RunConfig {
         power,
         svm_bytes: usize::MAX / 2,
         max_active_cycles: 1_000_000,
-        aot_threshold: 1,
+        record_trace,
         tier,
         ..RunConfig::default()
     };
@@ -191,8 +199,8 @@ fn digest_model(im: &InstrumentedModule, power: PowerModel, tier: ExecTier) -> S
             let mut m = out.metrics;
             m.peak_vm_bytes = 0;
             format!(
-                "result={:?} status={:?} metrics={:?}",
-                out.result, out.status, m
+                "result={:?} status={:?} metrics={:?} trace={:?}",
+                out.result, out.status, m, out.trace
             )
         }
         Err(e) => format!("error={e:?}"),
@@ -201,14 +209,9 @@ fn digest_model(im: &InstrumentedModule, power: PowerModel, tier: ExecTier) -> S
 
 #[test]
 fn all_tiers_are_bit_identical() {
-    const TIERS: [ExecTier; 4] = [
-        ExecTier::Interp,
-        ExecTier::Fused,
-        ExecTier::Trace,
-        ExecTier::Aot,
-    ];
     let mut rng = SplitMix64::new(SEED);
     let mut completed = 0u64;
+    let mut recorded = 0u64;
     for case in 0..CASES {
         let (m, vars) = random_module(&mut rng);
         let policy = if rng.below(2) == 0 {
@@ -218,39 +221,51 @@ fn all_tiers_are_bit_identical() {
         };
         let im = instrument(&mut rng, m, &vars, policy);
         let tbpf = 200 + u64::from(rng.below(2000));
-        let reference = digest(&im, tbpf, ExecTier::Interp);
-        if !reference.starts_with("error=") {
-            completed += 1;
-        }
-        for tier in TIERS {
-            let got = digest(&im, tbpf, tier);
-            assert_eq!(
-                got, reference,
-                "case {case} (seed {SEED:#x}, policy {policy:?}, tbpf {tbpf}): \
-                 {tier:?} diverged from the per-instruction tier"
-            );
+        let periodic = PowerModel::Periodic { tbpf };
+        // Plain runs, then path recording under the same supply and
+        // under continuous power (the profiler's configuration).
+        for (power, record_trace) in [
+            (periodic, false),
+            (periodic, true),
+            (PowerModel::Continuous, true),
+        ] {
+            let reference = digest_model(&im, power, ExecTier::Interp, record_trace);
+            if !reference.starts_with("error=") {
+                if !record_trace {
+                    completed += 1;
+                } else if reference.contains("trace=[(") {
+                    recorded += 1;
+                }
+            }
+            for tier in TIERS {
+                let got = digest_model(&im, power, tier, record_trace);
+                assert_eq!(
+                    got, reference,
+                    "case {case} (seed {SEED:#x}, policy {policy:?}, power {power:?}, \
+                     record_trace {record_trace}): {tier:?} diverged from the \
+                     per-instruction tier"
+                );
+            }
         }
     }
     // The sweep must be non-vacuous: most cases complete (a trapped
-    // case still checks that every tier traps identically).
+    // case still checks that every tier traps identically), and the
+    // path-recording runs record real paths.
     assert!(completed >= 200, "only {completed}/{CASES} cases completed");
+    assert!(
+        recorded >= 2 * 200,
+        "only {recorded} path-recording runs recorded a path"
+    );
 }
 
 /// The stochastic supply draws each window length from its seeded
 /// SplitMix64 stream by *window index*, not by execution order — so the
-/// fused/trace/AOT tiers, which retire whole superblocks between
-/// power-failure checks, must still see the exact same window sequence
-/// as the per-instruction tier. This sweep pins that: random modules
-/// under random `mean ± jitter` supplies are bit-identical at all four
-/// rungs.
+/// fused tier, which retires whole blocks between power-failure checks,
+/// must still see the exact same window sequence as the
+/// per-instruction tier. This sweep pins that: random modules under
+/// random `mean ± jitter` supplies are bit-identical at both tiers.
 #[test]
 fn stochastic_runs_are_bit_identical_across_tiers() {
-    const TIERS: [ExecTier; 4] = [
-        ExecTier::Interp,
-        ExecTier::Fused,
-        ExecTier::Trace,
-        ExecTier::Aot,
-    ];
     let mut rng = SplitMix64::new(SEED ^ 0x570C_4A57);
     let mut completed = 0u64;
     for case in 0..CASES {
@@ -267,12 +282,12 @@ fn stochastic_runs_are_bit_identical_across_tiers() {
             jitter: u64::from(rng.below(mean_tbpf as u32 / 2)),
             seed: rng.next_u64(),
         };
-        let reference = digest_model(&im, power, ExecTier::Interp);
+        let reference = digest_model(&im, power, ExecTier::Interp, false);
         if !reference.starts_with("error=") {
             completed += 1;
         }
         for tier in TIERS {
-            let got = digest_model(&im, power, tier);
+            let got = digest_model(&im, power, tier, false);
             assert_eq!(
                 got, reference,
                 "case {case} (policy {policy:?}, power {power:?}): \
@@ -288,12 +303,6 @@ fn stochastic_runs_are_bit_identical_across_tiers() {
 /// sequence.
 #[test]
 fn trace_supply_runs_are_bit_identical_across_tiers() {
-    const TIERS: [ExecTier; 4] = [
-        ExecTier::Interp,
-        ExecTier::Fused,
-        ExecTier::Trace,
-        ExecTier::Aot,
-    ];
     let id = schematic_emu::intern_trace(
         "tier-parity-fixture",
         vec![900, 350, 2100, 280, 1500, 410, 777],
@@ -302,10 +311,11 @@ fn trace_supply_runs_are_bit_identical_across_tiers() {
     for case in 0..16 {
         let (m, vars) = random_module(&mut rng);
         let im = instrument(&mut rng, m, &vars, FailurePolicy::WaitRecharge);
-        let reference = digest_model(&im, PowerModel::Trace { id }, ExecTier::Interp);
+        let power = PowerModel::Trace { id };
+        let reference = digest_model(&im, power, ExecTier::Interp, false);
         for tier in TIERS {
             assert_eq!(
-                digest_model(&im, PowerModel::Trace { id }, tier),
+                digest_model(&im, power, tier, false),
                 reference,
                 "case {case}: {tier:?} diverged under the recorded trace"
             );
@@ -320,13 +330,13 @@ fn shadow_and_trace_modes_force_the_per_instruction_tier() {
     let im = instrument(&mut rng, m, &vars, FailurePolicy::WaitRecharge);
     let table = CostTable::msp430fr5969();
     let base = RunConfig {
-        tier: ExecTier::Aot,
+        tier: ExecTier::Fused,
         ..RunConfig::default()
     };
-    // Default: the configured rung sticks.
+    // Default: the configured tier sticks.
     assert_eq!(
         Machine::new(&im, &table, base.clone()).effective_tier(),
-        ExecTier::Aot
+        ExecTier::Fused
     );
     // Shadow WAR recording observes individual accesses: forced down.
     let shadow = RunConfig {

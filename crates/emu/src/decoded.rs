@@ -202,52 +202,6 @@ pub(crate) struct PrepOp {
     pub(crate) kind: PrepKind,
 }
 
-/// A *trace* superblock: the maximal chain of fusable blocks reachable
-/// from a head block by following unconditional `Br` edges that need no
-/// residency reconciliation. The final block's terminator (which may be
-/// a `CondBr` closing a loop, or a `Ret`) executes dynamically after the
-/// trace body; every interior edge is a plain fall-through. Aggregate
-/// accounting is the field-wise sum of each member's [`FusedCosts`]
-/// (each bundle already includes its own terminator), so the machine
-/// commits a whole trace with a single charge once the worst-case bound
-/// proves nothing observable can land inside it — the same
-/// fall-back-near-failure argument as single-block fusion, applied to
-/// the longer unit.
-pub(crate) struct TraceInfo {
-    /// Flat indices of the member blocks; `blocks[0]` is the head. A
-    /// single-element trace is a plain fusable block.
-    pub(crate) blocks: Box<[u32]>,
-    /// Field-wise sum of every member's accounting bundle.
-    pub(crate) fused: FusedCosts,
-    /// Total instruction count across the trace.
-    pub(crate) insts: u64,
-    /// Suffix bundles: `suffix[p]` aggregates members `p..len` (so
-    /// `suffix[0] == fused`). These price the *partial* rounds the
-    /// superloop runs when the trace's final terminator re-enters the
-    /// trace mid-chain rather than at the head.
-    pub(crate) suffix: Box<[FusedCosts]>,
-    /// Instruction counts parallel to `suffix`.
-    pub(crate) suffix_insts: Box<[u64]>,
-    /// Position in `blocks` that the final member's `CondBr` then-edge
-    /// re-enters, when that edge is reconcile-free and targets a
-    /// member (`None` otherwise, or when the final terminator is not a
-    /// `CondBr`). Decode-time input to the superloop's back-edge test.
-    pub(crate) re_then: Option<u32>,
-    /// Same for the else-edge.
-    pub(crate) re_else: Option<u32>,
-    /// Whether VM residency established by the members' prep passes can
-    /// survive the whole trace: true when no member NVM-writes a
-    /// variable that appears in any member's prep list (an NVM write
-    /// drops the variable's VM copy). When set, superloop rounds after
-    /// the first skip the per-block residency rescan.
-    pub(crate) prep_stable: bool,
-}
-
-/// Longest chain a trace may span. Caps the worst-case bound (an overly
-/// long trace would fail its power-headroom guard and fall back anyway)
-/// and keeps the decode pass linear.
-const TRACE_CAP: usize = 16;
-
 /// One basic block in decoded form. The instruction-indexed arrays
 /// are parallel: `insts[ip]` executes with exec-CPU cost `costs[ip]`
 /// via the direct-threaded handler `ops[ip]`, and
@@ -287,14 +241,6 @@ pub(crate) struct DecodedBlock<'a> {
     /// Aggregate accounting for block-level dispatch. Meaningful only
     /// when `fusable`.
     pub(crate) fused: FusedCosts,
-    /// The trace superblock headed by this block (`Some` iff `fusable`;
-    /// a chain of length 1 when no successor can be fused).
-    pub(crate) trace_info: Option<TraceInfo>,
-    /// Lazily-built AOT lowering of the full trace headed here — closed
-    /// Rust closures over resolved operands, compiled by the machine
-    /// once the head's execution count crosses the AOT threshold (see
-    /// [`crate::aot`]). Shared across runs of the same decoded program.
-    pub(crate) aot: std::sync::OnceLock<crate::aot::AotTrace>,
 }
 
 /// Precomputed whole-block accounting for a fusable block.
@@ -307,7 +253,7 @@ pub(crate) struct DecodedBlock<'a> {
 /// therefore only moves data; the machine commits this bundle once at
 /// the end. Only implicit restores remain dynamic (they depend on VM
 /// residency) and are charged separately as they occur.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct FusedCosts {
     /// Worst-case total cost of executing the entire block — every
     /// instruction's CPU and access cost, the largest implicit-restore
@@ -328,35 +274,6 @@ pub(crate) struct FusedCosts {
     pub(crate) vm_writes: u32,
     pub(crate) nvm_reads: u32,
     pub(crate) nvm_writes: u32,
-}
-
-impl FusedCosts {
-    /// Field-wise sum — aggregates member blocks into a trace bundle.
-    fn merge(&self, o: &FusedCosts) -> FusedCosts {
-        FusedCosts {
-            ub_cost: self.ub_cost + o.ub_cost,
-            exec_cost: self.exec_cost + o.exec_cost,
-            cpu_energy: self.cpu_energy + o.cpu_energy,
-            vm_energy: self.vm_energy + o.vm_energy,
-            nvm_energy: self.nvm_energy + o.nvm_energy,
-            vm_reads: self.vm_reads + o.vm_reads,
-            vm_writes: self.vm_writes + o.vm_writes,
-            nvm_reads: self.nvm_reads + o.nvm_reads,
-            nvm_writes: self.nvm_writes + o.nvm_writes,
-        }
-    }
-
-    const ZERO: FusedCosts = FusedCosts {
-        ub_cost: Cost::ZERO,
-        exec_cost: Cost::ZERO,
-        cpu_energy: Energy::ZERO,
-        vm_energy: Energy::ZERO,
-        nvm_energy: Energy::ZERO,
-        vm_reads: 0,
-        vm_writes: 0,
-        nvm_reads: 0,
-        nvm_writes: 0,
-    };
 }
 
 /// An [`InstrumentedModule`] lowered to the emulator's execution format.
@@ -452,108 +369,8 @@ impl<'a> DecodedModule<'a> {
                     term_cost,
                     fusable,
                     fused,
-                    trace_info: None,
-                    aot: std::sync::OnceLock::new(),
                 });
             }
-        }
-        // Trace construction: from every fusable head, follow
-        // unconditional reconcile-free branches through further fusable
-        // blocks. A revisit (loop back edge into the chain) ends the
-        // trace — the final terminator re-enters it dynamically.
-        let mut infos = Vec::with_capacity(blocks.len());
-        for (i, db) in blocks.iter().enumerate() {
-            if !db.fusable {
-                infos.push(None);
-                continue;
-            }
-            let mut chain = vec![u32::try_from(i).expect("flat index fits u32")];
-            let mut cur = i;
-            while chain.len() < TRACE_CAP {
-                let DTerm::Br {
-                    flat,
-                    reconcile: false,
-                    ..
-                } = blocks[cur].term
-                else {
-                    break;
-                };
-                let next = flat as usize;
-                if !blocks[next].fusable || chain.contains(&flat) {
-                    break;
-                }
-                chain.push(flat);
-                cur = next;
-            }
-            // Suffix accounting (reverse scan; field-wise integer sums,
-            // so `suffix[0]` equals the forward merge).
-            let mut suffix = vec![FusedCosts::ZERO; chain.len()];
-            let mut suffix_insts = vec![0u64; chain.len()];
-            let mut acc = FusedCosts::ZERO;
-            let mut acc_insts = 0u64;
-            for p in (0..chain.len()).rev() {
-                let member = &blocks[chain[p] as usize];
-                acc = member.fused.merge(&acc);
-                acc_insts += member.insts.len() as u64;
-                suffix[p] = acc;
-                suffix_insts[p] = acc_insts;
-            }
-            // Re-entry positions of the final member's conditional
-            // back edges, for mid-trace superloop rounds.
-            let pos_of = |flat: u32, rec: bool| {
-                (!rec)
-                    .then(|| chain.iter().position(|&f| f == flat))
-                    .flatten()
-                    .map(|p| p as u32)
-            };
-            // Prep stability: an NVM store drops the written variable's
-            // VM copy, so residency prepped by one member survives
-            // later rounds only if no member NVM-writes a prepped var.
-            let prep_stable = {
-                let prepped = |v: schematic_ir::VarId| {
-                    chain
-                        .iter()
-                        .any(|&f| blocks[f as usize].prep.iter().any(|p| p.var == v))
-                };
-                !chain.iter().any(|&f| {
-                    blocks[f as usize].insts.iter().any(|di| {
-                        matches!(
-                            *di,
-                            DInst::Store {
-                                var,
-                                class: MemClass::Nvm,
-                                ..
-                            } if prepped(var)
-                        )
-                    })
-                })
-            };
-            let (re_then, re_else) = match blocks[cur].term {
-                DTerm::CondBr {
-                    then_flat,
-                    then_reconcile,
-                    else_flat,
-                    else_reconcile,
-                    ..
-                } => (
-                    pos_of(then_flat, then_reconcile),
-                    pos_of(else_flat, else_reconcile),
-                ),
-                _ => (None, None),
-            };
-            infos.push(Some(TraceInfo {
-                blocks: chain.into_boxed_slice(),
-                fused: acc,
-                insts: acc_insts,
-                suffix: suffix.into_boxed_slice(),
-                suffix_insts: suffix_insts.into_boxed_slice(),
-                re_then,
-                re_else,
-                prep_stable,
-            }));
-        }
-        for (db, info) in blocks.iter_mut().zip(infos) {
-            db.trace_info = info;
         }
         DecodedModule {
             im,
@@ -623,7 +440,7 @@ fn block_bound(
         ub_cost: term_cost,
         exec_cost: term_cost,
         cpu_energy: term_cost.energy,
-        ..FusedCosts::ZERO
+        ..FusedCosts::default()
     };
     for (di, &cost) in insts.iter().zip(costs) {
         match di {
@@ -674,7 +491,7 @@ fn block_bound(
                 f.cpu_energy += cost.energy;
                 f.ub_cost += cost;
             }
-            _ => return (false, FusedCosts::ZERO),
+            _ => return (false, FusedCosts::default()),
         }
     }
     (true, f)

@@ -39,7 +39,6 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-mod aot;
 pub mod decoded;
 pub mod error;
 pub mod instrumented;

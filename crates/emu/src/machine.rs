@@ -17,31 +17,40 @@ use crate::memory::Memory;
 use crate::metrics::Metrics;
 use crate::power::{PowerModel, PowerState};
 use crate::shadow::{EpochStart, ShadowRecorder, ShadowReport};
-use schematic_energy::{Cost, CostTable, Energy, MemClass};
+use schematic_energy::{Cost, CostTable, MemClass};
 use schematic_ir::{
     AccessKind, BinOp, BlockId, CheckpointId, FuncId, Operand, Reg, UnOp, VarId, VarSet,
 };
 
-/// The emulator's execution-tier ladder, from plain interpretation to
-/// AOT-compiled traces. Each tier is a pure dispatch strategy: metrics,
-/// failure points and results are bit-identical across all four (the
-/// fall-back-near-failure guards prove any fused unit is equivalent to
-/// per-instruction stepping). Higher tiers subsume lower ones — a run at
-/// `Aot` still interprets per instruction near power failures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// The emulator's execution tier. Each tier is a pure dispatch
+/// strategy: metrics, failure points and results are bit-identical at
+/// both (the fall-back-near-failure guard proves a fused block is
+/// equivalent to per-instruction stepping). `Fused` subsumes `Interp` —
+/// it still interprets per instruction near power failures and in
+/// blocks that cannot fuse.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecTier {
-    /// Per-instruction interpretation only. Forced whenever WAR
-    /// shadowing or lifecycle tracing is active, which must observe
-    /// every access/step individually.
+    /// Per-instruction interpretation only: the reference semantics.
+    /// Forced whenever WAR shadowing or lifecycle tracing is active,
+    /// which must observe every access/step individually.
     Interp,
-    /// Single fusable blocks dispatch as one step (PR-5 behavior).
+    /// Fusable blocks dispatch as one step each, back to back, with one
+    /// guard check per block entry (the default).
     Fused,
-    /// Trace superblocks: chains of fusable blocks across unconditional
-    /// branches dispatch as one step.
-    Trace,
-    /// Hot traces are additionally lowered to closed Rust closures over
-    /// resolved operands (see [`crate::aot`]).
-    Aot,
+}
+
+#[allow(non_upper_case_globals)]
+impl ExecTier {
+    /// Alias of [`ExecTier::Fused`]. Exists only so the frozen
+    /// `perfbench` harness, which names the removed trace-superblock
+    /// tier, keeps compiling; a later benchmark change drops it.
+    #[doc(hidden)]
+    pub const Trace: ExecTier = ExecTier::Fused;
+    /// Alias of [`ExecTier::Fused`]. Exists only so the frozen
+    /// `perfbench` harness, which names the removed AOT tier, keeps
+    /// compiling; a later benchmark change drops it.
+    #[doc(hidden)]
+    pub const Aot: ExecTier = ExecTier::Fused;
 }
 
 /// Limits and options for one run.
@@ -87,18 +96,14 @@ pub struct RunConfig {
     /// [`RunConfig::shadow_war`], disables fused dispatch for the run;
     /// metrics stay bit-identical. Ignored when `record_trace` is set.
     pub trace: bool,
-    /// Highest execution tier the run may use (see [`ExecTier`]); the
-    /// effective tier additionally drops to [`ExecTier::Interp`] when
-    /// shadowing or tracing is active. All tiers produce bit-identical
-    /// metrics — except the transient `peak_vm_bytes` gauge, which the
-    /// fused tiers' up-front residency prep can raise past the
-    /// per-instruction interleaving — so this knob exists for
-    /// differential testing (`tests/tier_parity.rs`) and the per-tier
-    /// perfsmoke breakdown.
+    /// Execution tier of the run (see [`ExecTier`]); the effective tier
+    /// drops to [`ExecTier::Interp`] when shadowing or tracing is
+    /// active. Both tiers produce bit-identical metrics — except the
+    /// transient `peak_vm_bytes` gauge, which the fused tier's up-front
+    /// residency prep can raise past the per-instruction interleaving —
+    /// so this knob exists for differential testing
+    /// (`tests/tier_parity.rs`) and the per-tier perfsmoke breakdown.
     pub tier: ExecTier,
-    /// Execution count at which a trace head is lowered to AOT closures
-    /// (only at [`ExecTier::Aot`]). Cold code never pays the build.
-    pub aot_threshold: u32,
 }
 
 impl Default for RunConfig {
@@ -115,8 +120,7 @@ impl Default for RunConfig {
             max_trace: 4_000_000,
             shadow_war: false,
             trace: false,
-            tier: ExecTier::Aot,
-            aot_threshold: 32,
+            tier: ExecTier::Fused,
         }
     }
 }
@@ -144,8 +148,8 @@ impl RunConfig {
     ///
     /// Deliberately excluded — observation knobs that are proven not to
     /// affect outcomes: `record_trace`/`max_trace` (path recording),
-    /// `trace` (event emission), `tier`/`aot_threshold` (bit-identical
-    /// down the ladder, pinned by `tests/tier_parity.rs`). `shadow_war`
+    /// `trace` (event emission), `tier` (bit-identical at both
+    /// tiers, pinned by `tests/tier_parity.rs`). `shadow_war`
     /// is *included*: it fills [`RunOutcome::shadow`], which shadow
     /// cells report on.
     pub fn identity_into(&self, h: &mut schematic_ir::hash::StableHasher) {
@@ -349,9 +353,6 @@ pub struct Machine<'a> {
     /// The resolved execution tier: [`RunConfig::tier`], dropped to
     /// [`ExecTier::Interp`] when shadowing or tracing is active.
     tier: ExecTier,
-    /// Per-flat-block dispatch counts of trace heads, driving the AOT
-    /// threshold.
-    exec_counts: Vec<u32>,
 }
 
 impl<'a> Machine<'a> {
@@ -399,7 +400,6 @@ impl<'a> Machine<'a> {
         } else {
             config.tier
         };
-        let n_blocks = decoded.get().blocks.len();
         Machine {
             im,
             table,
@@ -424,7 +424,6 @@ impl<'a> Machine<'a> {
             shadow,
             tracing,
             tier,
-            exec_counts: vec![0; n_blocks],
         }
     }
 
@@ -1104,7 +1103,7 @@ fn eval_bin(op: BinOp, lhs: i32, rhs: i32) -> Result<i32, TrapKind> {
 
 /// Evaluates an operand against a register file.
 #[inline(always)]
-pub(crate) fn ev(regs: &[i32], op: Operand) -> i32 {
+fn ev(regs: &[i32], op: Operand) -> i32 {
     match op {
         Operand::Imm(v) => v,
         Operand::Reg(r) => regs[r.index()],
@@ -1115,7 +1114,7 @@ pub(crate) fn ev(regs: &[i32], op: Operand) -> i32 {
 /// one bounds check against the decode-time variable size, then
 /// `base + idx` (see `DInst::Load`).
 #[inline(always)]
-pub(crate) fn resolve_at(
+fn resolve_at(
     regs: &[i32],
     idx: Option<Operand>,
     base: u32,
@@ -1142,7 +1141,7 @@ pub(crate) fn resolve_at(
 /// dispatch match inside the superblock run loops — as a standalone call
 /// it showed up at ~25% of emulator CPU time in profiles.
 #[inline(always)]
-pub(crate) fn exec_pure(di: &DInst, regs: &mut [i32]) {
+fn exec_pure(di: &DInst, regs: &mut [i32]) {
     match *di {
         DInst::Bin { dst, op, lhs, rhs } => {
             let (l, r) = (ev(regs, lhs), ev(regs, rhs));
@@ -1178,8 +1177,8 @@ pub(crate) fn exec_pure(di: &DInst, regs: &mut [i32]) {
 /// Executes the body of one fusable block whose VM residency has been
 /// established by the prep pass: pure arena data movement with no
 /// residency checks, no per-access frame re-acquisition and no charging
-/// (all Exec accounting for the enclosing trace is a decode-time
-/// constant committed by the caller). `clobbers` receives NVM writes
+/// (all Exec accounting for the block is a decode-time constant
+/// committed by the caller). `clobbers` receives NVM writes
 /// that would discard dirty VM data (`Metrics::coherence_violations`).
 fn run_body(
     db: &crate::decoded::DecodedBlock<'_>,
@@ -1243,61 +1242,36 @@ fn run_body(
 
 impl<'a> Machine<'a> {
     fn step(&mut self) -> Result<Step, EmuError> {
-        // Fused dispatch: execute a whole trace superblock — or at least
-        // the current block — plus its final terminator as one step,
-        // when every instruction is pure or a plain load/store and the
-        // worst-case bound `ub_cost` proves that no power failure,
-        // cycle-limit edge, or re-execution category flip can land
-        // inside it. `ub_cost` covers the largest implicit-restore
-        // charge every VM access could trigger, so the proof holds for
-        // any dynamic memory state; the strict `<` on the re-execution
-        // side keeps the last terminator's charge in the same category
-        // as the instructions'. Near a failure the trace guard fails
-        // first, then the single-block guard, then execution falls back
-        // to per-instruction stepping — the fall-back-near-failure
-        // ladder that keeps metrics bit-identical across tiers.
-        // Shadow/trace modes run at `ExecTier::Interp` so the recorder
-        // sees the true access order.
+        // Fused dispatch: execute the current block — body plus
+        // terminator — as one step, when every instruction is pure or a
+        // plain load/store and the worst-case bound `ub_cost` proves
+        // that no power failure, cycle-limit edge, or re-execution
+        // category flip can land inside it. `ub_cost` covers the largest
+        // implicit-restore charge every VM access could trigger, so the
+        // proof holds for any dynamic memory state; the strict `<` on
+        // the re-execution side keeps the terminator's charge in the
+        // same category as the instructions'. Near a failure the block
+        // guard fails and execution falls back to per-instruction
+        // stepping — the fall-back-near-failure rule that keeps metrics
+        // bit-identical across tiers. Shadow/trace modes run at
+        // `ExecTier::Interp` so the recorder sees the true access order.
         //
-        // The loop keeps execution *resident*: when a fused step lands
-        // on another fusable head (the common case — a hot loop whose
-        // back edge re-enters its own trace), the next trace dispatches
-        // immediately instead of bouncing through `run`'s outer loop.
-        // Staying resident is invisible to the outcome: the run-loop
-        // limit checks cannot fire between fused steps (the guard
-        // already bounds `active_cycles`, and failures exit the loop).
-        if self.tier >= ExecTier::Fused {
+        // The loop keeps execution *resident*: when a fused block lands
+        // on another fusable block (the common case — a hot loop whose
+        // back edge re-enters its own body), the next block dispatches
+        // immediately, after one guard check, instead of bouncing
+        // through `run`'s outer loop. Staying resident is invisible to
+        // the outcome: the run-loop limit checks cannot fire between
+        // fused steps (the guard already bounds `active_cycles`, and
+        // failures exit the loop).
+        if self.tier == ExecTier::Fused {
             while self.frames.last().expect("active frame").ip == 0 {
                 let db = &self.decoded.get().blocks[self.cur_flat as usize];
-                if !db.fusable {
+                if !(db.fusable && self.fused_guard(db.fused.ub_cost.cycles, db.insts.len() as u64))
+                {
                     break;
                 }
-                // Multi-block traces skip intermediate `jump`s, so path
-                // recording falls back to single-block units — and a
-                // non-resident dispatch never consults the trace at
-                // all, so it skips straight to the lean block path.
-                let resident = self.tier >= ExecTier::Trace && !self.config.record_trace;
-                let s = if resident {
-                    let ti = db
-                        .trace_info
-                        .as_ref()
-                        .expect("fusable blocks carry a trace");
-                    let multi = ti.blocks.len() > 1;
-                    if multi && self.fused_guard(ti.fused.ub_cost.cycles, ti.insts) {
-                        self.step_trace(ti.blocks.len())?
-                    } else if self.fused_guard(db.fused.ub_cost.cycles, db.insts.len() as u64) {
-                        // A single-block dispatch at Trace+ can still
-                        // stay resident (superloop back edges, trace
-                        // transitions), so it takes the general path.
-                        self.step_trace(1)?
-                    } else {
-                        break;
-                    }
-                } else if self.fused_guard(db.fused.ub_cost.cycles, db.insts.len() as u64) {
-                    self.step_block_unit()?
-                } else {
-                    break;
-                };
+                let s = self.step_block_unit()?;
                 if matches!(s, Step::Finished(_)) {
                     return Ok(s);
                 }
@@ -1376,13 +1350,13 @@ impl<'a> Machine<'a> {
         Ok(Step::Continue)
     }
 
-    /// The fall-back-near-failure guard for a fused unit (single block
-    /// or whole trace) with worst-case cycle bound `ub_cycles` and `n`
-    /// instructions: dispatch fused only when no power failure, no
-    /// cycle-limit edge and no computation/re-execution category flip
-    /// can land inside. Each condition is a monotone-prefix argument —
-    /// if the total fits, so does every prefix — so per-instruction
-    /// stepping would behave bit-identically.
+    /// The fall-back-near-failure guard for a fused block with
+    /// worst-case cycle bound `ub_cycles` and `n` instructions: dispatch
+    /// fused only when no power failure, no cycle-limit edge and no
+    /// computation/re-execution category flip can land inside. Each
+    /// condition is a monotone-prefix argument — if the total fits, so
+    /// does every prefix — so per-instruction stepping would behave
+    /// bit-identically.
     #[inline]
     fn fused_guard(&self, ub_cycles: u64, n: u64) -> bool {
         self.power.headroom(ub_cycles)
@@ -1390,9 +1364,9 @@ impl<'a> Machine<'a> {
             && (self.epoch_insts >= self.furthest || self.epoch_insts + n < self.furthest)
     }
 
-    /// Handles a VM-residency miss found by a trace's prep pass, with
-    /// full `&mut self` available (the body loops pin disjoint field
-    /// borrows and cannot call back in). The charge order matches
+    /// Handles a VM-residency miss found by a fused block's prep pass,
+    /// with full `&mut self` available (the body loop pins disjoint
+    /// field borrows and cannot call back in). The charge order matches
     /// per-instruction execution: the restore lands before the access's
     /// exec charge either way, and all sums commute within the step.
     fn run_cold(&mut self, p: crate::decoded::PrepOp) -> Result<(), EmuError> {
@@ -1456,15 +1430,12 @@ impl<'a> Machine<'a> {
     /// terminator — as a single step and commits its decode-time
     /// [`FusedCosts`](crate::decoded::FusedCosts) bundle directly.
     ///
-    /// Semantically identical to `step_trace(1)` for a dispatch that
-    /// cannot stay resident (`ExecTier::Fused`, or path recording at
-    /// any tier): with no superloop round, no trace transition and no
-    /// tape to consult, the general machinery's per-dispatch setup —
-    /// trace facts, back-edge inspection, the unit tally and its
-    /// `Σ count × bundle` commit — collapses to a single bundle add,
-    /// and paying it anyway is pure overhead. Profiling runs record
-    /// paths and therefore dispatch single blocks millions of times;
-    /// this lean path is what keeps them at block-dispatch speed.
+    /// The caller has already proven (via the block's `ub_cost`) that
+    /// nothing observable can land mid-block, so all Exec-category
+    /// accounting is a decode-time constant committed once. A
+    /// mid-block trap aborts the whole run, so per-instruction stepping
+    /// would produce bit-identical results. The terminator goes through
+    /// the ordinary `jump`, so path recording sees every edge.
     fn step_block_unit(&mut self) -> Result<Step, EmuError> {
         let flat = self.cur_flat as usize;
         let mut prep_pos = 0usize;
@@ -1528,445 +1499,6 @@ impl<'a> Machine<'a> {
         self.epoch_insts += n;
         let failed = self.power.advance(f.exec_cost.cycles);
         debug_assert!(!failed, "fused block must fit the power window");
-        Ok(self.apply_term(term))
-    }
-
-    /// Executes the first `len` blocks of the trace headed at the
-    /// current block — every instruction and terminator — as a single
-    /// step. The caller has already proven (via the trace's aggregate
-    /// `ub_cost`) that nothing observable can land mid-trace, so all
-    /// Exec-category accounting is a decode-time constant committed
-    /// once: one power advance, one category add. Per block, a prep
-    /// pass establishes VM residency for every variable the body
-    /// touches (charging implicit restores exactly where per-instruction
-    /// execution would, at first access), after which the body loop is
-    /// checkless; interior `Br` edges are fall-throughs whose
-    /// bookkeeping reduces to advancing the frame's block. A mid-trace
-    /// trap aborts the whole run, so per-instruction stepping would
-    /// produce bit-identical results.
-    ///
-    /// At [`ExecTier::Trace`] and above the dispatch is *resident*: it
-    /// stays inside this call across loop rounds (the trace's final
-    /// `CondBr` re-entering the trace, priced by suffix bundles) and
-    /// across trace transitions (a reconcile-free exit edge landing on
-    /// another fusable trace head), re-applying the same guard `step`
-    /// would before each unit. Completed units are tallied per
-    /// `(head, entry position)` and committed as `Σ count × bundle` at
-    /// the end — bit-identical to committing each unit separately,
-    /// because every accounting field is an integer, the category is
-    /// uniform across the tally (the strict re-execution guard refuses
-    /// any unit that would cross `furthest`), and each unit's prep pass
-    /// re-checks VM residency so no restore charge is skipped. Path
-    /// recording needs the per-edge `jump`, so `record_trace` keeps
-    /// single-unit dispatch.
-    ///
-    /// At [`ExecTier::Aot`], a full-length trace whose head has been
-    /// dispatched [`RunConfig::aot_threshold`] times is lowered once to
-    /// a micro-op tape and executed from that thereafter (see
-    /// [`crate::aot`]).
-    fn step_trace(&mut self, init_len: usize) -> Result<Step, EmuError> {
-        let mut head = self.cur_flat as usize;
-        let mut len = init_len;
-        let superloop = self.tier >= ExecTier::Trace && !self.config.record_trace;
-        /// Tally entries stop growing past this; a commit is forced
-        /// instead (re-dispatch continues the work). Keeps the
-        /// per-round tally bump O(small) on pathological CFGs, and
-        /// small enough that the tally lives on the stack — short
-        /// dispatches (a single block under periodic power or path
-        /// recording) must not pay a heap allocation per step.
-        const TALLY_CAP: usize = 16;
-        /// `pos` tally value for a downgraded single-block dispatch of
-        /// a longer trace (priced by the head block's own bundle, not a
-        /// trace suffix).
-        const POS_SINGLE: u32 = u32::MAX;
-
-        // One usable re-entry edge of the current trace's final
-        // terminator, with the decode-time facts the round guard needs.
-        #[derive(Clone, Copy)]
-        struct ReEntry {
-            bb: BlockId,
-            flat: u32,
-            pos: usize,
-            exec: u64,
-            ub: u64,
-            n: u64,
-        }
-
-        // Exec cycles / instructions of all completed units (committed
-        // after the loops), the per-key unit counts, and the unit in
-        // progress. All of it persists across cold-retry iterations.
-        let mut v_cycles: u64 = 0;
-        let mut v_insts: u64 = 0;
-        let mut tally = [(0u32, 0u32, 0u64); TALLY_CAP]; // (head, pos, count)
-        let mut tally_len = 0usize;
-        let (mut cur_exec, mut cur_n, mut cur_key) = {
-            let d = self.decoded.get();
-            let ti = d.blocks[head]
-                .trace_info
-                .as_ref()
-                .expect("dispatched head carries a trace");
-            if len == ti.blocks.len() {
-                (ti.fused.exec_cost.cycles, ti.insts, (head as u32, 0u32))
-            } else {
-                let db = &d.blocks[head];
-                (
-                    db.fused.exec_cost.cycles,
-                    db.insts.len() as u64,
-                    (head as u32, POS_SINGLE),
-                )
-            }
-        };
-        let mut pos = 0usize; // block position within the trace
-        let mut prep_pos = 0usize; // prep progress within current block
-                                   // Set once a full round over a prep-stable trace completes:
-                                   // nothing in such a trace can drop a prepped VM copy, so later
-                                   // rounds skip the per-block residency rescan entirely.
-        let mut prepped = false;
-        loop {
-            let mut cold: Option<crate::decoded::PrepOp> = None;
-            let mut trapped: Option<TrapKind> = None;
-            {
-                // Disjoint field borrows pinned for the whole hot scope:
-                // the decoded program (shared), the top frame's
-                // registers, the memory arenas and the clobber counter.
-                let d = self.decoded.get();
-                let frame = self.frames.last_mut().expect("active frame");
-                let mem = &mut self.mem;
-                let clobbers = &mut self.metrics.coherence_violations;
-                'heads: loop {
-                    let ti = d.blocks[head]
-                        .trace_info
-                        .as_ref()
-                        .expect("dispatched head carries a trace");
-                    let full = len == ti.blocks.len();
-                    // Once the lowering exists, dispatch through it
-                    // without any count bookkeeping; until then, count
-                    // dispatches of the full trace toward the AOT
-                    // threshold.
-                    let aot = if self.tier == ExecTier::Aot && full {
-                        match d.blocks[head].aot.get() {
-                            Some(a) => Some(a),
-                            None => {
-                                let count = self.exec_counts[head].saturating_add(1);
-                                self.exec_counts[head] = count;
-                                (count >= self.config.aot_threshold).then(|| {
-                                    d.blocks[head]
-                                        .aot
-                                        .get_or_init(|| crate::aot::lower_trace(d, ti))
-                                })
-                            }
-                        }
-                    } else {
-                        None
-                    };
-                    // Conditional back edges usable by the superloop. A
-                    // downgraded dispatch ends at the head, whose
-                    // terminator is the trace's interior `Br` — never a
-                    // `CondBr` — so it gets no back edges.
-                    let back = if superloop && full {
-                        match d.blocks[ti.blocks[len - 1] as usize].term {
-                            DTerm::CondBr {
-                                cond,
-                                then_bb,
-                                then_flat,
-                                else_bb,
-                                else_flat,
-                                ..
-                            } => {
-                                let mk = |re: Option<u32>, bb: BlockId, flat: u32| {
-                                    let p = re? as usize;
-                                    let s = &ti.suffix[p];
-                                    Some(ReEntry {
-                                        bb,
-                                        flat,
-                                        pos: p,
-                                        exec: s.exec_cost.cycles,
-                                        ub: s.ub_cost.cycles,
-                                        n: ti.suffix_insts[p],
-                                    })
-                                };
-                                Some((
-                                    cond,
-                                    mk(ti.re_then, then_bb, then_flat),
-                                    mk(ti.re_else, else_bb, else_flat),
-                                ))
-                            }
-                            _ => None,
-                        }
-                    } else {
-                        None
-                    };
-                    'rounds: loop {
-                        while pos < len {
-                            let flat = ti.blocks[pos] as usize;
-                            let db = &d.blocks[flat];
-                            // Prep: establish VM residency for the
-                            // block's accesses; a miss defers to the
-                            // cold handler below. Skipped after the
-                            // first round of a prep-stable trace.
-                            if !prepped {
-                                while prep_pos < db.prep.len() {
-                                    let p = db.prep[prep_pos];
-                                    if mem.is_vm_valid(p.var) {
-                                        prep_pos += 1;
-                                        continue;
-                                    }
-                                    cold = Some(p);
-                                    break;
-                                }
-                                if cold.is_some() {
-                                    break 'heads;
-                                }
-                            }
-                            let body = match aot {
-                                Some(at) => at.segs[pos].run(&mut frame.regs, mem, clobbers),
-                                None => run_body(db, &mut frame.regs, mem, clobbers),
-                            };
-                            if let Err(k) = body {
-                                trapped = Some(k);
-                                break 'heads;
-                            }
-                            pos += 1;
-                            prep_pos = 0;
-                            if pos < len {
-                                // Interior edge: an unconditional,
-                                // reconcile-free branch — fall through
-                                // to the next member.
-                                let DTerm::Br { target, flat, .. } = db.term else {
-                                    unreachable!(
-                                        "interior trace edge must be an unconditional branch"
-                                    );
-                                };
-                                frame.block = target;
-                                frame.ip = 0;
-                                self.cur_flat = flat;
-                            }
-                        }
-                        // Unit completed: tally it under its key.
-                        v_cycles += cur_exec;
-                        v_insts += cur_n;
-                        match tally[..tally_len]
-                            .iter_mut()
-                            .find(|t| (t.0, t.1) == cur_key)
-                        {
-                            Some(t) => t.2 += 1,
-                            None => {
-                                tally[tally_len] = (cur_key.0, cur_key.1, 1);
-                                tally_len += 1;
-                            }
-                        }
-                        if tally_len >= TALLY_CAP {
-                            break 'heads;
-                        }
-                        // A completed full round establishes residency
-                        // for every member; stability keeps it.
-                        prepped = full && ti.prep_stable;
-                        // Does the final terminator re-enter this trace?
-                        if let Some((cond, re_then, re_else)) = back {
-                            let edge = if ev(&frame.regs, cond) != 0 {
-                                re_then
-                            } else {
-                                re_else
-                            };
-                            if let Some(r) = edge {
-                                // Guard for the next round: exactly the
-                                // check `step` would apply after
-                                // committing the units so far.
-                                let v_epoch = self.epoch_insts + v_insts;
-                                if self.power.headroom(v_cycles + r.ub)
-                                    && self.metrics.active_cycles + v_cycles + r.ub
-                                        <= self.config.max_active_cycles
-                                    && (v_epoch >= self.furthest || v_epoch + r.n < self.furthest)
-                                {
-                                    // Take the back edge (reconcile-free
-                                    // by decode-time construction) and
-                                    // run the suffix round.
-                                    frame.block = r.bb;
-                                    frame.ip = 0;
-                                    self.cur_flat = r.flat;
-                                    pos = r.pos;
-                                    prep_pos = 0;
-                                    cur_exec = r.exec;
-                                    cur_n = r.n;
-                                    cur_key = (head as u32, r.pos as u32);
-                                    // Resident rounds count toward the
-                                    // AOT threshold too: without this, a
-                                    // trace entered once that loops via
-                                    // its own back edge (the common case
-                                    // for a single hot fusable block
-                                    // behind a conditional branch) would
-                                    // never get lowered. Crossing the
-                                    // threshold re-enters `'heads`, which
-                                    // builds the tape and dispatches the
-                                    // remaining rounds through it —
-                                    // bit-identical by construction, so
-                                    // the switch point is unobservable.
-                                    if aot.is_none() && self.tier == ExecTier::Aot {
-                                        let count = self.exec_counts[head].saturating_add(1);
-                                        self.exec_counts[head] = count;
-                                        if count >= self.config.aot_threshold {
-                                            continue 'heads;
-                                        }
-                                    }
-                                    continue 'rounds;
-                                }
-                            }
-                        }
-                        // Trace transition: a reconcile-free exit edge
-                        // onto another fusable trace head stays
-                        // resident, re-applying the dispatch guard with
-                        // the target's full-trace bundle.
-                        if !superloop {
-                            break 'heads;
-                        }
-                        let last = if full {
-                            ti.blocks[len - 1] as usize
-                        } else {
-                            head
-                        };
-                        let (t_bb, t_flat) = match d.blocks[last].term {
-                            DTerm::Br {
-                                target,
-                                flat,
-                                reconcile: false,
-                            } => (target, flat),
-                            DTerm::CondBr {
-                                cond,
-                                then_bb,
-                                then_flat,
-                                then_reconcile,
-                                else_bb,
-                                else_flat,
-                                else_reconcile,
-                            } => {
-                                let (bb, flat, rec) = if ev(&frame.regs, cond) != 0 {
-                                    (then_bb, then_flat, then_reconcile)
-                                } else {
-                                    (else_bb, else_flat, else_reconcile)
-                                };
-                                if rec {
-                                    break 'heads;
-                                }
-                                (bb, flat)
-                            }
-                            _ => break 'heads,
-                        };
-                        let db2 = &d.blocks[t_flat as usize];
-                        if !db2.fusable {
-                            break 'heads;
-                        }
-                        let ti2 = db2.trace_info.as_ref().expect("fusable head has a trace");
-                        let v_epoch = self.epoch_insts + v_insts;
-                        let ub2 = ti2.fused.ub_cost.cycles;
-                        if !(self.power.headroom(v_cycles + ub2)
-                            && self.metrics.active_cycles + v_cycles + ub2
-                                <= self.config.max_active_cycles
-                            && (v_epoch >= self.furthest || v_epoch + ti2.insts < self.furthest))
-                        {
-                            break 'heads;
-                        }
-                        frame.block = t_bb;
-                        frame.ip = 0;
-                        self.cur_flat = t_flat;
-                        head = t_flat as usize;
-                        len = ti2.blocks.len();
-                        pos = 0;
-                        prep_pos = 0;
-                        prepped = false;
-                        cur_exec = ti2.fused.exec_cost.cycles;
-                        cur_n = ti2.insts;
-                        cur_key = (head as u32, 0);
-                        continue 'heads;
-                    }
-                }
-            }
-            if let Some(k) = trapped {
-                return Err(self.trap(k));
-            }
-            match cold {
-                None => break,
-                Some(p) => {
-                    // cur_flat already tracks the faulting block, so the
-                    // eviction policy consults the right plan.
-                    self.run_cold(p)?;
-                    prep_pos += 1;
-                }
-            }
-        }
-
-        // Commit the precomputed Exec accounting, `Σ count × bundle`
-        // over the tally (identical sums to per-instruction charges;
-        // the category is constant by the guard in `step` and uniform
-        // across units by the resident guards).
-        struct Tot {
-            exec_e: u64,
-            cpu: u64,
-            vm: u64,
-            nvm: u64,
-            vr: u64,
-            vw: u64,
-            nr: u64,
-            nw: u64,
-        }
-        impl Tot {
-            fn add(&mut self, f: &crate::decoded::FusedCosts, k: u64) {
-                self.exec_e += k * f.exec_cost.energy.0;
-                self.cpu += k * f.cpu_energy.0;
-                self.vm += k * f.vm_energy.0;
-                self.nvm += k * f.nvm_energy.0;
-                self.vr += k * u64::from(f.vm_reads);
-                self.vw += k * u64::from(f.vm_writes);
-                self.nr += k * u64::from(f.nvm_reads);
-                self.nw += k * u64::from(f.nvm_writes);
-            }
-        }
-        let d = self.decoded.get();
-        let mut tot = Tot {
-            exec_e: 0,
-            cpu: 0,
-            vm: 0,
-            nvm: 0,
-            vr: 0,
-            vw: 0,
-            nr: 0,
-            nw: 0,
-        };
-        for &(h, p, count) in &tally[..tally_len] {
-            let bundle = if p == POS_SINGLE {
-                &d.blocks[h as usize].fused
-            } else {
-                &d.blocks[h as usize]
-                    .trace_info
-                    .as_ref()
-                    .expect("tallied head carries a trace")
-                    .suffix[p as usize]
-            };
-            tot.add(bundle, count);
-        }
-        let ti = d.blocks[head].trace_info.as_ref().expect("trace head");
-        let last_flat = if len == ti.blocks.len() {
-            ti.blocks[len - 1] as usize
-        } else {
-            head
-        };
-        let term = d.blocks[last_flat].term;
-        self.metrics.active_cycles += v_cycles;
-        if self.epoch_insts < self.furthest {
-            self.metrics.reexecution += Energy(tot.exec_e);
-        } else {
-            self.metrics.computation += Energy(tot.exec_e);
-        }
-        self.metrics.cpu_energy += Energy(tot.cpu);
-        self.metrics.vm_access_energy += Energy(tot.vm);
-        self.metrics.nvm_access_energy += Energy(tot.nvm);
-        self.metrics.vm_reads += tot.vr;
-        self.metrics.vm_writes += tot.vw;
-        self.metrics.nvm_reads += tot.nr;
-        self.metrics.nvm_writes += tot.nw;
-        self.metrics.insts_retired += v_insts;
-        self.epoch_insts += v_insts;
-        let failed = self.power.advance(v_cycles);
-        debug_assert!(!failed, "fused trace must fit the power window");
         Ok(self.apply_term(term))
     }
 
@@ -2755,70 +2287,5 @@ mod tests {
         assert!(out.metrics.restore > schematic_energy::Energy::ZERO);
         assert_eq!(out.metrics.restores, 1);
         assert_eq!(out.metrics.coherence_violations, 0);
-    }
-
-    /// A hot single fusable block that never chains into a longer trace
-    /// (every predecessor edge is conditional, its own terminator is a
-    /// `CondBr` back to itself) must still cross the AOT threshold: the
-    /// resident superloop's back-edge rounds count toward it. Metrics
-    /// stay bit-identical to the interpreter.
-    #[test]
-    fn resident_single_block_loop_lowers_to_aot() {
-        let mut mb = ModuleBuilder::new("m");
-        let s = mb.var(Variable::scalar("s"));
-        let mut f = FunctionBuilder::new("main", 0);
-        let lp = f.new_block("lp");
-        let exit = f.new_block("exit");
-        let i = f.copy(0);
-        // Conditional entry edge: nothing chains into `lp`, so its
-        // trace is the single block itself.
-        let enter = f.cmp(CmpOp::SGe, i, 0);
-        f.cond_br(enter, lp, exit);
-        f.switch_to(lp);
-        let x = f.load_scalar(s);
-        let x2 = f.bin(BinOp::Add, x, 1);
-        f.store_scalar(s, x2);
-        let i2 = f.bin(BinOp::Add, i, 1);
-        f.copy_to(i, i2);
-        let done = f.cmp(CmpOp::SGe, i, 1000);
-        f.cond_br(done, exit, lp);
-        f.set_max_iters(lp, 1001);
-        f.switch_to(exit);
-        let r = f.load_scalar(s);
-        f.ret(Some(r.into()));
-        let main = mb.func(f.finish());
-        let im = InstrumentedModule::bare(mb.finish(main));
-        let table = CostTable::msp430fr5969();
-        let d = crate::decoded::DecodedModule::new(&im, &table);
-        let lp_flat = d.flat_index(FuncId(0), lp) as usize;
-        assert!(d.blocks[lp_flat].fusable);
-        assert_eq!(
-            d.blocks[lp_flat]
-                .trace_info
-                .as_ref()
-                .expect("fusable head has a trace")
-                .blocks
-                .len(),
-            1
-        );
-        let cfg = RunConfig {
-            aot_threshold: 4,
-            ..RunConfig::default()
-        };
-        let out = Machine::with_decoded(&d, cfg).run().unwrap();
-        assert_eq!(out.result, Some(1000));
-        assert!(
-            d.blocks[lp_flat].aot.get().is_some(),
-            "resident back-edge rounds must count toward the AOT threshold"
-        );
-        let interp = run(
-            &im,
-            RunConfig {
-                tier: ExecTier::Interp,
-                ..RunConfig::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(out.metrics, interp.metrics);
     }
 }

@@ -45,6 +45,13 @@ GRIDRUN=target/release/gridrun
 "$GRIDRUN" --quick > "$GRIDDIR/direct.txt"
 diff -u "$GRIDDIR/direct.txt" "$GRIDDIR/merged.txt"
 echo "merged 2-shard render byte-identical to single-process render"
+# The render is also pinned against a checked-in golden, so a change
+# that shifts any reported figure fails here instead of only being
+# compared with another output of the same build. After a deliberate
+# change, re-record it with:
+#   target/release/gridrun --quick --no-cache > tests/goldens/render_quick.txt
+diff -u tests/goldens/render_quick.txt "$GRIDDIR/direct.txt"
+echo "single-process render matches tests/goldens/render_quick.txt"
 "$GRIDRUN" --quick --spawn 2 > /dev/null
 
 echo "== tracereport smoke (release) =="
