@@ -36,8 +36,10 @@ use crate::grid::{evaluate, CellStore, GridError, Job, JobKind};
 use crate::json::{write_str, write_u64, JsonError, Reader};
 use crate::parallel::par_map;
 use crate::{render_table, uj};
+use schematic_emu::trace::SNAPSHOT_KEYS;
 use schematic_energy::{CostTable, Energy};
 use schematic_obs as obs;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::io::Write;
 use std::sync::{Arc, Mutex};
@@ -347,26 +349,28 @@ fn read_vec<'a, T>(
     Ok(items)
 }
 
-/// Reads a two-element `[name, value]` array.
-fn read_pair<'a, T>(
+/// Reads a two-element `[name, value]` array, decoding the name with
+/// `name` straight from the reader's (usually borrowed) string.
+fn read_pair<'a, N, T>(
     r: &mut Reader<'a>,
     what: &str,
+    mut name: impl FnMut(Cow<'a, str>) -> N,
     mut value: impl FnMut(&mut Reader<'a>) -> Result<T, JsonError>,
-) -> Result<(String, T), JsonError> {
-    let mut name = None;
+) -> Result<(N, T), JsonError> {
+    let mut key = None;
     let mut val = None;
     let mut n = 0;
     r.array(|r| {
         match n {
-            0 => name = Some(r.str()?.into_owned()),
+            0 => key = Some(name(r.str()?)),
             1 => val = Some(value(r)?),
             _ => return Err(r.err(format!("{what} must be a [name, value] pair"))),
         }
         n += 1;
         Ok(())
     })?;
-    match (name, val) {
-        (Some(name), Some(val)) => Ok((name, val)),
+    match (key, val) {
+        (Some(key), Some(val)) => Ok((key, val)),
         _ => Err(r.err(format!("{what} must be a [name, value] pair"))),
     }
 }
@@ -379,20 +383,36 @@ fn read_value(r: &mut Reader) -> Result<obs::Value, JsonError> {
     }
 }
 
-fn read_event(r: &mut Reader) -> Result<obs::Event, JsonError> {
-    let mut kind = None;
-    let mut fields = None;
-    r.object(|r, key| {
-        match &*key {
-            "kind" => kind = Some(r.str()?.into_owned()),
-            "fields" => fields = Some(read_vec(r, |r| read_pair(r, "event field", read_value))?),
-            _ => r.skip()?,
-        }
-        Ok(())
-    })?;
-    Ok(obs::Event {
-        kind: need(r, kind, "kind")?,
-        fields: need(r, fields, "fields")?,
+/// Reads an event array. Names are interned ([`obs::name`]), and each
+/// event's fields are decoded into one scratch vector shared by the
+/// whole array and then copied out at exact size, so an event whose
+/// names are in the vocabulary and whose values are integers costs a
+/// single allocation.
+fn read_events(r: &mut Reader) -> Result<Vec<obs::Event>, JsonError> {
+    let mut scratch = Vec::new();
+    read_vec(r, |r| {
+        let mut kind = None;
+        let mut fields = None;
+        r.object(|r, key| {
+            match &*key {
+                "kind" => kind = Some(obs::name(&r.str()?)),
+                "fields" => {
+                    r.array(|r| {
+                        scratch.push(read_pair(r, "event field", |s| obs::name(&s), read_value)?);
+                        Ok(())
+                    })?;
+                    let mut exact = Vec::with_capacity(scratch.len());
+                    exact.append(&mut scratch);
+                    fields = Some(exact);
+                }
+                _ => r.skip()?,
+            }
+            Ok(())
+        })?;
+        Ok(obs::Event {
+            kind: need(r, kind, "kind")?,
+            fields: need(r, fields, "fields")?,
+        })
     })
 }
 
@@ -465,7 +485,7 @@ fn read_spill(r: &mut Reader) -> Result<Line, JsonError> {
         match &*key {
             "job" => job = Some(r.str()?.into_owned()),
             "seq" => seq = Some(r.u64()?),
-            "events" => events = Some(read_vec(r, read_event)?),
+            "events" => events = Some(read_events(r)?),
             _ => r.skip()?,
         }
         Ok(())
@@ -495,8 +515,12 @@ fn read_line(text: &str) -> Result<Line, JsonError> {
             "job" => job = Some(read_job(r)?),
             "wall_nanos" => wall_nanos = Some(r.u64()?),
             "phases" => phases = Some(read_vec(r, read_phase)?),
-            "counters" => counters = Some(read_vec(r, |r| read_pair(r, "counter", Reader::u64))?),
-            "events" => events = Some(read_vec(r, read_event)?),
+            "counters" => {
+                counters = Some(read_vec(r, |r| {
+                    read_pair(r, "counter", Cow::into_owned, Reader::u64)
+                })?)
+            }
+            "events" => events = Some(read_events(r)?),
             "dropped_events" => dropped_events = Some(r.u64()?),
             "spilled_events" => spilled_events = Some(r.u64()?),
             _ => r.skip()?,
@@ -593,22 +617,7 @@ pub fn parse_job_key(key: &str) -> Option<Job> {
 
 /// The emulator lifecycle event kinds, in no particular order (see
 /// [`schematic_emu::trace`] for the schema).
-pub const EMU_EVENT_KINDS: [&str; 11] = [
-    "run_start",
-    "boot",
-    "checkpoint_commit",
-    "checkpoint_torn",
-    "checkpoint_skip",
-    "sleep",
-    "wakeup",
-    "migrate",
-    "power_failure",
-    "restore",
-    "run_end",
-];
-
-/// The snapshot fields every emulator event carries.
-const SNAPSHOT_KEYS: [&str; 5] = ["comp_pj", "save_pj", "restore_pj", "reexec_pj", "cycles"];
+pub use schematic_emu::trace::EVENT_KINDS as EMU_EVENT_KINDS;
 
 fn ms(nanos: u64) -> String {
     format!("{:.3}", nanos as f64 / 1e6)
@@ -704,7 +713,7 @@ fn detail_of(ev: &obs::Event) -> String {
     let parts: Vec<String> = ev
         .fields
         .iter()
-        .filter(|(k, _)| !SNAPSHOT_KEYS.contains(&k.as_str()))
+        .filter(|(k, _)| !SNAPSHOT_KEYS.contains(&&**k))
         .map(|(k, v)| match v {
             obs::Value::U64(n) => format!("{k}={n}"),
             obs::Value::Str(s) => format!("{k}={s}"),
@@ -725,7 +734,7 @@ pub fn render_timeline(trace: &CellTrace) -> String {
     let events: Vec<&obs::Event> = trace
         .events
         .iter()
-        .filter(|e| EMU_EVENT_KINDS.contains(&e.kind.as_str()))
+        .filter(|e| EMU_EVENT_KINDS.contains(&&*e.kind))
         .collect();
     let mut out = format!("Timeline for {}\n", trace.job);
     if events.is_empty() {
@@ -763,7 +772,7 @@ pub fn render_timeline(trace: &CellTrace) -> String {
     for ev in segment {
         let snap = snapshot_of(ev);
         rows.push(vec![
-            ev.kind.clone(),
+            ev.kind.to_string(),
             detail_of(ev),
             uj(Energy::from_pj(snap[0].saturating_sub(prev[0]))),
             uj(Energy::from_pj(snap[1].saturating_sub(prev[1]))),

@@ -1,0 +1,139 @@
+//! Allocation budgets for the event hot paths, measured with a
+//! counting global allocator.
+//!
+//! Event kinds and field names from the fixed vocabulary are interned
+//! (`schematic_obs::name`), so neither recording an event nor decoding
+//! one from a trace artifact allocates a string per name. These tests
+//! pin that: decoding an artifact of N integer-valued vocabulary
+//! events allocates at most N + O(cells) times, and recording one
+//! event with static names allocates at most once.
+
+use schematic_bench::grid::Job;
+use schematic_bench::trace::{self, CellTrace};
+use schematic_emu::trace::SNAPSHOT_KEYS;
+use schematic_obs as obs;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Counts allocations (including reallocations) made by threads that
+/// have switched counting on; the test harness runs tests on several
+/// threads, and only the measuring one should be charged.
+struct Counting;
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
+fn note() {
+    if COUNTING.with(Cell::get) {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note();
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note();
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note();
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Runs `f` and returns its result with the allocations it made on
+/// this thread.
+fn allocations<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    COUNTING.with(|c| c.set(true));
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let result = f();
+    let n = ALLOCS.load(Ordering::Relaxed) - before;
+    COUNTING.with(|c| c.set(false));
+    (result, n)
+}
+
+/// An emulator-shaped event: vocabulary kind, kind-specific fields and
+/// the five snapshot fields, all integer-valued.
+fn lifecycle_event(i: u64) -> obs::Event {
+    let kind = ["checkpoint_commit", "power_failure", "sleep", "migrate"][i as usize % 4];
+    let keys = ["cp", "words"].into_iter().chain(SNAPSHOT_KEYS);
+    let fields = keys
+        .enumerate()
+        .map(|(j, key)| (obs::name(key), obs::Value::U64(i * 31 + j as u64)))
+        .collect();
+    obs::Event {
+        kind: obs::name(kind),
+        fields,
+    }
+}
+
+#[test]
+fn decoding_vocabulary_events_allocates_once_per_event() {
+    const CELLS: u64 = 6;
+    const EVENTS_PER_CELL: u64 = 1500;
+    let traces: Vec<CellTrace> = (0..CELLS)
+        .map(|c| CellTrace {
+            job: Job::run("Schematic", "crc", 1000 * (c + 1)),
+            wall_nanos: 1_000 + c,
+            phases: Vec::new(),
+            counters: vec![("alloc/picks".to_string(), c)],
+            events: (0..EVENTS_PER_CELL).map(lifecycle_event).collect(),
+            dropped_events: 0,
+            spilled_events: 0,
+        })
+        .collect();
+    let text = trace::to_jsonl(&traces);
+
+    let (parsed, n) = allocations(|| trace::from_jsonl(&text).expect("artifact decodes"));
+    assert_eq!(parsed, traces);
+    let events = CELLS * EVENTS_PER_CELL;
+    // Per cell: the job's strings, the counter name, the line's vectors
+    // and the doubling growth of its event vector.
+    let budget = events + 48 * CELLS;
+    assert!(
+        n <= budget,
+        "decoding {events} events in {CELLS} cells made {n} allocations (budget {budget})"
+    );
+}
+
+#[test]
+fn recording_an_event_with_static_names_allocates_once() {
+    obs::set_enabled(true);
+    let ((), reg) = obs::capture(|| {
+        // Warm up: the registry's event buffer allocates on first use.
+        obs::event("boot", [("words", obs::Value::U64(1))]);
+        let ((), n) = allocations(|| {
+            let snapshot = [
+                ("comp_pj", obs::Value::U64(10)),
+                ("save_pj", obs::Value::U64(2)),
+                ("restore_pj", obs::Value::U64(3)),
+                ("reexec_pj", obs::Value::U64(0)),
+                ("cycles", obs::Value::U64(99)),
+            ];
+            let fields = [("cp", obs::Value::U64(4)), ("words", obs::Value::U64(12))];
+            obs::event("checkpoint_commit", fields.into_iter().chain(snapshot));
+        });
+        assert!(n <= 1, "one event made {n} allocations");
+    });
+    obs::set_enabled(false);
+    let ev = reg.events.back().expect("event recorded");
+    assert_eq!(ev.kind, "checkpoint_commit");
+    assert_eq!(ev.fields.len(), 7);
+    assert_eq!(ev.fields.capacity(), 7);
+}

@@ -207,6 +207,16 @@ fn random_text(rng: &mut SplitMix64, plain: &str) -> String {
     s
 }
 
+/// An event kind or field name: `plain` as [`obs::name`] interns it
+/// (borrowed when it is in the vocabulary), or a noisy owned variant.
+fn random_name(rng: &mut SplitMix64, plain: &str) -> obs::Name {
+    if rng.next_u64().is_multiple_of(3) {
+        obs::name(plain)
+    } else {
+        random_text(rng, plain).into()
+    }
+}
+
 fn random_value(rng: &mut SplitMix64) -> obs::Value {
     if rng.next_u64().is_multiple_of(2) {
         obs::Value::U64(rng.next_u64())
@@ -232,9 +242,12 @@ fn random_trace(rng: &mut SplitMix64) -> trace::CellTrace {
             let n_fields = (rng.next_u64() % 5) as usize;
             let kind = kinds[(rng.next_u64() % kinds.len() as u64) as usize];
             obs::Event {
-                kind: random_text(rng, kind),
+                kind: random_name(rng, kind),
                 fields: (0..n_fields)
-                    .map(|i| (random_text(rng, &format!("f{i}")), random_value(rng)))
+                    .map(|i| {
+                        let key = ["cp", "words", "comp_pj", "f"][i % 4];
+                        (random_name(rng, key), random_value(rng))
+                    })
                     .collect(),
             }
         })

@@ -144,7 +144,7 @@ pub(crate) fn select_allocation(
                 schematic_obs::count("alloc/picks", 1);
                 schematic_obs::event(
                     "alloc_pick",
-                    vec![
+                    [
                         ("var", ctx.module.var(v).name.as_str().into()),
                         ("gain_pj", u64::try_from(g).unwrap_or(u64::MAX).into()),
                         ("bytes", (bytes as u64).into()),

@@ -716,7 +716,7 @@ pub fn patch_placement(
             schematic_obs::count("patch/rounds", 1);
             schematic_obs::event(
                 "patch_round",
-                vec![
+                [
                     ("violations", (report.violations.len() as u64).into()),
                     ("func", u64::from(v.func.0).into()),
                     ("block", v.block.to_string().into()),

@@ -438,9 +438,13 @@ impl<'a> Machine<'a> {
     /// Emits one lifecycle trace event, appending the cumulative Fig. 6
     /// energy snapshot (see [`crate::trace`]). Call sites gate on
     /// `self.tracing`.
-    fn emit(&self, kind: &'static str, mut fields: Vec<(&'static str, schematic_obs::Value)>) {
-        fields.extend(crate::trace::snapshot_fields(&self.metrics));
-        schematic_obs::event(kind, fields);
+    fn emit<const N: usize>(
+        &self,
+        kind: &'static str,
+        fields: [(&'static str, schematic_obs::Value); N],
+    ) {
+        let snapshot = crate::trace::snapshot_fields(&self.metrics);
+        schematic_obs::event(kind, fields.into_iter().chain(snapshot));
     }
 
     /// Runs the program to an outcome.
@@ -459,7 +463,7 @@ impl<'a> Machine<'a> {
             };
             self.emit(
                 "run_start",
-                vec![
+                [
                     ("tbpf", tbpf.into()),
                     ("scenario", self.config.power.label().into()),
                 ],
@@ -489,7 +493,7 @@ impl<'a> Machine<'a> {
         if self.tracing {
             self.emit(
                 "run_end",
-                vec![("status", crate::trace::status_label(status).into())],
+                [("status", crate::trace::status_label(status).into())],
             );
         }
         RunOutcome {
@@ -565,7 +569,7 @@ impl<'a> Machine<'a> {
             self.charge(cost, ChargeCat::Restore);
         }
         if self.tracing {
-            self.emit("boot", vec![("words", (words as u64).into())]);
+            self.emit("boot", [("words", (words as u64).into())]);
         }
         self.update_peak_vm();
         // Rollback techniques have an implicit pre-deployment checkpoint
@@ -594,7 +598,7 @@ impl<'a> Machine<'a> {
         if self.tracing {
             self.emit(
                 "power_failure",
-                vec![
+                [
                     ("lost_insts", self.epoch_insts.into()),
                     ("window_cycles", self.power.window_cycles().into()),
                 ],
@@ -674,7 +678,7 @@ impl<'a> Machine<'a> {
             };
             self.emit(
                 "restore",
-                vec![
+                [
                     ("epoch", epoch.into()),
                     ("words", (image.restore_words as u64).into()),
                 ],
@@ -817,7 +821,7 @@ impl<'a> Machine<'a> {
                 if self.tracing {
                     self.emit(
                         "checkpoint_skip",
-                        vec![
+                        [
                             ("cp", u64::from(id.0).into()),
                             ("charge_permille", ((frac * 1000.0) as u64).into()),
                         ],
@@ -837,7 +841,7 @@ impl<'a> Machine<'a> {
             if self.tracing {
                 self.emit(
                     "checkpoint_torn",
-                    vec![
+                    [
                         ("cp", u64::from(id.0).into()),
                         ("words", (save_words as u64).into()),
                     ],
@@ -858,7 +862,7 @@ impl<'a> Machine<'a> {
         if self.tracing {
             self.emit(
                 "checkpoint_commit",
-                vec![
+                [
                     ("cp", u64::from(id.0).into()),
                     ("words", (save_words as u64).into()),
                 ],
@@ -878,7 +882,7 @@ impl<'a> Machine<'a> {
             FailurePolicy::WaitRecharge => {
                 self.metrics.sleep_events += 1;
                 if self.tracing {
-                    self.emit("sleep", vec![("cp", u64::from(id.0).into())]);
+                    self.emit("sleep", [("cp", u64::from(id.0).into())]);
                 }
                 self.power.replenish();
                 self.pending_failure = false;
@@ -902,7 +906,7 @@ impl<'a> Machine<'a> {
                         let words = spec.restore_words(&self.im.module) as u64;
                         self.emit(
                             "wakeup",
-                            vec![("cp", u64::from(id.0).into()), ("words", words.into())],
+                            [("cp", u64::from(id.0).into()), ("words", words.into())],
                         );
                     }
                 }
@@ -926,7 +930,7 @@ impl<'a> Machine<'a> {
                     if self.tracing {
                         self.emit(
                             "migrate",
-                            vec![
+                            [
                                 ("cp", u64::from(id.0).into()),
                                 ("words", (migrate_words as u64).into()),
                             ],

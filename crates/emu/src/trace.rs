@@ -79,13 +79,35 @@ pub fn status_label(status: RunStatus) -> &'static str {
     }
 }
 
+/// Every lifecycle event kind the emulator emits (the schema table
+/// above), in no particular order.
+pub const EVENT_KINDS: [&str; 11] = [
+    "run_start",
+    "boot",
+    "checkpoint_commit",
+    "checkpoint_torn",
+    "checkpoint_skip",
+    "sleep",
+    "wakeup",
+    "migrate",
+    "power_failure",
+    "restore",
+    "run_end",
+];
+
+/// The cumulative snapshot fields every lifecycle event ends with, in
+/// emission order: the four Fig. 6 energy categories in picojoules,
+/// then active cycles.
+pub const SNAPSHOT_KEYS: [&str; 5] = ["comp_pj", "save_pj", "restore_pj", "reexec_pj", "cycles"];
+
 /// The cumulative Fig. 6 energy snapshot appended to every event.
 pub(crate) fn snapshot_fields(metrics: &Metrics) -> [(&'static str, Value); 5] {
-    [
-        ("comp_pj", Value::U64(metrics.computation.as_pj())),
-        ("save_pj", Value::U64(metrics.save.as_pj())),
-        ("restore_pj", Value::U64(metrics.restore.as_pj())),
-        ("reexec_pj", Value::U64(metrics.reexecution.as_pj())),
-        ("cycles", Value::U64(metrics.active_cycles)),
-    ]
+    let values = [
+        metrics.computation.as_pj(),
+        metrics.save.as_pj(),
+        metrics.restore.as_pj(),
+        metrics.reexecution.as_pj(),
+        metrics.active_cycles,
+    ];
+    std::array::from_fn(|i| (SNAPSHOT_KEYS[i], Value::U64(values[i])))
 }

@@ -33,6 +33,7 @@
 //! round-trip exact — see [`crate::Histogram::from_parts`].
 
 use crate::{Event, Histogram, PhaseStats, Registry, Value};
+use std::borrow::Cow;
 use std::fmt;
 
 /// Version tag on the header line; bump on any wire-format change so a
@@ -62,16 +63,18 @@ impl std::error::Error for CodecError {}
 
 /// A JSON value in the codec's dialect: unsigned integers, strings,
 /// arrays, and insertion-ordered objects — no floats, no negatives.
+/// Strings borrow from the encoded registry or the parsed line
+/// whenever they can; only a string with escapes is copied.
 #[derive(Debug, Clone, PartialEq, Eq)]
-enum JVal {
+enum JVal<'a> {
     U64(u64),
-    Str(String),
-    Arr(Vec<JVal>),
-    Obj(Vec<(String, JVal)>),
+    Str(Cow<'a, str>),
+    Arr(Vec<JVal<'a>>),
+    Obj(Vec<(Cow<'a, str>, JVal<'a>)>),
 }
 
-impl JVal {
-    fn get<'a>(&'a self, key: &str) -> Option<&'a JVal> {
+impl<'a> JVal<'a> {
+    fn get(&self, key: &str) -> Option<&JVal<'a>> {
         match self {
             JVal::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
@@ -141,6 +144,7 @@ fn write_escaped(s: &str, out: &mut String) {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -148,6 +152,7 @@ struct Parser<'a> {
 impl<'a> Parser<'a> {
     fn new(text: &'a str) -> Parser<'a> {
         Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         }
@@ -173,7 +178,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<JVal, String> {
+    fn value(&mut self) -> Result<JVal<'a>, String> {
         self.skip_ws();
         match self.bytes.get(self.pos) {
             Some(b'"') => Ok(JVal::Str(self.string()?)),
@@ -239,18 +244,29 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    /// Reads a string, borrowed from the line when it has no escapes.
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
         if self.bytes.get(self.pos) != Some(&b'"') {
             return self.err("expected '\"'");
         }
         self.pos += 1;
-        let mut out = String::new();
+        let start = self.pos;
+        // Fast path: the unescaped run up to the closing quote. It ends
+        // at an ASCII byte, so the slice falls on char boundaries.
+        while matches!(self.bytes.get(self.pos), Some(&b) if b != b'"' && b != b'\\' && b >= 0x20) {
+            self.pos += 1;
+        }
+        if self.bytes.get(self.pos) == Some(&b'"') {
+            self.pos += 1;
+            return Ok(Cow::Borrowed(&self.text[start..self.pos - 1]));
+        }
+        let mut out = self.text[start..self.pos].to_string();
         loop {
             match self.bytes.get(self.pos) {
                 None => return self.err("unterminated string"),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(Cow::Owned(out));
                 }
                 Some(b'\\') => {
                     self.pos += 1;
@@ -316,7 +332,7 @@ impl<'a> Parser<'a> {
         Ok(n)
     }
 
-    fn parse_line(text: &str) -> Result<JVal, String> {
+    fn parse_line(text: &'a str) -> Result<JVal<'a>, String> {
         let mut p = Parser::new(text);
         let v = p.value()?;
         p.skip_ws();
@@ -331,34 +347,43 @@ impl<'a> Parser<'a> {
 // Registry <-> JSONL
 // ---------------------------------------------------------------------
 
-fn obj(pairs: Vec<(&str, JVal)>) -> JVal {
-    JVal::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+fn obj<'a>(pairs: Vec<(&'a str, JVal<'a>)>) -> JVal<'a> {
+    JVal::Obj(
+        pairs
+            .into_iter()
+            .map(|(k, v)| (Cow::Borrowed(k), v))
+            .collect(),
+    )
 }
 
-fn value_to_jval(v: &Value) -> JVal {
+fn str_val(s: &str) -> JVal<'_> {
+    JVal::Str(Cow::Borrowed(s))
+}
+
+fn value_to_jval(v: &Value) -> JVal<'_> {
     match v {
         Value::U64(n) => JVal::U64(*n),
-        Value::Str(s) => JVal::Str(s.clone()),
+        Value::Str(s) => str_val(s),
     }
 }
 
 fn jval_to_value(v: &JVal) -> Option<Value> {
     match v {
         JVal::U64(n) => Some(Value::U64(*n)),
-        JVal::Str(s) => Some(Value::Str(s.clone())),
+        JVal::Str(s) => Some(Value::Str(s.to_string())),
         _ => None,
     }
 }
 
-fn span_record(name: &str, stats: &PhaseStats) -> JVal {
+fn span_record<'a>(name: &'a str, stats: &PhaseStats) -> JVal<'a> {
     let buckets: Vec<JVal> = stats
         .hist
         .nonzero_buckets()
         .map(|(i, c)| JVal::Arr(vec![JVal::U64(i as u64), JVal::U64(c)]))
         .collect();
     obj(vec![
-        ("t", JVal::Str("span".into())),
-        ("name", JVal::Str(name.into())),
+        ("t", str_val("span")),
+        ("name", str_val(name)),
         ("calls", JVal::U64(stats.calls)),
         ("total_nanos", JVal::U64(stats.total_nanos)),
         ("count", JVal::U64(stats.hist.count())),
@@ -380,7 +405,7 @@ pub fn encode(reg: &Registry) -> String {
         out.push('\n');
     };
     push(obj(vec![
-        ("t", JVal::Str("reg".into())),
+        ("t", str_val("reg")),
         ("codec", JVal::U64(CODEC_VERSION)),
         ("dropped_events", JVal::U64(reg.dropped_events)),
         ("spilled_events", JVal::U64(reg.spilled_events)),
@@ -390,8 +415,8 @@ pub fn encode(reg: &Registry) -> String {
     }
     for (name, n) in &reg.counters {
         push(obj(vec![
-            ("t", JVal::Str("counter".into())),
-            ("name", JVal::Str(name.clone())),
+            ("t", str_val("counter")),
+            ("name", str_val(name)),
             ("n", JVal::U64(*n)),
         ]));
     }
@@ -399,11 +424,11 @@ pub fn encode(reg: &Registry) -> String {
         let fields: Vec<JVal> = ev
             .fields
             .iter()
-            .map(|(k, v)| JVal::Arr(vec![JVal::Str(k.clone()), value_to_jval(v)]))
+            .map(|(k, v)| JVal::Arr(vec![str_val(k), value_to_jval(v)]))
             .collect();
         push(obj(vec![
-            ("t", JVal::Str("event".into())),
-            ("kind", JVal::Str(ev.kind.clone())),
+            ("t", str_val("event")),
+            ("kind", str_val(&ev.kind)),
             ("fields", JVal::Arr(fields)),
         ]));
     }
@@ -416,7 +441,7 @@ fn u64_field(rec: &JVal, key: &str) -> Result<u64, String> {
         .ok_or_else(|| format!("missing or non-integer field '{key}'"))
 }
 
-fn str_field<'a>(rec: &'a JVal, key: &str) -> Result<&'a str, String> {
+fn str_field<'r>(rec: &'r JVal, key: &str) -> Result<&'r str, String> {
     rec.get(key)
         .and_then(JVal::as_str)
         .ok_or_else(|| format!("missing or non-string field '{key}'"))
@@ -479,7 +504,7 @@ pub fn parse(text: &str) -> Result<Registry, CodecError> {
             continue;
         }
         let rec = Parser::parse_line(line).map_err(at)?;
-        let tag = str_field(&rec, "t").map_err(at)?.to_string();
+        let tag = str_field(&rec, "t").map_err(at)?;
         if !saw_header {
             if tag != "reg" {
                 return Err(at("first record must be the 'reg' header".into()));
@@ -495,7 +520,7 @@ pub fn parse(text: &str) -> Result<Registry, CodecError> {
             saw_header = true;
             continue;
         }
-        match tag.as_str() {
+        match tag {
             "reg" => return Err(at("duplicate 'reg' header".into())),
             "span" => decode_span(&rec, &mut reg).map_err(at)?,
             "counter" => {
@@ -521,10 +546,10 @@ pub fn parse(text: &str) -> Result<Registry, CodecError> {
                         .ok_or_else(|| at("non-string event field name".into()))?;
                     let value = jval_to_value(&pair[1])
                         .ok_or_else(|| at("event field value is not uint or string".into()))?;
-                    fields.push((key.to_string(), value));
+                    fields.push((crate::name(key), value));
                 }
                 reg.events.push_back(Event {
-                    kind: kind.to_string(),
+                    kind: crate::name(kind),
                     fields,
                 });
             }
@@ -585,6 +610,17 @@ mod tests {
             format!("{}#{}", POOL[self.below(8) as usize], self.below(4))
         }
 
+        /// An event kind or field name: half from the interned
+        /// vocabulary, half a free-form label.
+        fn event_name(&mut self) -> crate::Name {
+            const KNOWN: [&str; 4] = ["run_end", "checkpoint_commit", "cp", "gain_pj"];
+            if self.below(2) == 0 {
+                Cow::Borrowed(KNOWN[self.below(4) as usize])
+            } else {
+                Cow::Owned(self.label())
+            }
+        }
+
         fn registry(&mut self) -> Registry {
             let mut reg = Registry::default();
             for _ in 0..self.below(5) {
@@ -605,10 +641,10 @@ mod tests {
                 *reg.counters.entry(name).or_default() += self.below(1 << 40);
             }
             for _ in 0..self.below(6) {
-                let kind = self.label();
+                let kind = self.event_name();
                 let mut fields = Vec::new();
                 for _ in 0..self.below(4) {
-                    let key = self.label();
+                    let key = self.event_name();
                     let value = if self.below(2) == 0 {
                         Value::U64(self.next())
                     } else {
@@ -639,6 +675,13 @@ mod tests {
             let text = encode(&reg);
             let back = parse(&text).unwrap_or_else(|e| panic!("round {round}: {e}"));
             assert_eq!(back, reg, "round {round}");
+            // Decoding interns: vocabulary names come back borrowed.
+            for ev in &back.events {
+                for n in std::iter::once(&ev.kind).chain(ev.fields.iter().map(|(k, _)| k)) {
+                    let borrowed = matches!(n, Cow::Borrowed(_));
+                    assert_eq!(borrowed, matches!(crate::name(n), Cow::Borrowed(_)));
+                }
+            }
             // Encoding is deterministic.
             assert_eq!(encode(&back), text, "round {round}");
         }

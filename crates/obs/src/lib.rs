@@ -35,6 +35,7 @@ pub mod hist;
 
 pub use hist::Histogram;
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -90,13 +91,98 @@ impl From<String> for Value {
     }
 }
 
+/// An event kind or field name. Names from the fixed vocabulary (see
+/// [`name`]) are borrowed `&'static str`s, so a recorded or decoded
+/// event costs one heap allocation (its field vector) instead of one
+/// per name. Equality compares contents, whichever variant holds them.
+pub type Name = Cow<'static, str>;
+
+/// Declares the interned vocabulary: the `match` behind [`name`]
+/// (rustc lowers a string `match` to length tests plus a comparison or
+/// two, several times cheaper than allocating a copy), and for tests
+/// the same names as a list.
+macro_rules! vocabulary {
+    ($($known:literal,)*) => {
+        fn interned(s: &str) -> Option<&'static str> {
+            match s {
+                $($known => Some($known),)*
+                _ => None,
+            }
+        }
+
+        #[cfg(test)]
+        const VOCABULARY: &[&str] = &[$($known),*];
+    };
+}
+
+// Every event kind and field name the emulator and the compiler emit.
+// The emulator's lifecycle names are listed in `schematic_emu::trace`
+// (`EVENT_KINDS`, `SNAPSHOT_KEYS` and the kind-specific fields of its
+// schema table); the compiler's are the `alloc_pick` (`gain.rs`) and
+// `patch_round` (`pverify.rs`) decision records. The root test
+// `tests/event_vocabulary.rs` fails when an emitted name is missing.
+vocabulary! {
+    "alloc_pick",
+    "block",
+    "boot",
+    "bytes",
+    "charge_permille",
+    "checkpoint_commit",
+    "checkpoint_skip",
+    "checkpoint_torn",
+    "comp_pj",
+    "cp",
+    "cycles",
+    "detail",
+    "energy_pj",
+    "epoch",
+    "func",
+    "gain_pj",
+    "lost_insts",
+    "migrate",
+    "patch_round",
+    "power_failure",
+    "reexec_pj",
+    "restore",
+    "restore_pj",
+    "run_end",
+    "run_start",
+    "save_pj",
+    "scenario",
+    "sleep",
+    "status",
+    "stuck",
+    "tbpf",
+    "var",
+    "violations",
+    "wakeup",
+    "window_cycles",
+    "words",
+}
+
+/// Interns an event kind or field name: a vocabulary name comes back
+/// [`Cow::Borrowed`] (no allocation), any other name as an owned copy.
+/// Decoders call this on every name they read, so an artifact written
+/// by a build with a larger vocabulary still round-trips exactly — its
+/// unknown names just cost an allocation each.
+pub fn name(s: &str) -> Name {
+    match interned(s) {
+        Some(known) => Cow::Borrowed(known),
+        None => Cow::Owned(s.to_owned()),
+    }
+}
+
 /// One structured record: a kind tag plus ordered key/value fields.
+///
+/// Kinds and field names are [`Name`]s: borrowed when they come from
+/// the vocabulary [`name`] knows, owned otherwise (hand-built events,
+/// or an artifact from a build that emits names this one does not).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Event {
     /// Event kind, e.g. `"checkpoint_commit"` or `"alloc_pick"`.
-    pub kind: String,
+    pub kind: Name,
     /// Ordered fields; order is part of the serialized form.
-    pub fields: Vec<(String, Value)>,
+    pub fields: Vec<(Name, Value)>,
 }
 
 impl Event {
@@ -203,10 +289,16 @@ impl Registry {
     /// `&'static str`). Services use it to attribute wall time to
     /// runtime-constructed keys, e.g. one span per grid job.
     pub fn record_span(&mut self, name: &str, nanos: u64) {
-        self.spans
-            .entry(name.to_string())
-            .or_default()
-            .record(nanos);
+        // Look up by `&str` first: the name allocates only on its
+        // first record.
+        match self.spans.get_mut(name) {
+            Some(stats) => stats.record(nanos),
+            None => self
+                .spans
+                .entry(name.to_string())
+                .or_default()
+                .record(nanos),
+        }
     }
 
     fn push_event(&mut self, ev: Event) {
@@ -266,13 +358,7 @@ impl Drop for SpanGuard {
     fn drop(&mut self) {
         if let Some(start) = self.start {
             let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            LOCAL.with(|l| {
-                l.borrow_mut()
-                    .spans
-                    .entry(self.name.to_string())
-                    .or_default()
-                    .record(nanos);
-            });
+            LOCAL.with(|l| l.borrow_mut().record_span(self.name, nanos));
         }
     }
 }
@@ -282,13 +368,24 @@ impl Drop for SpanGuard {
 pub fn count(name: &'static str, n: u64) {
     if enabled() {
         LOCAL.with(|l| {
-            *l.borrow_mut().counters.entry(name.to_string()).or_default() += n;
+            let counters = &mut l.borrow_mut().counters;
+            match counters.get_mut(name) {
+                Some(c) => *c += n,
+                None => {
+                    counters.insert(name.to_string(), n);
+                }
+            }
         });
     }
 }
 
 /// Records a structured event (no-op when collection is disabled).
-pub fn event(kind: &str, fields: Vec<(&str, Value)>) {
+///
+/// Names are `&'static str`, so they are stored borrowed; the field
+/// vector is built once at the iterator's size hint, which for arrays
+/// and chains of arrays is exact — one allocation per event (plus any
+/// [`Value::Str`] the caller built).
+pub fn event(kind: &'static str, fields: impl IntoIterator<Item = (&'static str, Value)>) {
     if enabled() {
         // Spill before pushing: drain outside the registry borrow so
         // the sink never observes a half-updated registry.
@@ -309,15 +406,14 @@ pub fn event(kind: &str, fields: Vec<(&str, Value)>) {
                 }
             });
         }
-        LOCAL.with(|l| {
-            l.borrow_mut().push_event(Event {
-                kind: kind.to_string(),
-                fields: fields
-                    .into_iter()
-                    .map(|(k, v)| (k.to_string(), v))
-                    .collect(),
-            });
-        });
+        let fields = fields.into_iter();
+        let mut named = Vec::with_capacity(fields.size_hint().0);
+        named.extend(fields.map(|(k, v)| (Cow::Borrowed(k), v)));
+        let ev = Event {
+            kind: Cow::Borrowed(kind),
+            fields: named,
+        };
+        LOCAL.with(|l| l.borrow_mut().push_event(ev));
     }
 }
 
@@ -388,7 +484,7 @@ mod tests {
         let (_, reg) = capture(|| {
             let _s = span("phase");
             count("hits", 3);
-            event("kind", vec![("k", Value::U64(1))]);
+            event("kind", [("k", Value::U64(1))]);
         });
         assert!(reg.is_empty());
     }
@@ -401,7 +497,7 @@ mod tests {
         count("outer", 1);
         let (_, inner) = capture(|| {
             count("inner", 5);
-            event("e", vec![("n", Value::U64(9))]);
+            event("e", [("n", Value::U64(9))]);
         });
         assert_eq!(inner.counters.get("inner"), Some(&5));
         assert_eq!(inner.counters.get("outer"), None);
@@ -465,7 +561,7 @@ mod tests {
         let mut r = Registry::default();
         for i in 0..(MAX_EVENTS + 10) {
             r.push_event(Event {
-                kind: format!("e{i}"),
+                kind: format!("e{i}").into(),
                 fields: Vec::new(),
             });
         }
@@ -479,6 +575,11 @@ mod tests {
         );
     }
 
+    /// The sequence number the spill tests stamp on each event.
+    fn seq(ev: &Event) -> u64 {
+        ev.u64_field("i").expect("sequence field")
+    }
+
     #[test]
     fn spill_streams_oldest_events_instead_of_dropping() {
         let _g = GATE.lock().unwrap();
@@ -488,33 +589,26 @@ mod tests {
         let prev = set_spill(Some(Box::new(move |batch: Vec<Event>| {
             sink.borrow_mut().extend(batch);
         })));
+        let total = (MAX_EVENTS + 10) as u64;
+        let half = (MAX_EVENTS / 2) as u64;
         let (_, reg) = capture(|| {
-            for i in 0..(MAX_EVENTS + 10) {
-                event(&format!("e{i}"), vec![]);
+            for i in 0..total {
+                event("e", [("i", Value::U64(i))]);
             }
         });
         set_spill(prev);
         set_enabled(false);
         // Nothing dropped: the overflow went to the sink, oldest first.
         assert_eq!(reg.dropped_events, 0);
-        assert_eq!(reg.spilled_events, (MAX_EVENTS / 2) as u64);
+        assert_eq!(reg.spilled_events, half);
         let spilled = spilled.borrow();
-        assert_eq!(spilled.len(), MAX_EVENTS / 2);
-        assert_eq!(spilled[0].kind, "e0");
-        assert_eq!(
-            spilled[MAX_EVENTS / 2 - 1].kind,
-            format!("e{}", MAX_EVENTS / 2 - 1)
-        );
+        assert_eq!(spilled.len() as u64, half);
+        assert_eq!(seq(&spilled[0]), 0);
+        assert_eq!(seq(spilled.last().unwrap()), half - 1);
         // The resident buffer continues exactly where the spill ended.
-        assert_eq!(
-            reg.events.front().unwrap().kind,
-            format!("e{}", MAX_EVENTS / 2)
-        );
-        assert_eq!(
-            reg.events.back().unwrap().kind,
-            format!("e{}", MAX_EVENTS + 9)
-        );
-        assert_eq!(reg.events.len() + spilled.len(), MAX_EVENTS + 10);
+        assert_eq!(seq(reg.events.front().unwrap()), half);
+        assert_eq!(seq(reg.events.back().unwrap()), total - 1);
+        assert_eq!((reg.events.len() + spilled.len()) as u64, total);
     }
 
     #[test]
@@ -522,14 +616,14 @@ mod tests {
         let _g = GATE.lock().unwrap();
         set_enabled(true);
         let (_, reg) = capture(|| {
-            for i in 0..(MAX_EVENTS + 3) {
-                event(&format!("e{i}"), vec![]);
+            for i in 0..(MAX_EVENTS + 3) as u64 {
+                event("e", [("i", Value::U64(i))]);
             }
         });
         set_enabled(false);
         assert_eq!(reg.dropped_events, 3);
         assert_eq!(reg.spilled_events, 0);
-        assert_eq!(reg.events.front().unwrap().kind, "e3");
+        assert_eq!(seq(reg.events.front().unwrap()), 3);
     }
 
     #[test]
@@ -568,6 +662,16 @@ mod tests {
         assert_eq!(stats.total_nanos, 400);
         assert_eq!(stats.hist.count(), 2);
         assert_eq!(stats.hist.max(), 300);
+    }
+
+    #[test]
+    fn name_borrows_vocabulary_names_and_owns_the_rest() {
+        for &known in VOCABULARY {
+            assert!(matches!(name(known), Cow::Borrowed(n) if n == known));
+        }
+        for unknown in ["", "tick", "run_star", "words2", "dæmon"] {
+            assert!(matches!(name(unknown), Cow::Owned(n) if n == unknown));
+        }
     }
 
     #[test]

@@ -13,6 +13,12 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "== cargo test =="
 cargo test --workspace --offline -q
 
+echo "== perfbench build (release) =="
+# The benchmark harness is its own Cargo workspace over crates/*, so the
+# workspace build above does not compile it. Build it here, so a change
+# to a public type it uses fails CI rather than the benchmark run.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 GRIDDIR="$(mktemp -d)"
 trap 'rm -rf "$GRIDDIR"' EXIT
 
