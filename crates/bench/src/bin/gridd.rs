@@ -7,15 +7,17 @@
 //! Binds a TCP listener (default `127.0.0.1:0` — an ephemeral port) and
 //! prints `gridd: listening on ADDR` once ready, so scripts can scrape
 //! the address. Each connection then speaks the length-prefixed JSON
-//! frame protocol of [`schematic_bench::service`]: `submit` evaluates a
+//! frame protocol of [`schematic_bench::service`] (one write per frame),
+//! served by [`schematic_bench::service::serve`]: `submit` evaluates a
 //! batch of job keys (content-addressed cache first, then either
-//! in-process compute or, with `--workers N`, a fan-out over child
-//! `gridrun --jobs` processes), `status` reports tallies, `fetch`
-//! returns every accumulated cell, `stats` returns the live service
-//! telemetry — worker registries merged with daemon spans, queue and
-//! utilization gauges, cache hit/miss/verify counters (render it with
-//! `gridrun --connect ADDR --stats [--format expo]`) — and `shutdown`
-//! stops the daemon.
+//! in-process compute or, with `--workers N`, N child `gridrun --jobs`
+//! line workers fed the misses by pull: each evaluates one job at a
+//! time and gets the next key as it answers), `status` reports
+//! tallies, `fetch` returns every accumulated cell, `stats` returns
+//! the live service telemetry — worker registries merged with daemon
+//! spans, queue and utilization gauges, cache hit/miss/verify counters
+//! (render it with `gridrun --connect ADDR --stats [--format expo]`) —
+//! and `shutdown` stops the daemon.
 //!
 //! What staying resident buys: the cell cache is loaded once and kept
 //! warm in memory, compiled-program digests are memoized across
@@ -25,14 +27,14 @@
 //! it — so concurrent shard corruption cannot happen by construction.
 //!
 //! Requests are served synchronously in arrival order; the daemon is a
-//! sequencer, not a parallel server (the parallelism lives inside each
-//! batch's evaluation).
+//! sequencer, not a parallel server. A batch's parallelism is its
+//! `--workers N` processes; `--workers 0` (the default) evaluates the
+//! batch in-process on `SCHEMATIC_JOBS` threads.
 
 use schematic_bench::cache::CellCache;
 use schematic_bench::grid::GridMode;
-use schematic_bench::json::Json;
-use schematic_bench::service::{read_frame, write_frame, Daemon, FrameError};
-use std::net::{TcpListener, TcpStream};
+use schematic_bench::service::{serve, Daemon};
+use std::net::TcpListener;
 use std::process::ExitCode;
 
 struct Options {
@@ -78,37 +80,6 @@ fn parse_args() -> Options {
         usage();
     }
     opts
-}
-
-/// Serves one connection until the peer closes it. Returns `true` when
-/// a `shutdown` request was handled.
-fn serve(daemon: &mut Daemon, stream: &mut TcpStream) -> bool {
-    loop {
-        let req = match read_frame(stream) {
-            Ok(Some(req)) => req,
-            Ok(None) => return false, // clean disconnect
-            Err(e) => {
-                // A torn or garbage frame ends this connection, not the
-                // daemon; try to tell the peer why.
-                let resp = schematic_bench::json::Json::Obj(vec![
-                    ("ok".into(), Json::Bool(false)),
-                    ("error".into(), Json::Str(e.to_string())),
-                ]);
-                let _ = write_frame(stream, &resp);
-                if !matches!(e, FrameError::Syntax(_) | FrameError::Oversize(_)) {
-                    return false;
-                }
-                continue;
-            }
-        };
-        let (resp, shutdown) = daemon.handle(&req);
-        if write_frame(stream, &resp).is_err() {
-            return shutdown;
-        }
-        if shutdown {
-            return true;
-        }
-    }
 }
 
 fn main() -> ExitCode {

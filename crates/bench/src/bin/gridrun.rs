@@ -16,8 +16,9 @@
 //!                               # seeds (default 8) plus every recorded trace in traces/
 //! gridrun --resume F [-o OUT]   # load a (possibly partial) artifact, compute only the
 //!                               # missing cells, render; OUT gets the completed artifact
-//! gridrun --jobs F -o OUT       # worker mode: evaluate the job keys listed in F, write
-//!                               # extended cell lines (cell + program digests + telemetry) to OUT
+//! gridrun --jobs                # worker mode: read one job key per line on stdin, answer
+//!                               # each with one extended cell line (cell + program digests
+//!                               # + telemetry) on stdout, flushed at once; exit at EOF
 //! gridrun --connect ADDR ...    # thin client for a running `gridd`:
 //!                               #   --submit SPEC   evaluate 'all' or shard 'i/N' remotely
 //!                               #   --status        print daemon tallies
@@ -29,8 +30,10 @@
 //!                               #   --shutdown      stop the daemon
 //! ```
 //!
-//! Worker mode captures a per-job [`schematic_obs`] registry (span
-//! timings, per-job wall latency) and ships it on each artifact line;
+//! Worker mode is how `gridd --workers N` evaluates a batch: the daemon
+//! feeds each of its N workers keys by pull, and a worker evaluates one
+//! job at a time. It captures a per-job [`schematic_obs`] registry (span
+//! timings, per-job wall latency) and ships it on each worker line;
 //! `SCHEMATIC_TELEMETRY=0` disables the capture. The ~1 Hz `--shard`
 //! heartbeats follow `SCHEMATIC_PROGRESS` (`0` off, `1` on, unset =
 //! only when stderr is a terminal), so daemon worker children stay
@@ -58,7 +61,6 @@ use schematic_bench::cache::{
 use schematic_bench::experiments::{render_all, render_robust, robust_jobs};
 use schematic_bench::grid::{evaluate_traced, CellStore, GridMode, GridSpec, Job};
 use schematic_bench::json::Json;
-use schematic_bench::parallel::par_map;
 use schematic_bench::{service, trace};
 use schematic_energy::CostTable;
 use std::path::{Path, PathBuf};
@@ -117,8 +119,8 @@ enum Command {
         artifact: String,
         out: Option<String>,
     },
-    /// Worker mode: evaluate listed job keys into extended cell lines.
-    Jobs { file: String, out: String },
+    /// Worker mode: answer job keys on stdin with extended cell lines.
+    Jobs,
     /// `--report robust`: the multi-seed robustness report.
     Robust { seeds: u64 },
     /// Thin client against a running daemon.
@@ -137,7 +139,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: gridrun [--quick] [--trace FILE] [--cache FILE | --no-cache] [--cache-verify] \
          [--list | --shard i/N -o FILE | --merge FILE... | --spawn N | \
-         --resume FILE [-o FILE] | --jobs FILE -o FILE | \
+         --resume FILE [-o FILE] | --jobs | \
          --report robust [--seeds N] | \
          --connect ADDR (--submit all|i/N | --status | --fetch -o FILE | \
          --stats [--format expo] [-o FILE] | --shutdown)]"
@@ -216,14 +218,7 @@ fn parse_args() -> Options {
                 };
                 set(Command::Resume { artifact, out }, &mut command);
             }
-            "--jobs" => {
-                let file = it.next().unwrap_or_else(|| usage());
-                let out = match (it.next().as_deref(), it.next()) {
-                    (Some("-o"), Some(path)) => path,
-                    _ => usage(),
-                };
-                set(Command::Jobs { file, out }, &mut command);
-            }
+            "--jobs" => set(Command::Jobs, &mut command),
             "--report" => match it.next().as_deref() {
                 Some("robust") => set(Command::Robust { seeds: 8 }, &mut command),
                 _ => usage(),
@@ -431,54 +426,50 @@ fn resume(
     Ok(render_all(&store, opts.mode))
 }
 
-/// `--jobs F -o OUT`: the worker half of the daemon's dispatch — parse
-/// one job key per line, evaluate each (no cache: the parent owns it),
-/// and emit extended artifact lines carrying the program digests plus,
-/// unless `SCHEMATIC_TELEMETRY=0`, a captured per-job registry the
-/// daemon merges into its service telemetry.
-fn run_jobs(file: &str, out: &str) -> Result<(), String> {
-    let text = std::fs::read_to_string(file).map_err(|e| format!("{file}: {e}"))?;
-    let mut jobs = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let job = Job::parse(line.trim()).map_err(|e| format!("{file}:{}: {e}", lineno + 1))?;
-        jobs.push(job);
-    }
+/// `--jobs`: the worker half of the daemon's pull dispatch — read one
+/// job key per line from stdin, evaluate it (no cache: the parent owns
+/// it), and answer with one extended artifact line on stdout, flushed at
+/// once because the daemon hands out the next key only after an answer.
+/// Each line carries the program digests plus, unless
+/// `SCHEMATIC_TELEMETRY=0`, a captured per-job registry the daemon
+/// merges into its service telemetry. Returns at stdin EOF.
+fn run_jobs() -> Result<(), String> {
+    use std::io::{BufRead, Write};
     let table = CostTable::msp430fr5969();
     let telemetry_on = std::env::var("SCHEMATIC_TELEMETRY").map_or(true, |v| v != "0");
     if telemetry_on {
         schematic_obs::set_enabled(true);
     }
-    let results = par_map(&jobs, |job| {
-        if !telemetry_on {
-            let (value, ims) = evaluate_traced(job, &table);
-            return (value, ims, None);
+    let mut out = std::io::stdout().lock();
+    let mut done = 0usize;
+    for (lineno, line) in std::io::stdin().lock().lines().enumerate() {
+        let line = line.map_err(|e| format!("stdin: {e}"))?;
+        if line.trim().is_empty() {
+            continue;
         }
-        let t0 = Instant::now();
-        let ((value, ims), mut registry) = schematic_obs::capture(|| evaluate_traced(job, &table));
-        let wall_nanos = t0.elapsed().as_nanos() as u64;
-        registry.record_span(&format!("job/{job}"), wall_nanos);
-        (
-            value,
-            ims,
-            Some(WorkerTelemetry {
+        let job = Job::parse(line.trim()).map_err(|e| format!("stdin:{}: {e}", lineno + 1))?;
+        let mut answer = if telemetry_on {
+            let t0 = Instant::now();
+            let ((value, ims), mut registry) =
+                schematic_obs::capture(|| evaluate_traced(&job, &table));
+            let wall_nanos = t0.elapsed().as_nanos() as u64;
+            registry.record_span(&format!("job/{job}"), wall_nanos);
+            let telemetry = WorkerTelemetry {
                 wall_nanos,
                 registry,
-            }),
-        )
-    });
-    let mut artifact = String::new();
-    for (job, (value, ims, telemetry)) in jobs.iter().zip(&results) {
-        artifact.push_str(&match telemetry {
-            Some(t) => worker_line_telemetry(job, value, ims, t),
-            None => worker_line(job, value, ims),
-        });
-        artifact.push('\n');
+            };
+            worker_line_telemetry(&job, &value, &ims, &telemetry)
+        } else {
+            let (value, ims) = evaluate_traced(&job, &table);
+            worker_line(&job, &value, &ims)
+        };
+        answer.push('\n');
+        out.write_all(answer.as_bytes())
+            .and_then(|()| out.flush())
+            .map_err(|e| format!("stdout: {e}"))?;
+        done += 1;
     }
-    write_artifact(out, &artifact)?;
-    eprintln!("gridrun: worker evaluated {} cells to {out}", jobs.len());
+    eprintln!("gridrun: worker evaluated {done} cells");
     Ok(())
 }
 
@@ -725,7 +716,7 @@ fn main() -> ExitCode {
                 }
             }
         }
-        Command::Jobs { file, out } => match run_jobs(&file, &out) {
+        Command::Jobs => match run_jobs() {
             Ok(()) => ExitCode::SUCCESS,
             Err(e) => {
                 eprintln!("gridrun: {e}");

@@ -69,8 +69,9 @@ const GRID_WARM_FLOOR: f64 = 5.0;
 /// Ceiling on the `exp_all` slowdown with telemetry collection enabled
 /// when `SCHEMATIC_PERF_ASSERT=1`. Span guards are one relaxed atomic
 /// load when off and a clock read plus map update when on; the worker
-/// telemetry design (`gridrun --jobs` → `gridd` stats) only holds if
-/// switching collection on stays in the noise.
+/// telemetry design (per-job registries streamed from `gridrun --jobs`
+/// line workers into `gridd` stats) only holds if switching collection
+/// on stays in the noise.
 const TELEMETRY_OVERHEAD_CEILING: f64 = 0.05;
 
 /// A repeated throughput measurement: the best window plus the p50/p95

@@ -6,7 +6,8 @@
 //! holds everything testable without sockets:
 //!
 //! * **Frames** — each protocol message is a 4-byte big-endian length
-//!   prefix followed by that many bytes of JSON (via [`crate::json`]).
+//!   prefix followed by that many bytes of JSON (via [`crate::json`]),
+//!   sent as one write (see [`write_frame`] for why).
 //!   [`read_frame`] returns `Ok(None)` on a clean EOF at a frame
 //!   boundary; a torn prefix, a truncated body, an oversized length
 //!   ([`MAX_FRAME`]) or non-JSON payload is an error — never a panic —
@@ -21,8 +22,13 @@
 //!   `{"ok":false,"error":…}` — a bad request never kills the service.
 //! * **[`Daemon`]** — the state machine behind the socket loop:
 //!   [`Daemon::handle`] maps one request to one response plus a
-//!   shutdown flag. The `gridd` binary owns the `TcpListener` and feeds
-//!   frames through it.
+//!   shutdown flag, and [`serve`] runs one connection through it. The
+//!   `gridd` binary owns the `TcpListener` and hands each accepted
+//!   stream to [`serve`].
+//! * **Dispatch** — with workers, a batch's cache misses stream by pull
+//!   to `gridrun --jobs` children over pipes: one job key per line in,
+//!   one worker line per job out, and each answer earns that worker the
+//!   next key.
 //!
 //! ## Service telemetry
 //!
@@ -44,11 +50,11 @@ use crate::grid::{CellStore, GridError, GridMode, Job};
 use crate::json::Json;
 use schematic_energy::CostTable;
 use schematic_obs::Registry;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
-use std::io::{Read, Write};
-use std::path::{Path, PathBuf};
-use std::process::Child;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::process::{Child, ChildStdin, Command, Stdio};
+use std::sync::mpsc;
 use std::time::Instant;
 
 /// Upper bound on one frame's payload (16 MiB — a full-grid fetch is
@@ -83,7 +89,12 @@ impl fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-/// Writes one length-prefixed JSON frame and flushes.
+/// Writes one length-prefixed JSON frame as a single write and flushes.
+///
+/// Prefix and payload go out in one buffer: written separately, the
+/// small second segment of a frame waits on a reused TCP connection
+/// for the peer's delayed ACK (Nagle's algorithm), about 40 ms per
+/// frame.
 ///
 /// # Errors
 ///
@@ -91,14 +102,15 @@ impl std::error::Error for FrameError {}
 /// [`MAX_FRAME`]; [`FrameError::Io`] on stream failure.
 pub fn write_frame(w: &mut impl Write, json: &Json) -> Result<(), FrameError> {
     let text = json.encode();
-    let bytes = text.as_bytes();
-    if bytes.len() > MAX_FRAME {
-        return Err(FrameError::Oversize(bytes.len()));
+    let len = text.len();
+    if len > MAX_FRAME {
+        return Err(FrameError::Oversize(len));
     }
+    let mut frame = Vec::with_capacity(4 + len);
+    frame.extend_from_slice(&(len as u32).to_be_bytes());
+    frame.extend_from_slice(text.as_bytes());
     let io = |e: std::io::Error| FrameError::Io(e.to_string());
-    w.write_all(&(bytes.len() as u32).to_be_bytes())
-        .map_err(io)?;
-    w.write_all(bytes).map_err(io)?;
+    w.write_all(&frame).map_err(io)?;
     w.flush().map_err(io)
 }
 
@@ -151,6 +163,33 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Json>, FrameError> {
 pub fn request(stream: &mut (impl Read + Write), req: &Json) -> Result<Json, FrameError> {
     write_frame(stream, req)?;
     read_frame(stream)?.ok_or(FrameError::Truncated)
+}
+
+/// Serves one connection until the peer closes it. Returns `true` when
+/// a `shutdown` request was handled.
+pub fn serve(daemon: &mut Daemon, stream: &mut (impl Read + Write)) -> bool {
+    loop {
+        let req = match read_frame(stream) {
+            Ok(Some(req)) => req,
+            Ok(None) => return false, // clean disconnect
+            Err(e) => {
+                // A torn or garbage frame ends this connection, not the
+                // daemon; try to tell the peer why.
+                let _ = write_frame(stream, &error_response(e.to_string()));
+                if !matches!(e, FrameError::Syntax(_) | FrameError::Oversize(_)) {
+                    return false;
+                }
+                continue;
+            }
+        };
+        let (resp, shutdown) = daemon.handle(&req);
+        if write_frame(stream, &resp).is_err() {
+            return shutdown;
+        }
+        if shutdown {
+            return true;
+        }
+    }
 }
 
 fn ok_response(mut fields: Vec<(&str, Json)>) -> Json {
@@ -228,12 +267,22 @@ impl Daemon {
     /// daemon keeps serving.
     pub fn handle(&mut self, req: &Json) -> (Json, bool) {
         let _span = schematic_obs::span("daemon/request");
-        let op = match req.get("op").and_then(Json::as_str) {
-            Some(op) => op.to_string(),
-            None => return (error_response("missing field 'op'".into()), false),
+        let Some(op) = req.get("op").and_then(Json::as_str) else {
+            return (error_response("missing field 'op'".into()), false);
         };
-        schematic_obs::gcount(&format!("daemon/op/{op}"), 1);
-        match op.as_str() {
+        // Only known ops get a counter of their own: a counter per
+        // distinct bogus op would grow the process-global counters, and
+        // every `stats` frame that carries them, without bound.
+        let counter = match op {
+            "submit" => "daemon/op/submit",
+            "status" => "daemon/op/status",
+            "fetch" => "daemon/op/fetch",
+            "stats" => "daemon/op/stats",
+            "shutdown" => "daemon/op/shutdown",
+            _ => "daemon/op/unknown",
+        };
+        schematic_obs::gcount(counter, 1);
+        match op {
             "submit" => (self.submit(req), false),
             "status" => (self.status(), false),
             "fetch" => (self.fetch(), false),
@@ -296,11 +345,11 @@ impl Daemon {
         Ok((stats.hits, stats.computed))
     }
 
-    /// Resolves hits from the warm cache, partitions the misses
-    /// round-robin over `workers` child `gridrun --jobs` processes, and
-    /// folds their extended artifacts (cell + instrumented-module
-    /// digests) back into the store *and* the cache — the daemon stays
-    /// the file's only writer because children never open it.
+    /// Resolves hits from the warm cache, streams the misses by pull to
+    /// `workers` child `gridrun --jobs` processes, and folds their
+    /// worker lines (cell + instrumented-module digests) back into the
+    /// store *and* the cache once every job has answered — the daemon
+    /// stays the file's only writer because children never open it.
     fn compute_dispatched(&mut self, needed: &[Job]) -> Result<(usize, usize), GridError> {
         let t0 = Instant::now();
         let table = CostTable::msp430fr5969();
@@ -316,35 +365,38 @@ impl Daemon {
         if misses.is_empty() {
             return Ok((hits.len(), 0));
         }
-        let outputs = self.run_workers(&misses)?;
+        let lines = self.run_workers(&misses)?;
         let mut folded = 0;
-        for text in outputs {
-            for line in text.lines().filter(|l| !l.trim().is_empty()) {
-                let (job, value, ims, telemetry) = cache::parse_worker_line_telemetry(line)?;
-                if let Some(cache) = &mut self.cache {
-                    let source = self.sources.digest(&job.benchmark);
-                    let ck = cache::cell_key(&job, &table, &ims);
-                    cache.memo_put(cache::memo_key(&job, &table, source), ims);
-                    cache.cell_put(ck, &job, value.clone());
-                }
-                if let Some(mut t) = telemetry {
-                    // Keep the aggregates (spans, counters, histograms)
-                    // but not the event logs: a long-lived daemon would
-                    // otherwise hoard them until `stats` frames hit the
-                    // protocol cap. Account them as spilled — the count
-                    // stays visible, the bytes stay in the worker lines.
-                    let spilled = t.registry.events.len() as u64;
-                    t.registry.events.clear();
-                    t.registry.spilled_events += spilled;
-                    self.service_reg.merge_from(t.registry);
-                    self.service_reg
-                        .record_span("service/job_wall", t.wall_nanos);
-                    self.worker_jobs += 1;
-                    self.worker_busy_nanos = self.worker_busy_nanos.saturating_add(t.wall_nanos);
-                }
-                self.store.insert(job, value)?;
-                folded += 1;
+        for (worker, line) in lines {
+            let (job, value, ims, telemetry) = cache::parse_worker_line_telemetry(&line)?;
+            *self
+                .service_reg
+                .counters
+                .entry(format!("worker/{worker}/jobs"))
+                .or_default() += 1;
+            if let Some(cache) = &mut self.cache {
+                let source = self.sources.digest(&job.benchmark);
+                let ck = cache::cell_key(&job, &table, &ims);
+                cache.memo_put(cache::memo_key(&job, &table, source), ims);
+                cache.cell_put(ck, &job, value.clone());
             }
+            if let Some(mut t) = telemetry {
+                // Keep the aggregates (spans, counters, histograms)
+                // but not the event logs: a long-lived daemon would
+                // otherwise hoard them until `stats` frames hit the
+                // protocol cap. Account them as spilled — the count
+                // stays visible, the bytes stay in the worker lines.
+                let spilled = t.registry.events.len() as u64;
+                t.registry.events.clear();
+                t.registry.spilled_events += spilled;
+                self.service_reg.merge_from(t.registry);
+                self.service_reg
+                    .record_span("service/job_wall", t.wall_nanos);
+                self.worker_jobs += 1;
+                self.worker_busy_nanos = self.worker_busy_nanos.saturating_add(t.wall_nanos);
+            }
+            self.store.insert(job, value)?;
+            folded += 1;
         }
         self.service_reg
             .record_span("daemon/batch", t0.elapsed().as_nanos() as u64);
@@ -357,18 +409,24 @@ impl Daemon {
         Ok((hits.len(), folded))
     }
 
-    /// Spawns the worker processes and collects their artifact texts.
-    fn run_workers(&mut self, misses: &[Job]) -> Result<Vec<String>, GridError> {
+    /// Runs `misses` on `gridrun --jobs` workers beside this binary;
+    /// see [`run_batch`].
+    fn run_workers(&self, misses: &[Job]) -> Result<Vec<(usize, String)>, GridError> {
         let gridrun = std::env::current_exe()
             .ok()
             .and_then(|p| p.parent().map(|d| d.join("gridrun")))
             .ok_or_else(|| GridError("cannot locate the gridrun binary".into()))?;
-        let dir = std::env::temp_dir().join(format!(
-            "gridd-{}-batch{}",
-            std::process::id(),
-            self.batches
-        ));
-        run_batch(&gridrun, dir, self.mode, self.workers, misses)
+        let quick = self.mode == GridMode::Quick;
+        let worker = || {
+            let mut cmd = Command::new(&gridrun);
+            if quick {
+                cmd.arg("--quick");
+            }
+            // Children report through worker-line telemetry, not heartbeats.
+            cmd.arg("--jobs").env("SCHEMATIC_PROGRESS", "0");
+            cmd
+        };
+        run_batch(worker, self.workers, misses)
     }
 
     fn status(&self) -> Json {
@@ -423,86 +481,166 @@ impl Daemon {
     }
 }
 
-/// One dispatched batch in flight: its scratch directory and the
-/// workers spawned so far. Dropping it kills and reaps every child not
-/// yet waited for, then removes the directory, so no return path —
-/// success or any early error — leaks either.
-struct Batch {
-    dir: PathBuf,
-    children: Vec<(Child, PathBuf)>,
-}
+/// Job keys each worker holds at once: the one it is evaluating plus
+/// one waiting in its stdin pipe, so it never idles while the daemon
+/// answers its last line with the next key.
+const IN_FLIGHT: usize = 2;
 
-impl Batch {
-    fn create(dir: PathBuf) -> Result<Batch, GridError> {
-        std::fs::create_dir_all(&dir).map_err(|e| GridError(format!("mkdir: {e}")))?;
-        Ok(Batch {
-            dir,
-            children: Vec::new(),
-        })
-    }
+/// The workers of one dispatched batch. Dropping it kills and reaps
+/// every child not yet waited for, so no return path — success, an
+/// early error or a panic — leaks one.
+struct Batch {
+    children: Vec<Child>,
 }
 
 impl Drop for Batch {
     fn drop(&mut self) {
         // Both calls are no-ops for a child that was already reaped.
-        for (child, _) in &mut self.children {
+        for child in &mut self.children {
             let _ = child.kill();
             let _ = child.wait();
         }
-        let _ = std::fs::remove_dir_all(&self.dir);
     }
 }
 
-/// Partitions `misses` round-robin over `workers` `gridrun --jobs`
-/// children run from `dir` and returns their artifact texts.
+/// The dispatch queue of one batch: the sorted misses, the next one to
+/// hand out, each worker's stdin (`None` once closed) and the indices
+/// of the keys each worker has been sent but not yet answered.
+struct Queue<'a> {
+    misses: &'a [Job],
+    next: usize,
+    stdins: Vec<Option<ChildStdin>>,
+    sent: Vec<VecDeque<usize>>,
+}
+
+impl Queue<'_> {
+    /// Hands worker `i` the next key, if any is left. Once the queue is
+    /// empty every stdin closes, so each worker exits after its last
+    /// answer.
+    fn feed(&mut self, i: usize) {
+        let Some(job) = self.misses.get(self.next) else {
+            return;
+        };
+        if let Some(stdin) = &mut self.stdins[i] {
+            // A worker that already exited fails the write; the key then
+            // stays unanswered and its reader reports it at EOF.
+            if stdin.write_all(format!("{job}\n").as_bytes()).is_err() {
+                self.stdins[i] = None;
+            }
+        }
+        self.sent[i].push_back(self.next);
+        self.next += 1;
+        if self.next == self.misses.len() {
+            self.stdins.iter_mut().for_each(|s| *s = None);
+        }
+    }
+}
+
+/// Evaluates `misses` on `workers` children made by `worker`, each a
+/// line worker: one job key per line in on stdin, one worker line per
+/// job out on stdout, exit 0 at EOF. Dispatch is by pull: every worker
+/// starts with [`IN_FLIGHT`] keys, and each line it answers earns it the
+/// next key in `misses` order, so a slow job stalls only the worker
+/// running it. One reader thread per worker forwards complete lines
+/// over a channel, so no pipe can fill and deadlock. Returns
+/// `(worker index, line)` per answered job, in `misses` order.
+///
+/// # Errors
+///
+/// A worker that cannot be spawned, that ends its output with jobs
+/// unanswered (naming them), that answers more lines than it was sent,
+/// or that exits non-zero fails the whole batch.
 fn run_batch(
-    gridrun: &Path,
-    dir: PathBuf,
-    mode: GridMode,
+    worker: impl Fn() -> Command,
     workers: usize,
     misses: &[Job],
-) -> Result<Vec<String>, GridError> {
-    let mut batch = Batch::create(dir)?;
+) -> Result<Vec<(usize, String)>, GridError> {
     let n = workers.min(misses.len());
-    for i in 0..n {
-        let jobs_path = batch.dir.join(format!("jobs-{i}.txt"));
-        let out_path = batch.dir.join(format!("out-{i}.jsonl"));
-        let keys: String = misses
-            .iter()
-            .skip(i)
-            .step_by(n)
-            .map(|j| format!("{j}\n"))
-            .collect();
-        std::fs::write(&jobs_path, keys).map_err(|e| GridError(format!("write jobs: {e}")))?;
-        let mut cmd = std::process::Command::new(gridrun);
-        if mode == GridMode::Quick {
-            cmd.arg("--quick");
+    std::thread::scope(|s| {
+        // Dropped before the scope joins the readers: killing the
+        // children closes their stdout, which ends every reader.
+        let mut batch = Batch {
+            children: Vec::with_capacity(n),
+        };
+        let mut queue = Queue {
+            misses,
+            next: 0,
+            stdins: Vec::with_capacity(n),
+            sent: vec![VecDeque::new(); n],
+        };
+        let (tx, rx) = mpsc::channel();
+        for i in 0..n {
+            let mut cmd = worker();
+            cmd.stdin(Stdio::piped()).stdout(Stdio::piped());
+            let mut child = cmd.spawn().map_err(|e| {
+                GridError(format!(
+                    "spawn {}: {e}",
+                    cmd.get_program().to_string_lossy()
+                ))
+            })?;
+            let stdout = child.stdout.take().expect("stdout is piped");
+            queue.stdins.push(child.stdin.take());
+            batch.children.push(child);
+            let tx = tx.clone();
+            s.spawn(move || {
+                for line in BufReader::new(stdout).lines() {
+                    let Ok(line) = line else { break };
+                    if tx.send((i, Some(line))).is_err() {
+                        return;
+                    }
+                }
+                let _ = tx.send((i, None));
+            });
         }
-        cmd.arg("--jobs").arg(&jobs_path).arg("-o").arg(&out_path);
-        // Children report through artifact telemetry, not heartbeats.
-        cmd.env("SCHEMATIC_PROGRESS", "0");
-        let child = cmd
-            .spawn()
-            .map_err(|e| GridError(format!("spawn {}: {e}", gridrun.display())))?;
-        batch.children.push((child, out_path));
-    }
-    let mut outputs = Vec::with_capacity(n);
-    let mut failed = 0usize;
-    for (child, out_path) in &mut batch.children {
-        let status = child.wait().map_err(|e| GridError(format!("wait: {e}")))?;
-        if !status.success() {
-            failed += 1;
-            continue;
+        drop(tx);
+        for _ in 0..IN_FLIGHT {
+            for i in 0..n {
+                queue.feed(i);
+            }
         }
-        outputs.push(
-            std::fs::read_to_string(&*out_path)
-                .map_err(|e| GridError(format!("read {}: {e}", out_path.display())))?,
-        );
-    }
-    if failed > 0 {
-        return Err(GridError(format!("{failed} worker process(es) failed")));
-    }
-    Ok(outputs)
+        let mut lines = vec![None; misses.len()];
+        // Ends once every worker has closed its stdout.
+        for (i, line) in rx {
+            match line {
+                Some(line) => {
+                    let Some(k) = queue.sent[i].pop_front() else {
+                        return Err(GridError(format!(
+                            "worker {i} answered more lines than it was sent"
+                        )));
+                    };
+                    lines[k] = Some((i, line));
+                    queue.feed(i);
+                }
+                None if queue.sent[i].is_empty() => {}
+                None => {
+                    let keys: Vec<String> = queue.sent[i]
+                        .iter()
+                        .map(|&k| misses[k].to_string())
+                        .collect();
+                    return Err(GridError(format!(
+                        "worker {i} ended its output with {} job(s) unanswered: {}",
+                        keys.len(),
+                        keys.join(", ")
+                    )));
+                }
+            }
+        }
+        let mut failed = Vec::new();
+        for (i, child) in batch.children.iter_mut().enumerate() {
+            let status = child.wait().map_err(|e| GridError(format!("wait: {e}")))?;
+            if !status.success() {
+                failed.push(format!("worker {i} {status}"));
+            }
+        }
+        if !failed.is_empty() {
+            return Err(GridError(format!(
+                "{} worker process(es) failed: {}",
+                failed.len(),
+                failed.join(", ")
+            )));
+        }
+        Ok(lines.into_iter().flatten().collect())
+    })
 }
 
 /// A `stats` response decoded for rendering. [`StatsSnapshot::parse`]
@@ -865,6 +1003,7 @@ pub fn render_service_report(reg: &Registry, top_k: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grid::GridSpec;
     use std::io::Cursor;
 
     /// SplitMix64 — the deterministic fuzz driver.
@@ -1048,34 +1187,177 @@ mod tests {
         assert_eq!(new_frame, old_frame);
     }
 
-    #[test]
-    fn failed_batch_removes_its_scratch_directory() {
-        let dir = std::env::temp_dir().join(format!("gridd-test-{}-spawnfail", std::process::id()));
-        let jobs = [
+    fn two_jobs() -> [Job; 2] {
+        [
             Job::parse("support/Schematic/crc/0").unwrap(),
             Job::parse("support/Mementos/crc/0").unwrap(),
-        ];
-        let missing = dir.with_extension("no-such-gridrun");
-        let err = run_batch(&missing, dir.clone(), GridMode::Quick, 2, &jobs).unwrap_err();
+        ]
+    }
+
+    #[test]
+    fn failed_spawn_fails_the_batch() {
+        let missing =
+            std::env::temp_dir().join(format!("gridd-test-{}-no-such-gridrun", std::process::id()));
+        let err = run_batch(|| Command::new(&missing), 2, &two_jobs()).unwrap_err();
         assert!(err.to_string().starts_with("spawn "), "got: {err}");
-        assert!(!dir.exists(), "{} left behind", dir.display());
+    }
+
+    /// Zombie children of this process whose command name is `comm`.
+    #[cfg(target_os = "linux")]
+    fn zombies(comm: &str) -> usize {
+        let me = std::process::id().to_string();
+        let Ok(dir) = std::fs::read_dir("/proc") else {
+            return 0;
+        };
+        dir.filter_map(|e| std::fs::read_to_string(e.ok()?.path().join("stat")).ok())
+            .filter(|stat| {
+                // `pid (comm) state ppid …`; comm may hold spaces.
+                let (Some(open), Some(close)) = (stat.find('('), stat.rfind(')')) else {
+                    return false;
+                };
+                let mut rest = stat[close + 1..].split_whitespace();
+                &stat[open + 1..close] == comm
+                    && rest.next() == Some("Z")
+                    && rest.next() == Some(me.as_str())
+            })
+            .count()
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn silent_workers_fail_naming_the_unanswered_jobs() {
+        // `true` exits 0 and `false` exits 1, both without answering.
+        for program in ["true", "false"] {
+            let t0 = Instant::now();
+            let err = run_batch(|| Command::new(program), 2, &two_jobs()).unwrap_err();
+            let msg = err.to_string();
+            assert!(msg.contains("unanswered"), "{program}: {msg}");
+            assert!(
+                msg.contains("support/Schematic/crc/0") || msg.contains("support/Mementos/crc/0"),
+                "{program}: {msg}"
+            );
+            assert!(t0.elapsed().as_secs() < 20, "{program}: the batch hung");
+            #[cfg(target_os = "linux")]
+            assert_eq!(zombies(program), 0, "{program}: a worker was left unreaped");
+        }
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn pull_dispatch_answers_every_job_once_across_workers() {
+        // `cat` echoes each key back as its answer line.
+        let jobs: Vec<Job> = GridSpec::full_grid(GridMode::Quick).jobs()[..24].to_vec();
+        let lines = run_batch(|| Command::new("cat"), 3, &jobs).unwrap();
+        let answered: Vec<String> = lines.iter().map(|(_, l)| l.clone()).collect();
+        let keys: Vec<String> = jobs.iter().map(Job::to_string).collect();
+        assert_eq!(answered, keys, "one answer per job, in job order");
+        for w in 0..3 {
+            let n = lines.iter().filter(|(i, _)| *i == w).count();
+            assert!(n >= IN_FLIGHT, "worker {w} answered {n} jobs");
+        }
     }
 
     #[cfg(unix)]
     #[test]
     fn dropped_batch_kills_and_reaps_its_workers() {
-        let dir = std::env::temp_dir().join(format!("gridd-test-{}-kill", std::process::id()));
-        let mut batch = Batch::create(dir.clone()).unwrap();
-        std::fs::write(dir.join("jobs-0.txt"), "x\n").unwrap();
         let child = std::process::Command::new("sleep")
             .arg("30")
             .spawn()
             .unwrap();
-        batch.children.push((child, dir.join("out-0.jsonl")));
+        let batch = Batch {
+            children: vec![child],
+        };
         let t0 = Instant::now();
         drop(batch);
         assert!(t0.elapsed().as_secs() < 20, "drop waited for the worker");
-        assert!(!dir.exists(), "{} left behind", dir.display());
+        #[cfg(target_os = "linux")]
+        assert_eq!(zombies("sleep"), 0, "the worker was left unreaped");
+    }
+
+    /// A `Write` that records the length of every `write` call.
+    #[derive(Default)]
+    struct WriteCalls(Vec<usize>);
+
+    impl Write for WriteCalls {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(buf.len());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write() {
+        let req = crate::grid::obj(vec![("op", Json::Str("status".into()))]);
+        let mut w = WriteCalls::default();
+        write_frame(&mut w, &req).unwrap();
+        assert_eq!(w.0, vec![4 + req.encode().len()]);
+    }
+
+    #[test]
+    fn round_trips_on_one_connection_do_not_stall() {
+        use std::net::{TcpListener, TcpStream};
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut d = Daemon::new(GridMode::Quick, None, 0);
+            serve(&mut d, &mut stream)
+        });
+        let mut client = TcpStream::connect(addr).unwrap();
+        let status = crate::grid::obj(vec![("op", Json::Str("status".into()))]);
+        let t0 = Instant::now();
+        for _ in 0..50 {
+            let resp = request(&mut client, &status).unwrap();
+            assert_eq!(resp.get("ok"), Some(&Json::Bool(true)));
+        }
+        let elapsed = t0.elapsed();
+        let shutdown = crate::grid::obj(vec![("op", Json::Str("shutdown".into()))]);
+        request(&mut client, &shutdown).unwrap();
+        assert!(server.join().unwrap(), "serve saw the shutdown");
+        assert!(
+            elapsed.as_secs_f64() < 1.0,
+            "50 status round trips took {elapsed:?}"
+        );
+    }
+
+    #[test]
+    fn unknown_ops_share_one_counter() {
+        const KNOWN: [&str; 5] = [
+            "daemon/op/submit",
+            "daemon/op/status",
+            "daemon/op/fetch",
+            "daemon/op/stats",
+            "daemon/op/shutdown",
+        ];
+        let before = schematic_obs::gcounters();
+        let mut d = Daemon::new(GridMode::Quick, None, 0);
+        for i in 0..1000 {
+            let (resp, stop) = d.handle(&crate::grid::obj(vec![(
+                "op",
+                Json::Str(format!("bogus-{i}")),
+            )]));
+            assert_eq!(resp.get("ok"), Some(&Json::Bool(false)));
+            assert!(!stop);
+        }
+        // Other tests in this binary may add known op counters at the
+        // same time, so only the unknown-op names are counted.
+        let added: Vec<String> = schematic_obs::gcounters()
+            .into_keys()
+            .filter(|k| {
+                k.starts_with("daemon/op/")
+                    && !KNOWN.contains(&k.as_str())
+                    && !before.contains_key(k)
+            })
+            .collect();
+        assert!(added.len() <= 1, "added {} counter names", added.len());
+        assert!(schematic_obs::gcounter("daemon/op/unknown") >= 1000);
+        let (stats, _) = d.handle(&crate::grid::obj(vec![("op", Json::Str("stats".into()))]));
+        let snap = StatsSnapshot::parse(&stats).unwrap();
+        assert!(!snap.registry.counters.keys().any(|k| k.contains("bogus")));
     }
 
     #[test]

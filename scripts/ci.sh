@@ -201,6 +201,14 @@ test "$MISSES" -eq "$JOBS" \
 grep -q '^gridd_span_calls_total{name="service/job_wall"} '"$JOBS"'$' \
   "$GRIDDIR/expo_cold.txt"
 grep -q "^gridd_worker_jobs_total $JOBS\$" "$GRIDDIR/expo_cold.txt"
+# Pull dispatch spread the batch: each of the 2 workers answered at
+# least one job, and together they answered every job.
+W0="$(expo_counter "$GRIDDIR/expo_cold.txt" "worker/0/jobs")"
+W1="$(expo_counter "$GRIDDIR/expo_cold.txt" "worker/1/jobs")"
+test "$W0" -ge 1 && test "$W1" -ge 1 \
+  || { echo "cold stats: a worker answered no jobs (worker 0: $W0, worker 1: $W1)"; exit 1; }
+test "$((W0 + W1))" -eq "$JOBS" \
+  || { echo "cold stats: workers answered $W0+$W1 jobs, want $JOBS"; exit 1; }
 # Each worker profiles each distinct program once: the cold batch must
 # hit the profile memo, and every compile/profile span is exactly one
 # memo hit or one miss.
@@ -222,7 +230,7 @@ grep -q "cache hit rate by report kind" "$GRIDDIR/service_report.txt"
 diff -u "$GRIDDIR/direct.txt" "$GRIDDIR/gridd.txt"
 "$GRIDRUN" --quick --connect "$ADDR" --shutdown
 wait "$GRIDD_PID"
-echo "cold daemon: $MISSES misses across $JOBS jobs, telemetry merged from 2 workers, profile memo $PHITS/$PCALLS hits"
+echo "cold daemon: $MISSES misses across $JOBS jobs, telemetry merged from 2 workers ($W0 + $W1 jobs), profile memo $PHITS/$PCALLS hits"
 
 # Warm restart: a fresh daemon over the populated cache answers every
 # cell from it — stats must show hits == jobs and zero misses.
