@@ -11,6 +11,8 @@
 //!                               # assert the render is byte-identical to the in-process run
 //! gridrun --trace F             # compute in-process with tracing on; write the per-cell
 //!                               # trace artifact (JSONL, see `tracereport`) to F
+//! gridrun --report NAME         # compute one report's slice of the grid and render it
+//!                               # (table1..3, fig6..8, ablations, soundcheck)
 //! gridrun --report robust       # multi-seed robustness report: completion rate and energy
 //!          [--seeds N]          # spread per technique x benchmark across N stochastic
 //!                               # seeds (default 8) plus every recorded trace in traces/
@@ -58,8 +60,8 @@
 use schematic_bench::cache::{
     compute_cached, worker_line, worker_line_telemetry, CellCache, WorkerTelemetry,
 };
-use schematic_bench::experiments::{render_all, render_robust, robust_jobs};
-use schematic_bench::grid::{evaluate_traced, CellStore, GridMode, GridSpec, Job};
+use schematic_bench::experiments::{render, render_all, render_robust, robust_jobs};
+use schematic_bench::grid::{evaluate_traced, CellStore, GridMode, GridSpec, Job, ReportId};
 use schematic_bench::json::Json;
 use schematic_bench::{service, trace};
 use schematic_energy::CostTable;
@@ -121,6 +123,8 @@ enum Command {
     },
     /// Worker mode: answer job keys on stdin with extended cell lines.
     Jobs,
+    /// `--report NAME`: one paper report.
+    Report { id: ReportId },
     /// `--report robust`: the multi-seed robustness report.
     Robust { seeds: u64 },
     /// Thin client against a running daemon.
@@ -140,6 +144,7 @@ fn usage() -> ! {
         "usage: gridrun [--quick] [--trace FILE] [--cache FILE | --no-cache] [--cache-verify] \
          [--list | --shard i/N -o FILE | --merge FILE... | --spawn N | \
          --resume FILE [-o FILE] | --jobs | \
+         --report table1|table2|table3|fig6|fig7|fig8|ablations|soundcheck | \
          --report robust [--seeds N] | \
          --connect ADDR (--submit all|i/N | --status | --fetch -o FILE | \
          --stats [--format expo] [-o FILE] | --shutdown)]"
@@ -221,7 +226,11 @@ fn parse_args() -> Options {
             "--jobs" => set(Command::Jobs, &mut command),
             "--report" => match it.next().as_deref() {
                 Some("robust") => set(Command::Robust { seeds: 8 }, &mut command),
-                _ => usage(),
+                Some(name) => {
+                    let id = ReportId::from_name(name).unwrap_or_else(|| usage());
+                    set(Command::Report { id }, &mut command);
+                }
+                None => usage(),
             },
             "--seeds" => {
                 seeds = Some(
@@ -400,6 +409,24 @@ fn compute(jobs: &[Job], opts: &Options) -> Result<CellStore, String> {
         None => eprintln!("gridrun: cache off: {} computed", stats.computed),
     }
     Ok(store)
+}
+
+/// Cache-aware compute of `jobs`, then prints `render` of the store.
+fn compute_and_print(
+    jobs: &[Job],
+    opts: &Options,
+    render: impl FnOnce(&CellStore) -> String,
+) -> ExitCode {
+    match compute(jobs, opts) {
+        Ok(store) => {
+            print!("{}", render(&store));
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("gridrun: {e}");
+            ExitCode::from(2)
+        }
+    }
 }
 
 /// `--resume F`: complete a partial artifact and render it.
@@ -723,18 +750,15 @@ fn main() -> ExitCode {
                 ExitCode::from(2)
             }
         },
+        Command::Report { id } => {
+            let slice = GridSpec::for_report(id, opts.mode);
+            compute_and_print(slice.jobs(), &opts, |store| render(id, store, opts.mode))
+        }
         // The robustness grid goes through the same cache-aware compute
         // as the paper grid, so `--cache-verify` covers scenario cells.
-        Command::Robust { seeds } => match compute(&robust_jobs(seeds), &opts) {
-            Ok(store) => {
-                print!("{}", render_robust(&store, seeds));
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("gridrun: {e}");
-                ExitCode::from(2)
-            }
-        },
+        Command::Robust { seeds } => compute_and_print(&robust_jobs(seeds), &opts, |store| {
+            render_robust(store, seeds)
+        }),
         Command::Connect { addr, action } => match connect(&spec, &addr, &action) {
             Ok(()) => ExitCode::SUCCESS,
             Err(e) => {

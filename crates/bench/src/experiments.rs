@@ -1,18 +1,21 @@
-//! Report generators behind the experiment binaries — the **render
+//! Report generators behind `gridrun` and `soundcheck` — the **render
 //! layer** of the grid pipeline.
 //!
 //! Each `render_*` function is a pure function from a computed
-//! [`CellStore`] to the report string; the matching `*_report`
-//! convenience wrapper enumerates the report's [`GridSpec`], computes
-//! the store (cells fan out over [`crate::parallel::par_map`] workers,
-//! `SCHEMATIC_JOBS` overrides the count) and renders. `exp_all`
-//! computes the **union** grid once and renders every section from the
-//! same store, so cells shared between reports (fig6 and fig8 read
+//! [`CellStore`] to the report string, and [`render`] picks one by
+//! [`ReportId`]. [`report`] enumerates one report's [`GridSpec`],
+//! computes the store (cells fan out over [`crate::parallel::par_map`]
+//! workers, `SCHEMATIC_JOBS` overrides the count) and renders it;
+//! `gridrun --report NAME` does the same through the cell cache.
+//! [`render_all`] renders every section from one store of the
+//! **union** grid, so cells shared between reports (fig6 and fig8 read
 //! Table III's `run` cells, Table I reads Table II's `bare` cells) are
 //! evaluated exactly once. Reports are byte-identical no matter how
 //! many workers — or shards (`gridrun`) — computed the store.
 
-use crate::grid::{CellStore, CellValue, GridMode, GridSpec, Job, ReportId, SoundCounts};
+use crate::grid::{
+    CellStore, CellValue, GridMode, GridSpec, Job, ReportId, SoundCounts, ALL_REPORTS,
+};
 use crate::{
     render_table, technique_names, uj, CellOutcome, Scenario, ENERGY_TBPF, SVM_BYTES, TBPFS,
 };
@@ -23,12 +26,8 @@ fn store_for(report: ReportId, mode: GridMode) -> CellStore {
     CellStore::compute(GridSpec::for_report(report, mode).jobs())
 }
 
-/// Table I — ability to support limited VM space (§IV-B).
-pub fn table1_report() -> String {
-    render_table1(&store_for(ReportId::Table1, GridMode::Full))
-}
-
-/// Renders Table I from `store` (needs its `support` and `bare` cells).
+/// Renders Table I — ability to support limited VM space (§IV-B) —
+/// from `store` (needs its `support` and `bare` cells).
 pub fn render_table1(store: &CellStore) -> String {
     let mut out = String::new();
     writeln!(
@@ -74,13 +73,8 @@ fn bare(store: &CellStore, benchmark: &str) -> (u64, u64) {
     }
 }
 
-/// Table II — execution time and minimal number of power failures
-/// (§IV-C).
-pub fn table2_report() -> String {
-    render_table2(&store_for(ReportId::Table2, GridMode::Full))
-}
-
-/// Renders Table II from `store` (needs its `bare` cells).
+/// Renders Table II — execution time and minimal number of power
+/// failures (§IV-C) — from `store` (needs its `bare` cells).
 pub fn render_table2(store: &CellStore) -> String {
     let mut out = String::new();
     writeln!(out, "Table II: execution time and minimal power failures\n").unwrap();
@@ -107,12 +101,8 @@ pub fn render_table2(store: &CellStore) -> String {
     out
 }
 
-/// Table III — ability to enforce forward progress (§IV-C).
-pub fn table3_report() -> String {
-    render_table3(&store_for(ReportId::Table3, GridMode::Full))
-}
-
-/// Renders Table III from `store` (needs the full `run` grid).
+/// Renders Table III — ability to enforce forward progress (§IV-C) —
+/// from `store` (needs the full `run` grid).
 pub fn render_table3(store: &CellStore) -> String {
     let mut out = String::new();
     writeln!(out, "Table III: ability to enforce forward progress\n").unwrap();
@@ -142,13 +132,8 @@ pub fn render_table3(store: &CellStore) -> String {
     out
 }
 
-/// Figure 6 — energy breakdown per technique at TBPF = 10k (§IV-D).
-pub fn fig6_report() -> String {
-    render_fig6(&store_for(ReportId::Fig6, GridMode::Full))
-}
-
-/// Renders Figure 6 from `store` (needs the `run` cells at
-/// [`ENERGY_TBPF`]).
+/// Renders Figure 6 — energy breakdown per technique at TBPF = 10k
+/// (§IV-D) — from `store` (needs the `run` cells at [`ENERGY_TBPF`]).
 pub fn render_fig6(store: &CellStore) -> String {
     let mut out = String::new();
     writeln!(
@@ -274,12 +259,8 @@ fn measured<'a>(
     }
 }
 
-/// Figure 7 — SCHEMATIC vs All-NVM computation split (§IV-E).
-pub fn fig7_report() -> String {
-    render_fig7(&store_for(ReportId::Fig7, GridMode::Full))
-}
-
-/// Renders Figure 7 from `store` (needs its `fig7` cells).
+/// Renders Figure 7 — SCHEMATIC vs All-NVM computation split (§IV-E) —
+/// from `store` (needs its `fig7` cells).
 ///
 /// A variant without a sound placement (e.g. a kernel whose mandatory
 /// state cannot close any interval with zero VM) renders an error row
@@ -376,13 +357,8 @@ pub fn render_fig7(store: &CellStore) -> String {
     out
 }
 
-/// Figure 8 — impact of the capacitor size on `crc` (§IV-F).
-pub fn fig8_report() -> String {
-    render_fig8(&store_for(ReportId::Fig8, GridMode::Full))
-}
-
-/// Renders Figure 8 from `store` (needs `crc`'s `run` cells at every
-/// TBPF).
+/// Renders Figure 8 — impact of the capacitor size on `crc` (§IV-F) —
+/// from `store` (needs `crc`'s `run` cells at every TBPF).
 pub fn render_fig8(store: &CellStore) -> String {
     let mut out = String::new();
     writeln!(
@@ -445,13 +421,8 @@ pub fn render_fig8(store: &CellStore) -> String {
     out
 }
 
-/// Extension: ablations of SCHEMATIC's design choices (DESIGN.md §6).
-pub fn ablations_report() -> String {
-    render_ablations(&store_for(ReportId::Ablations, GridMode::Full))
-}
-
-/// Renders the ablation study from `store` (needs its `ablation` and
-/// `retentive` cells).
+/// Renders the ablations of SCHEMATIC's design choices (DESIGN.md §6)
+/// from `store` (needs its `ablation` and `retentive` cells).
 pub fn render_ablations(store: &CellStore) -> String {
     let mut out = String::new();
     writeln!(
@@ -815,12 +786,6 @@ pub fn robust_jobs(seeds: u64) -> Vec<Job> {
     jobs
 }
 
-/// `gridrun --report robust` (fresh store; the binary routes through
-/// the cell cache instead when one is configured).
-pub fn robust_report(seeds: u64) -> String {
-    render_robust(&CellStore::compute(&robust_jobs(seeds)), seeds)
-}
-
 /// Renders the robustness report from `store` (needs the
 /// [`robust_jobs`] cells): per technique × benchmark, the completion
 /// rate and total-energy spread across every scenario on the axis.
@@ -904,35 +869,35 @@ pub fn render_robust(store: &CellStore, seeds: u64) -> String {
     out
 }
 
-/// A report renderer: pure function from the shared store to its text.
-type RenderFn = fn(&CellStore) -> String;
-
-/// Every report in sequence from one shared store, separated like the
-/// old per-binary runner.
-pub fn render_all(store: &CellStore, mode: GridMode) -> String {
-    let sections: [(&str, RenderFn); 7] = [
-        ("table1", render_table1),
-        ("table2", render_table2),
-        ("table3", render_table3),
-        ("fig6", render_fig6),
-        ("fig7", render_fig7),
-        ("fig8", render_fig8),
-        ("ablations", render_ablations),
-    ];
-    let mut out = String::new();
-    for (name, render) in sections {
-        writeln!(out, "\n================ {name} ================\n").unwrap();
-        out.push_str(&render(store));
+/// Renders report `id` from `store`, which must hold the report's
+/// cells ([`GridSpec::for_report`]). The soundness check renders its
+/// text only; its pass/fail verdict is [`render_soundcheck`]'s.
+pub fn render(id: ReportId, store: &CellStore, mode: GridMode) -> String {
+    match id {
+        ReportId::Table1 => render_table1(store),
+        ReportId::Table2 => render_table2(store),
+        ReportId::Table3 => render_table3(store),
+        ReportId::Fig6 => render_fig6(store),
+        ReportId::Fig7 => render_fig7(store),
+        ReportId::Fig8 => render_fig8(store),
+        ReportId::Ablations => render_ablations(store),
+        ReportId::Soundcheck => render_soundcheck(store, mode).0,
     }
-    writeln!(out, "\n================ soundcheck ================\n").unwrap();
-    out.push_str(&render_soundcheck(store, mode).0);
-    out
 }
 
-/// Every report in sequence. The union grid is computed once — each
-/// cell shared between reports is evaluated a single time — and every
-/// section renders from the same store.
-pub fn exp_all_report() -> String {
-    let store = CellStore::compute(GridSpec::full_grid(GridMode::Full).jobs());
-    render_all(&store, GridMode::Full)
+/// Computes report `id`'s slice of the grid into a fresh store and
+/// renders it.
+pub fn report(id: ReportId, mode: GridMode) -> String {
+    render(id, &store_for(id, mode), mode)
+}
+
+/// Every report in [`ALL_REPORTS`] order from one shared store, each
+/// under a `==== name ====` banner.
+pub fn render_all(store: &CellStore, mode: GridMode) -> String {
+    let mut out = String::new();
+    for id in ALL_REPORTS {
+        writeln!(out, "\n================ {} ================\n", id.name()).unwrap();
+        out.push_str(&render(id, store, mode));
+    }
+    out
 }

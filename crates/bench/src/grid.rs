@@ -354,7 +354,29 @@ pub enum ReportId {
     Soundcheck,
 }
 
-/// All reports, in `exp_all`'s section order.
+impl ReportId {
+    /// The report's command-line name (`gridrun --report NAME`) and
+    /// section banner.
+    pub fn name(self) -> &'static str {
+        match self {
+            ReportId::Table1 => "table1",
+            ReportId::Table2 => "table2",
+            ReportId::Table3 => "table3",
+            ReportId::Fig6 => "fig6",
+            ReportId::Fig7 => "fig7",
+            ReportId::Fig8 => "fig8",
+            ReportId::Ablations => "ablations",
+            ReportId::Soundcheck => "soundcheck",
+        }
+    }
+
+    /// Inverse of [`ReportId::name`].
+    pub fn from_name(name: &str) -> Option<ReportId> {
+        ALL_REPORTS.into_iter().find(|id| id.name() == name)
+    }
+}
+
+/// All reports, in the section order of a full render.
 pub const ALL_REPORTS: [ReportId; 8] = [
     ReportId::Table1,
     ReportId::Table2,
@@ -480,9 +502,10 @@ pub struct GridSpec {
 }
 
 impl GridSpec {
-    /// The union of every report's jobs — what `exp_all` and `gridrun`
-    /// compute. Shared cells (fig6 and fig8 read Table III's `run`
-    /// cells; Table I reads Table II's `bare` cells) appear once.
+    /// The union of every report's jobs — what `gridrun` computes when
+    /// it renders every report. Shared cells (fig6 and fig8 read Table
+    /// III's `run` cells; Table I reads Table II's `bare` cells) appear
+    /// once.
     pub fn full_grid(mode: GridMode) -> GridSpec {
         let mut jobs: Vec<Job> = ALL_REPORTS
             .into_iter()

@@ -10,8 +10,10 @@
 //!   sent as one write (see [`write_frame`] for why).
 //!   [`read_frame`] returns `Ok(None)` on a clean EOF at a frame
 //!   boundary; a torn prefix, a truncated body, an oversized length
-//!   ([`MAX_FRAME`]) or non-JSON payload is an error — never a panic —
-//!   because the listener must survive any bytes a client throws at it.
+//!   ([`MAX_FRAME`]), a non-JSON payload or one nested past the
+//!   reader's depth cap is an error — never a panic or a stack
+//!   overflow — because the listener must survive any bytes a client
+//!   throws at it.
 //! * **Requests** — JSON objects tagged by `"op"`:
 //!   `{"op":"submit","jobs":["run/Schematic/crc/10000",…]}` evaluates a
 //!   batch (cache-first, optionally fanned out to worker processes),
@@ -120,8 +122,8 @@ pub fn write_frame(w: &mut impl Write, json: &Json) -> Result<(), FrameError> {
 ///
 /// # Errors
 ///
-/// Never panics: torn, oversized, or garbage frames come back as the
-/// matching [`FrameError`].
+/// Never panics: torn, oversized, garbage or too deeply nested frames
+/// come back as the matching [`FrameError`].
 pub fn read_frame(r: &mut impl Read) -> Result<Option<Json>, FrameError> {
     let mut len_buf = [0u8; 4];
     let mut got = 0;
@@ -1322,6 +1324,46 @@ mod tests {
             elapsed.as_secs_f64() < 1.0,
             "50 status round trips took {elapsed:?}"
         );
+    }
+
+    /// A complete frame whose payload opens 100,000 arrays: far past the
+    /// reader's nesting cap, and deep enough to overflow the stack of a
+    /// reader that recursed once per level without a limit.
+    fn deep_frame() -> Vec<u8> {
+        let payload = "[".repeat(100_000);
+        let mut framed = (payload.len() as u32).to_be_bytes().to_vec();
+        framed.extend_from_slice(payload.as_bytes());
+        framed
+    }
+
+    #[test]
+    fn deeply_nested_frames_are_syntax_errors() {
+        match read_frame(&mut Cursor::new(deep_frame())) {
+            Err(FrameError::Syntax(e)) => assert!(e.contains("nesting"), "{e}"),
+            other => panic!("expected a syntax error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn serve_survives_a_deeply_nested_frame() {
+        use std::net::{TcpListener, TcpStream};
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut d = Daemon::new(GridMode::Quick, None, 0);
+            serve(&mut d, &mut stream)
+        });
+        let mut client = TcpStream::connect(addr).unwrap();
+        client.write_all(&deep_frame()).unwrap();
+        let resp = read_frame(&mut client).unwrap().unwrap();
+        assert_eq!(resp.get("ok"), Some(&Json::Bool(false)));
+        let status = crate::grid::obj(vec![("op", Json::Str("status".into()))]);
+        let resp = request(&mut client, &status).unwrap();
+        assert_eq!(resp.get("ok"), Some(&Json::Bool(true)));
+        let shutdown = crate::grid::obj(vec![("op", Json::Str("shutdown".into()))]);
+        request(&mut client, &shutdown).unwrap();
+        assert!(server.join().unwrap(), "serve saw the shutdown");
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! construction).
 //!
 //! Traces serialize through the same offline JSON dialect as the cell
-//! artifacts ([`crate::json`]): one JSON object per cell per line,
-//! written and read directly through the dialect's writer helpers and
+//! artifacts ([`schematic_obs::json`]): one JSON object per cell per
+//! line, written and read directly through the dialect's writer and
 //! pull [`Reader`], with no `Json` tree in between.
 //! `gridrun --trace F` writes the artifact; the `tracereport` binary
 //! renders it — a phase-time table across the grid, the top-K hottest
@@ -33,13 +33,13 @@
 //! stays bounded at the cap.
 
 use crate::grid::{evaluate, CellStore, GridError, Job, JobKind};
-use crate::json::{write_str, write_u64, JsonError, Reader};
 use crate::parallel::par_map;
 use crate::{render_table, uj};
 use schematic_emu::trace::SNAPSHOT_KEYS;
 use schematic_energy::{CostTable, Energy};
 use schematic_obs as obs;
-use std::borrow::Cow;
+use schematic_obs::codec::{read_fields, write_fields};
+use schematic_obs::json::{write_str, write_u64, JsonError, Reader};
 use std::collections::{BTreeMap, HashMap};
 use std::io::Write;
 use std::sync::{Arc, Mutex};
@@ -208,8 +208,10 @@ pub fn capture_grid_streaming(
 // ---------------------------------------------------------------------
 //
 // Lines are written and read directly, with no `Json` tree in between:
-// `write_*` append to a `String` through the shared writer helpers, and
-// `read_*` pull from a `json::Reader`. A trace line is
+// `write_*` append to a `String` through the dialect's writer, and
+// `read_*` pull from its `Reader` (both `schematic_obs::json`). An
+// event's fields go through `schematic_obs::codec`'s field codec, the
+// one the telemetry registry uses. A trace line is
 //
 //   {"job":{"kind","technique","benchmark","tbpf"|"scenario"},
 //    "wall_nanos":N,"phases":[{"name","calls","total_nanos","p50_nanos",
@@ -228,21 +230,9 @@ fn write_events(out: &mut String, events: &[obs::Event]) {
         }
         out.push_str("{\"kind\":");
         write_str(out, &ev.kind);
-        out.push_str(",\"fields\":[");
-        for (j, (name, value)) in ev.fields.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push('[');
-            write_str(out, name);
-            out.push(',');
-            match value {
-                obs::Value::U64(n) => write_u64(out, *n),
-                obs::Value::Str(s) => write_str(out, s),
-            }
-            out.push(']');
-        }
-        out.push_str("]}");
+        out.push_str(",\"fields\":");
+        write_fields(out, &ev.fields);
+        out.push('}');
     }
     out.push(']');
 }
@@ -331,87 +321,24 @@ enum Line {
     },
 }
 
-/// The value of a required field, or a `missing field` error.
-fn need<T>(r: &Reader, value: Option<T>, name: &str) -> Result<T, JsonError> {
-    value.ok_or_else(|| r.err(format!("missing field '{name}'")))
-}
-
-/// Reads an array whose elements `item` decodes.
-fn read_vec<'a, T>(
-    r: &mut Reader<'a>,
-    mut item: impl FnMut(&mut Reader<'a>) -> Result<T, JsonError>,
-) -> Result<Vec<T>, JsonError> {
-    let mut items = Vec::new();
-    r.array(|r| {
-        items.push(item(r)?);
-        Ok(())
-    })?;
-    Ok(items)
-}
-
-/// Reads a two-element `[name, value]` array, decoding the name with
-/// `name` straight from the reader's (usually borrowed) string.
-fn read_pair<'a, N, T>(
-    r: &mut Reader<'a>,
-    what: &str,
-    mut name: impl FnMut(Cow<'a, str>) -> N,
-    mut value: impl FnMut(&mut Reader<'a>) -> Result<T, JsonError>,
-) -> Result<(N, T), JsonError> {
-    let mut key = None;
-    let mut val = None;
-    let mut n = 0;
-    r.array(|r| {
-        match n {
-            0 => key = Some(name(r.str()?)),
-            1 => val = Some(value(r)?),
-            _ => return Err(r.err(format!("{what} must be a [name, value] pair"))),
-        }
-        n += 1;
-        Ok(())
-    })?;
-    match (key, val) {
-        (Some(key), Some(val)) => Ok((key, val)),
-        _ => Err(r.err(format!("{what} must be a [name, value] pair"))),
-    }
-}
-
-fn read_value(r: &mut Reader) -> Result<obs::Value, JsonError> {
-    match r.peek() {
-        Some(b'"') => Ok(obs::Value::Str(r.str()?.into_owned())),
-        Some(b'0'..=b'9') => Ok(obs::Value::U64(r.u64()?)),
-        _ => Err(r.err("event field value must be integer or string")),
-    }
-}
-
-/// Reads an event array. Names are interned ([`obs::name`]), and each
-/// event's fields are decoded into one scratch vector shared by the
-/// whole array and then copied out at exact size, so an event whose
-/// names are in the vocabulary and whose values are integers costs a
-/// single allocation.
+/// Reads an event array, sharing one fields scratch vector across the
+/// whole array ([`read_fields`]).
 fn read_events(r: &mut Reader) -> Result<Vec<obs::Event>, JsonError> {
     let mut scratch = Vec::new();
-    read_vec(r, |r| {
+    r.vec(|r| {
         let mut kind = None;
         let mut fields = None;
         r.object(|r, key| {
             match &*key {
                 "kind" => kind = Some(obs::name(&r.str()?)),
-                "fields" => {
-                    r.array(|r| {
-                        scratch.push(read_pair(r, "event field", |s| obs::name(&s), read_value)?);
-                        Ok(())
-                    })?;
-                    let mut exact = Vec::with_capacity(scratch.len());
-                    exact.append(&mut scratch);
-                    fields = Some(exact);
-                }
+                "fields" => fields = Some(read_fields(r, &mut scratch)?),
                 _ => r.skip()?,
             }
             Ok(())
         })?;
         Ok(obs::Event {
-            kind: need(r, kind, "kind")?,
-            fields: need(r, fields, "fields")?,
+            kind: r.need(kind, "kind")?,
+            fields: r.need(fields, "fields")?,
         })
     })
 }
@@ -444,12 +371,12 @@ fn read_job(r: &mut Reader) -> Result<Job, JsonError> {
     })?;
     let scenario = match scenario {
         Some(s) => s,
-        None => crate::Scenario::periodic(need(r, tbpf, "tbpf")?),
+        None => crate::Scenario::periodic(r.need(tbpf, "tbpf")?),
     };
     Ok(Job {
-        kind: need(r, kind, "kind")?,
-        technique: need(r, technique, "technique")?,
-        benchmark: need(r, benchmark, "benchmark")?,
+        kind: r.need(kind, "kind")?,
+        technique: r.need(technique, "technique")?,
+        benchmark: r.need(benchmark, "benchmark")?,
         scenario,
     })
 }
@@ -469,11 +396,11 @@ fn read_phase(r: &mut Reader) -> Result<PhaseLine, JsonError> {
         Ok(())
     })?;
     Ok(PhaseLine {
-        name: need(r, name, "name")?,
-        calls: need(r, n[0], "calls")?,
-        total_nanos: need(r, n[1], "total_nanos")?,
-        p50_nanos: need(r, n[2], "p50_nanos")?,
-        p95_nanos: need(r, n[3], "p95_nanos")?,
+        name: r.need(name, "name")?,
+        calls: r.need(n[0], "calls")?,
+        total_nanos: r.need(n[1], "total_nanos")?,
+        p50_nanos: r.need(n[2], "p50_nanos")?,
+        p95_nanos: r.need(n[3], "p95_nanos")?,
     })
 }
 
@@ -491,9 +418,9 @@ fn read_spill(r: &mut Reader) -> Result<Line, JsonError> {
         Ok(())
     })?;
     Ok(Line::Spill {
-        job: need(r, job, "job")?,
-        seq: need(r, seq, "seq")?,
-        events: need(r, events, "events")?,
+        job: r.need(job, "job")?,
+        seq: r.need(seq, "seq")?,
+        events: r.need(events, "events")?,
     })
 }
 
@@ -514,11 +441,10 @@ fn read_line(text: &str) -> Result<Line, JsonError> {
             "spill" => spill = Some(read_spill(r)?),
             "job" => job = Some(read_job(r)?),
             "wall_nanos" => wall_nanos = Some(r.u64()?),
-            "phases" => phases = Some(read_vec(r, read_phase)?),
+            "phases" => phases = Some(r.vec(read_phase)?),
             "counters" => {
-                counters = Some(read_vec(r, |r| {
-                    read_pair(r, "counter", Cow::into_owned, Reader::u64)
-                })?)
+                counters =
+                    Some(r.vec(|r| r.pair("counter", |r| Ok(r.str()?.into_owned()), Reader::u64))?)
             }
             "events" => events = Some(read_events(r)?),
             "dropped_events" => dropped_events = Some(r.u64()?),
@@ -532,12 +458,12 @@ fn read_line(text: &str) -> Result<Line, JsonError> {
         return Ok(spill);
     }
     Ok(Line::Trace(CellTrace {
-        job: need(&r, job, "job")?,
-        wall_nanos: need(&r, wall_nanos, "wall_nanos")?,
-        phases: need(&r, phases, "phases")?,
-        counters: need(&r, counters, "counters")?,
-        events: need(&r, events, "events")?,
-        dropped_events: need(&r, dropped_events, "dropped_events")?,
+        job: r.need(job, "job")?,
+        wall_nanos: r.need(wall_nanos, "wall_nanos")?,
+        phases: r.need(phases, "phases")?,
+        counters: r.need(counters, "counters")?,
+        events: r.need(events, "events")?,
+        dropped_events: r.need(dropped_events, "dropped_events")?,
         // Absent in pre-streaming artifacts: default to 0.
         spilled_events: spilled_events.unwrap_or(0),
     }))
@@ -1152,6 +1078,17 @@ mod tests {
                 "got: {e}"
             );
         }
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(100_000);
+        assert!(from_jsonl(&deep).is_err());
+        // Under an unknown key, which the decoder skips unread.
+        let e = from_jsonl(&format!("{{\"extra\":{deep}"))
+            .unwrap_err()
+            .to_string();
+        assert!(e.contains("nesting"), "got: {e}");
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The parallel experiment driver must be observationally invisible:
 //! every report is byte-identical no matter how many workers run.
 
-use schematic_bench::experiments::{fig8_report, table1_report};
+use schematic_bench::experiments::report;
+use schematic_bench::grid::{GridMode, ReportId};
 
 /// One test function mutates `SCHEMATIC_JOBS` sequentially; splitting
 /// the comparisons across `#[test]`s would race on the process-wide
@@ -9,11 +10,11 @@ use schematic_bench::experiments::{fig8_report, table1_report};
 #[test]
 fn reports_are_identical_across_job_counts() {
     std::env::set_var("SCHEMATIC_JOBS", "1");
-    let table1_serial = table1_report();
-    let fig8_serial = fig8_report();
+    let table1_serial = report(ReportId::Table1, GridMode::Full);
+    let fig8_serial = report(ReportId::Fig8, GridMode::Full);
     std::env::set_var("SCHEMATIC_JOBS", "4");
-    let table1_parallel = table1_report();
-    let fig8_parallel = fig8_report();
+    let table1_parallel = report(ReportId::Table1, GridMode::Full);
+    let fig8_parallel = report(ReportId::Fig8, GridMode::Full);
     std::env::remove_var("SCHEMATIC_JOBS");
     assert_eq!(table1_serial, table1_parallel);
     assert_eq!(fig8_serial, fig8_parallel);

@@ -11,13 +11,13 @@
 //! telemetry aggregated across process boundaries equals telemetry
 //! aggregated in one process.
 //!
-//! The wire form follows the repo's integer-JSON dialect conventions
-//! (see `schematic-bench`'s `json` module): numbers are unsigned
-//! integers only, objects keep insertion order so encoding is
-//! deterministic, strings escape quotes/backslashes/control characters.
-//! The codec carries its own minimal reader/writer because this crate
-//! is intentionally zero-dependency — it must stay importable from
-//! every layer, including the emulator.
+//! The wire form is the repo's integer-JSON dialect, written and read
+//! through [`crate::json`]'s writer and pull [`Reader`] with no value
+//! tree in between: numbers are unsigned integers only, members are
+//! written in a fixed order so encoding is deterministic, and strings
+//! escape quotes, backslashes and control characters. An event's
+//! `fields` array has one codec, [`write_fields`] / [`read_fields`],
+//! which the trace artifact shares.
 //!
 //! One record per line, tagged by `"t"`:
 //!
@@ -32,7 +32,8 @@
 //! buckets), which both keeps worker lines small and makes the
 //! round-trip exact — see [`crate::Histogram::from_parts`].
 
-use crate::{Event, Histogram, PhaseStats, Registry, Value};
+use crate::json::{write_str, write_u64, JsonError, Reader};
+use crate::{Event, Histogram, Name, PhaseStats, Registry, Value};
 use std::borrow::Cow;
 use std::fmt;
 
@@ -57,341 +58,65 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-// ---------------------------------------------------------------------
-// Minimal JSON value (the dialect subset the codec needs)
-// ---------------------------------------------------------------------
-
-/// A JSON value in the codec's dialect: unsigned integers, strings,
-/// arrays, and insertion-ordered objects — no floats, no negatives.
-/// Strings borrow from the encoded registry or the parsed line
-/// whenever they can; only a string with escapes is copied.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum JVal<'a> {
-    U64(u64),
-    Str(Cow<'a, str>),
-    Arr(Vec<JVal<'a>>),
-    Obj(Vec<(Cow<'a, str>, JVal<'a>)>),
+/// Appends an event's fields as `[[name, N|"str"]…]`: the field format
+/// of both the registry's `event` record and the trace artifact's
+/// events.
+pub fn write_fields(out: &mut String, fields: &[(Name, Value)]) {
+    out.push('[');
+    for (i, (name, value)) in fields.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push('[');
+        write_str(out, name);
+        out.push(',');
+        match value {
+            Value::U64(n) => write_u64(out, *n),
+            Value::Str(s) => write_str(out, s),
+        }
+        out.push(']');
+    }
+    out.push(']');
 }
 
-impl<'a> JVal<'a> {
-    fn get(&self, key: &str) -> Option<&JVal<'a>> {
-        match self {
-            JVal::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
+/// Reads a fields array written by [`write_fields`]. Names are
+/// interned ([`crate::name`]), and the fields are decoded into
+/// `scratch` — one vector the caller shares across many events — then
+/// copied out at exact size, so an event whose names are in the
+/// vocabulary and whose values are integers costs a single allocation.
+///
+/// # Errors
+///
+/// Malformed input, an entry that is not a `[name, value]` pair, or a
+/// value that is neither an unsigned integer nor a string.
+pub fn read_fields(
+    r: &mut Reader,
+    scratch: &mut Vec<(Name, Value)>,
+) -> Result<Vec<(Name, Value)>, JsonError> {
+    scratch.clear();
+    r.array(|r| {
+        scratch.push(r.pair("event field", |r| Ok(crate::name(&r.str()?)), read_value)?);
+        Ok(())
+    })?;
+    let mut exact = Vec::with_capacity(scratch.len());
+    exact.append(scratch);
+    Ok(exact)
+}
 
-    fn as_u64(&self) -> Option<u64> {
-        match self {
-            JVal::U64(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            JVal::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn encode_into(&self, out: &mut String) {
-        match self {
-            JVal::U64(n) => out.push_str(&n.to_string()),
-            JVal::Str(s) => write_escaped(s, out),
-            JVal::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.encode_into(out);
-                }
-                out.push(']');
-            }
-            JVal::Obj(pairs) => {
-                out.push('{');
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_escaped(k, out);
-                    out.push(':');
-                    v.encode_into(out);
-                }
-                out.push('}');
-            }
-        }
+fn read_value(r: &mut Reader) -> Result<Value, JsonError> {
+    match r.peek() {
+        Some(b'"') => Ok(Value::Str(r.str()?.into_owned())),
+        Some(b'0'..=b'9') => Ok(Value::U64(r.u64()?)),
+        _ => Err(r.err("event field value must be integer or string")),
     }
 }
 
-fn write_escaped(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-struct Parser<'a> {
-    text: &'a str,
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Parser<'a> {
-        Parser {
-            text,
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn err<T>(&self, message: impl Into<String>) -> Result<T, String> {
-        Err(format!("{} at byte {}", message.into(), self.pos))
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            self.err(format!("expected '{}'", b as char))
-        }
-    }
-
-    fn value(&mut self) -> Result<JVal<'a>, String> {
-        self.skip_ws();
-        match self.bytes.get(self.pos) {
-            Some(b'"') => Ok(JVal::Str(self.string()?)),
-            Some(b'[') => {
-                self.pos += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.bytes.get(self.pos) == Some(&b']') {
-                    self.pos += 1;
-                    return Ok(JVal::Arr(items));
-                }
-                loop {
-                    items.push(self.value()?);
-                    self.skip_ws();
-                    match self.bytes.get(self.pos) {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(JVal::Arr(items));
-                        }
-                        _ => return self.err("expected ',' or ']'"),
-                    }
-                }
-            }
-            Some(b'{') => {
-                self.pos += 1;
-                let mut pairs = Vec::new();
-                self.skip_ws();
-                if self.bytes.get(self.pos) == Some(&b'}') {
-                    self.pos += 1;
-                    return Ok(JVal::Obj(pairs));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.string()?;
-                    self.expect(b':')?;
-                    let val = self.value()?;
-                    pairs.push((key, val));
-                    self.skip_ws();
-                    match self.bytes.get(self.pos) {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(JVal::Obj(pairs));
-                        }
-                        _ => return self.err("expected ',' or '}'"),
-                    }
-                }
-            }
-            Some(b'0'..=b'9') => {
-                let start = self.pos;
-                while matches!(self.bytes.get(self.pos), Some(b'0'..=b'9')) {
-                    self.pos += 1;
-                }
-                let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-                match text.parse::<u64>() {
-                    Ok(n) => Ok(JVal::U64(n)),
-                    Err(_) => self.err("integer out of u64 range"),
-                }
-            }
-            Some(_) => self.err("unexpected character (dialect is uint/string/array/object)"),
-            None => self.err("unexpected end of input"),
-        }
-    }
-
-    /// Reads a string, borrowed from the line when it has no escapes.
-    fn string(&mut self) -> Result<Cow<'a, str>, String> {
-        if self.bytes.get(self.pos) != Some(&b'"') {
-            return self.err("expected '\"'");
-        }
-        self.pos += 1;
-        let start = self.pos;
-        // Fast path: the unescaped run up to the closing quote. It ends
-        // at an ASCII byte, so the slice falls on char boundaries.
-        while matches!(self.bytes.get(self.pos), Some(&b) if b != b'"' && b != b'\\' && b >= 0x20) {
-            self.pos += 1;
-        }
-        if self.bytes.get(self.pos) == Some(&b'"') {
-            self.pos += 1;
-            return Ok(Cow::Borrowed(&self.text[start..self.pos - 1]));
-        }
-        let mut out = self.text[start..self.pos].to_string();
-        loop {
-            match self.bytes.get(self.pos) {
-                None => return self.err("unterminated string"),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(Cow::Owned(out));
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let hi = self.hex4()?;
-                            let c = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair: require the low half.
-                                if self.bytes.get(self.pos) != Some(&b'\\')
-                                    || self.bytes.get(self.pos + 1) != Some(&b'u')
-                                {
-                                    return self.err("lone high surrogate");
-                                }
-                                self.pos += 2;
-                                let lo = self.hex4()?;
-                                if !(0xDC00..0xE000).contains(&lo) {
-                                    return self.err("invalid low surrogate");
-                                }
-                                let n = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
-                                char::from_u32(n).ok_or("invalid surrogate pair")?
-                            } else {
-                                char::from_u32(hi).ok_or("invalid \\u escape")?
-                            };
-                            out.push(c);
-                            continue;
-                        }
-                        _ => return self.err("invalid escape"),
-                    }
-                    self.pos += 1;
-                }
-                Some(&b) if b < 0x20 => return self.err("raw control character in string"),
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // byte stream is valid UTF-8 by construction).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..]).unwrap();
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn hex4(&mut self) -> Result<u32, String> {
-        let end = self.pos.checked_add(4).filter(|&e| e <= self.bytes.len());
-        let Some(end) = end else {
-            return self.err("truncated \\u escape");
-        };
-        let text = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| format!("non-ASCII \\u escape at byte {}", self.pos))?;
-        let n = u32::from_str_radix(text, 16)
-            .map_err(|_| format!("bad \\u escape at byte {}", self.pos))?;
-        self.pos = end;
-        Ok(n)
-    }
-
-    fn parse_line(text: &'a str) -> Result<JVal<'a>, String> {
-        let mut p = Parser::new(text);
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return p.err("trailing bytes after value");
-        }
-        Ok(v)
-    }
-}
-
-// ---------------------------------------------------------------------
-// Registry <-> JSONL
-// ---------------------------------------------------------------------
-
-fn obj<'a>(pairs: Vec<(&'a str, JVal<'a>)>) -> JVal<'a> {
-    JVal::Obj(
-        pairs
-            .into_iter()
-            .map(|(k, v)| (Cow::Borrowed(k), v))
-            .collect(),
-    )
-}
-
-fn str_val(s: &str) -> JVal<'_> {
-    JVal::Str(Cow::Borrowed(s))
-}
-
-fn value_to_jval(v: &Value) -> JVal<'_> {
-    match v {
-        Value::U64(n) => JVal::U64(*n),
-        Value::Str(s) => str_val(s),
-    }
-}
-
-fn jval_to_value(v: &JVal) -> Option<Value> {
-    match v {
-        JVal::U64(n) => Some(Value::U64(*n)),
-        JVal::Str(s) => Some(Value::Str(s.to_string())),
-        _ => None,
-    }
-}
-
-fn span_record<'a>(name: &'a str, stats: &PhaseStats) -> JVal<'a> {
-    let buckets: Vec<JVal> = stats
-        .hist
-        .nonzero_buckets()
-        .map(|(i, c)| JVal::Arr(vec![JVal::U64(i as u64), JVal::U64(c)]))
-        .collect();
-    obj(vec![
-        ("t", str_val("span")),
-        ("name", str_val(name)),
-        ("calls", JVal::U64(stats.calls)),
-        ("total_nanos", JVal::U64(stats.total_nanos)),
-        ("count", JVal::U64(stats.hist.count())),
-        ("sum", JVal::U64(stats.hist.sum())),
-        ("min", JVal::U64(stats.hist.min())),
-        ("max", JVal::U64(stats.hist.max())),
-        ("buckets", JVal::Arr(buckets)),
-    ])
+/// Appends `,"key":n`.
+fn write_member(out: &mut String, key: &str, n: u64) {
+    out.push_str(",\"");
+    out.push_str(key);
+    out.push_str("\":");
+    write_u64(out, n);
 }
 
 /// Serializes a registry to JSONL: a header line, then one line per
@@ -400,82 +125,137 @@ fn span_record<'a>(name: &'a str, stats: &PhaseStats) -> JVal<'a> {
 /// bytes.
 pub fn encode(reg: &Registry) -> String {
     let mut out = String::new();
-    let mut push = |v: JVal| {
-        v.encode_into(&mut out);
-        out.push('\n');
-    };
-    push(obj(vec![
-        ("t", str_val("reg")),
-        ("codec", JVal::U64(CODEC_VERSION)),
-        ("dropped_events", JVal::U64(reg.dropped_events)),
-        ("spilled_events", JVal::U64(reg.spilled_events)),
-    ]));
+    out.push_str("{\"t\":\"reg\"");
+    write_member(&mut out, "codec", CODEC_VERSION);
+    write_member(&mut out, "dropped_events", reg.dropped_events);
+    write_member(&mut out, "spilled_events", reg.spilled_events);
+    out.push_str("}\n");
     for (name, stats) in &reg.spans {
-        push(span_record(name, stats));
+        out.push_str("{\"t\":\"span\",\"name\":");
+        write_str(&mut out, name);
+        write_member(&mut out, "calls", stats.calls);
+        write_member(&mut out, "total_nanos", stats.total_nanos);
+        write_member(&mut out, "count", stats.hist.count());
+        write_member(&mut out, "sum", stats.hist.sum());
+        write_member(&mut out, "min", stats.hist.min());
+        write_member(&mut out, "max", stats.hist.max());
+        out.push_str(",\"buckets\":[");
+        for (i, (index, count)) in stats.hist.nonzero_buckets().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push('[');
+            write_u64(&mut out, index as u64);
+            out.push(',');
+            write_u64(&mut out, count);
+            out.push(']');
+        }
+        out.push_str("]}\n");
     }
     for (name, n) in &reg.counters {
-        push(obj(vec![
-            ("t", str_val("counter")),
-            ("name", str_val(name)),
-            ("n", JVal::U64(*n)),
-        ]));
+        out.push_str("{\"t\":\"counter\",\"name\":");
+        write_str(&mut out, name);
+        write_member(&mut out, "n", *n);
+        out.push_str("}\n");
     }
     for ev in &reg.events {
-        let fields: Vec<JVal> = ev
-            .fields
-            .iter()
-            .map(|(k, v)| JVal::Arr(vec![str_val(k), value_to_jval(v)]))
-            .collect();
-        push(obj(vec![
-            ("t", str_val("event")),
-            ("kind", str_val(&ev.kind)),
-            ("fields", JVal::Arr(fields)),
-        ]));
+        out.push_str("{\"t\":\"event\",\"kind\":");
+        write_str(&mut out, &ev.kind);
+        out.push_str(",\"fields\":");
+        write_fields(&mut out, &ev.fields);
+        out.push_str("}\n");
     }
     out
 }
 
-fn u64_field(rec: &JVal, key: &str) -> Result<u64, String> {
-    rec.get(key)
-        .and_then(JVal::as_u64)
-        .ok_or_else(|| format!("missing or non-integer field '{key}'"))
+/// The integer members a record may carry, by name.
+const INT_KEYS: [&str; 10] = [
+    "codec",
+    "dropped_events",
+    "spilled_events",
+    "calls",
+    "total_nanos",
+    "count",
+    "sum",
+    "min",
+    "max",
+    "n",
+];
+
+/// One decoded line: every member any record kind carries. Which ones
+/// must be present depends on the record's tag.
+#[derive(Default)]
+struct Record<'a> {
+    tag: Option<Cow<'a, str>>,
+    name: Option<Cow<'a, str>>,
+    kind: Option<Name>,
+    ints: [Option<u64>; INT_KEYS.len()],
+    buckets: Option<Vec<(usize, u64)>>,
+    fields: Option<Vec<(Name, Value)>>,
 }
 
-fn str_field<'r>(rec: &'r JVal, key: &str) -> Result<&'r str, String> {
-    rec.get(key)
-        .and_then(JVal::as_str)
-        .ok_or_else(|| format!("missing or non-string field '{key}'"))
-}
-
-fn decode_span(rec: &JVal, reg: &mut Registry) -> Result<(), String> {
-    let name = str_field(rec, "name")?;
-    let Some(JVal::Arr(items)) = rec.get("buckets") else {
-        return Err("missing or non-array field 'buckets'".into());
-    };
-    let mut sparse = Vec::with_capacity(items.len());
-    for item in items {
-        let pair = match item {
-            JVal::Arr(p) if p.len() == 2 => p,
-            _ => return Err("bucket entry is not an [index, count] pair".into()),
-        };
-        let idx = pair[0]
-            .as_u64()
-            .and_then(|n| usize::try_from(n).ok())
-            .ok_or("non-integer bucket index")?;
-        let c = pair[1].as_u64().ok_or("non-integer bucket count")?;
-        sparse.push((idx, c));
+impl<'a> Record<'a> {
+    /// Reads one line's record; members come in any order and unknown
+    /// ones are skipped.
+    fn read(line: &'a str, scratch: &mut Vec<(Name, Value)>) -> Result<Record<'a>, JsonError> {
+        let mut r = Reader::new(line);
+        let mut rec = Record::default();
+        r.object(|r, key| {
+            match &*key {
+                "t" => rec.tag = Some(r.str()?),
+                "name" => rec.name = Some(r.str()?),
+                "kind" => rec.kind = Some(crate::name(&r.str()?)),
+                "buckets" => {
+                    rec.buckets = Some(r.vec(|r| {
+                        r.pair(
+                            "bucket entry",
+                            |r| {
+                                usize::try_from(r.u64()?)
+                                    .map_err(|_| r.err("bucket index too large"))
+                            },
+                            Reader::u64,
+                        )
+                    })?)
+                }
+                "fields" => rec.fields = Some(read_fields(r, scratch)?),
+                key => match INT_KEYS.iter().position(|&k| k == key) {
+                    Some(i) => rec.ints[i] = Some(r.u64()?),
+                    None => r.skip()?,
+                },
+            }
+            Ok(())
+        })?;
+        r.finish()?;
+        Ok(rec)
     }
+
+    fn int(&self, key: &str) -> Result<u64, String> {
+        let i = INT_KEYS.iter().position(|&k| k == key);
+        i.and_then(|i| self.ints[i])
+            .ok_or_else(|| format!("missing field '{key}'"))
+    }
+
+    fn name(&self) -> Result<&str, String> {
+        self.name
+            .as_deref()
+            .ok_or_else(|| "missing field 'name'".into())
+    }
+}
+
+fn decode_span(rec: &Record, reg: &mut Registry) -> Result<(), String> {
+    let name = rec.name()?;
+    let buckets = rec.buckets.as_deref().ok_or("missing field 'buckets'")?;
     let hist = Histogram::from_parts(
-        u64_field(rec, "count")?,
-        u64_field(rec, "sum")?,
-        u64_field(rec, "min")?,
-        u64_field(rec, "max")?,
-        &sparse,
+        rec.int("count")?,
+        rec.int("sum")?,
+        rec.int("min")?,
+        rec.int("max")?,
+        buckets,
     )
     .ok_or("inconsistent histogram parts")?;
     let stats = PhaseStats {
-        calls: u64_field(rec, "calls")?,
-        total_nanos: u64_field(rec, "total_nanos")?,
+        calls: rec.int("calls")?,
+        total_nanos: rec.int("total_nanos")?,
         hist,
     };
     if reg.spans.insert(name.to_string(), stats).is_some() {
@@ -495,6 +275,7 @@ fn decode_span(rec: &JVal, reg: &mut Registry) -> Result<(), String> {
 pub fn parse(text: &str) -> Result<Registry, CodecError> {
     let mut reg = Registry::default();
     let mut saw_header = false;
+    let mut scratch = Vec::new();
     for (i, line) in text.lines().enumerate() {
         let at = |message: String| CodecError {
             message,
@@ -503,55 +284,42 @@ pub fn parse(text: &str) -> Result<Registry, CodecError> {
         if line.trim().is_empty() {
             continue;
         }
-        let rec = Parser::parse_line(line).map_err(at)?;
-        let tag = str_field(&rec, "t").map_err(at)?;
+        let mut rec = Record::read(line, &mut scratch).map_err(|e| at(e.to_string()))?;
+        let tag = rec
+            .tag
+            .take()
+            .ok_or_else(|| at("missing field 't'".into()))?;
         if !saw_header {
             if tag != "reg" {
                 return Err(at("first record must be the 'reg' header".into()));
             }
-            let version = u64_field(&rec, "codec").map_err(at)?;
+            let version = rec.int("codec").map_err(at)?;
             if version != CODEC_VERSION {
                 return Err(at(format!(
                     "codec version {version} (this build reads {CODEC_VERSION})"
                 )));
             }
-            reg.dropped_events = u64_field(&rec, "dropped_events").map_err(at)?;
-            reg.spilled_events = u64_field(&rec, "spilled_events").map_err(at)?;
+            reg.dropped_events = rec.int("dropped_events").map_err(at)?;
+            reg.spilled_events = rec.int("spilled_events").map_err(at)?;
             saw_header = true;
             continue;
         }
-        match tag {
+        match &*tag {
             "reg" => return Err(at("duplicate 'reg' header".into())),
             "span" => decode_span(&rec, &mut reg).map_err(at)?,
             "counter" => {
-                let name = str_field(&rec, "name").map_err(at)?;
-                let n = u64_field(&rec, "n").map_err(at)?;
+                let name = rec.name().map_err(at)?;
+                let n = rec.int("n").map_err(at)?;
                 if reg.counters.insert(name.to_string(), n).is_some() {
                     return Err(at(format!("duplicate counter '{name}'")));
                 }
             }
             "event" => {
-                let kind = str_field(&rec, "kind").map_err(at)?;
-                let Some(JVal::Arr(items)) = rec.get("fields") else {
-                    return Err(at("missing or non-array field 'fields'".into()));
-                };
-                let mut fields = Vec::with_capacity(items.len());
-                for item in items {
-                    let pair = match item {
-                        JVal::Arr(p) if p.len() == 2 => p,
-                        _ => return Err(at("event field is not a [name, value] pair".into())),
-                    };
-                    let key = pair[0]
-                        .as_str()
-                        .ok_or_else(|| at("non-string event field name".into()))?;
-                    let value = jval_to_value(&pair[1])
-                        .ok_or_else(|| at("event field value is not uint or string".into()))?;
-                    fields.push((crate::name(key), value));
-                }
-                reg.events.push_back(Event {
-                    kind: crate::name(kind),
-                    fields,
-                });
+                let kind = rec.kind.ok_or_else(|| at("missing field 'kind'".into()))?;
+                let fields = rec
+                    .fields
+                    .ok_or_else(|| at("missing field 'fields'".into()))?;
+                reg.events.push_back(Event { kind, fields });
             }
             other => return Err(at(format!("unknown record tag '{other}'"))),
         }
@@ -760,5 +528,80 @@ mod tests {
         assert_eq!(parse(&text).unwrap(), reg);
         // The encoded form is a single well-formed line per record.
         assert_eq!(text.lines().count(), 2);
+    }
+
+    /// The registry pinned by `tests/goldens/registry.jsonl`: every
+    /// record tag, nonzero drop and spill tallies, a sparse histogram,
+    /// vocabulary and free-form event names, and every escape class
+    /// (`\u0001`, `"`, `\\`, `\n`, `\t` and a non-BMP character).
+    fn golden_registry() -> Registry {
+        let mut reg = Registry {
+            dropped_events: 3,
+            spilled_events: 17,
+            ..Registry::default()
+        };
+        let compile = reg.spans.entry("cell/compile".into()).or_default();
+        for v in [0, 7, 900, 900, 1 << 20, u64::MAX >> 8] {
+            compile.calls += 1;
+            compile.total_nanos += v;
+            compile.hist.record(v);
+        }
+        let escaped = reg
+            .spans
+            .entry("dæmon \"q\" \\ \u{1}\n\u{1F980}".into())
+            .or_default();
+        escaped.calls = 1;
+        escaped.total_nanos = 42;
+        escaped.hist.record(42);
+        reg.counters.insert("cache/hit".into(), 34);
+        reg.counters.insert(
+            "quote\" back\\slash nl\n tab\t ctrl\u{1} \u{1D11E}".into(),
+            7,
+        );
+        reg.events.push_back(Event {
+            kind: crate::name("run_end"),
+            fields: vec![
+                (crate::name("status"), Value::Str("completed".into())),
+                (crate::name("cp"), Value::U64(12)),
+            ],
+        });
+        reg.events.push_back(Event {
+            kind: crate::name("job/custom \u{1F980}"),
+            fields: vec![
+                (
+                    crate::name("free\tform"),
+                    Value::Str("\"q\" \\ \u{1}\n\u{1D11E}".into()),
+                ),
+                (crate::name("energy_pj"), Value::U64(u64::MAX)),
+            ],
+        });
+        reg.events.push_back(Event {
+            kind: crate::name("boot"),
+            fields: Vec::new(),
+        });
+        reg
+    }
+
+    const GOLDEN: &str = include_str!("../../../tests/goldens/registry.jsonl");
+
+    #[test]
+    fn golden_decodes_and_reencodes_byte_for_byte() {
+        let reg = parse(GOLDEN).unwrap();
+        assert_eq!(reg, golden_registry());
+        assert_eq!(encode(&reg), GOLDEN);
+        for tag in ["reg", "span", "counter", "event"] {
+            assert!(GOLDEN.contains(&format!("{{\"t\":\"{tag}\"")), "{tag}");
+        }
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(100_000);
+        assert!(parse(&deep).is_err());
+        // Under an unknown member, which the decoder skips unread.
+        let header = "{\"t\":\"reg\",\"codec\":1,\"dropped_events\":0,\"spilled_events\":0}";
+        let e = parse(&format!("{header}\n{{\"t\":\"counter\",\"extra\":{deep}")).unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.message.contains("nesting"), "{e}");
     }
 }

@@ -27,11 +27,18 @@
 //! Span totals are inclusive wall-clock sums: spans may nest (e.g. the
 //! RCG span runs inside the placement span), so per-name totals are not
 //! mutually exclusive shares of the parent.
+//!
+//! Two modules carry data across process boundaries. [`json`] is the
+//! workspace's one integer-JSON writer and pull reader: grid cells,
+//! cache records, `gridd` frames, trace artifacts and registries all go
+//! through it. [`codec`] is the registry's JSONL form, built on it,
+//! with the event-field codec the trace artifact shares.
 
 #![warn(missing_docs)]
 
 pub mod codec;
 pub mod hist;
+pub mod json;
 
 pub use hist::Histogram;
 

@@ -58,6 +58,20 @@ echo "merged 2-shard render byte-identical to single-process render"
 #   target/release/gridrun --quick --no-cache > tests/goldens/render_quick.txt
 diff -u tests/goldens/render_quick.txt "$GRIDDIR/direct.txt"
 echo "single-process render matches tests/goldens/render_quick.txt"
+# Each paper report rendered alone must equal its section of that
+# render: the lines between its banner (plus the blank line after it)
+# and the blank line before the next banner.
+for NAME in table1 table2 table3 fig6 fig7 fig8 ablations; do
+  "$GRIDRUN" --quick --report "$NAME" > "$GRIDDIR/report_$NAME.txt"
+  awk -v name="$NAME" '
+    /^================ [a-z0-9]+ ================$/ { on = ($2 == name); skip = on; next }
+    skip { skip = 0; next }
+    on
+  ' "$GRIDDIR/direct.txt" | sed '$d' > "$GRIDDIR/section_$NAME.txt"
+  test -s "$GRIDDIR/section_$NAME.txt"
+  diff -u "$GRIDDIR/section_$NAME.txt" "$GRIDDIR/report_$NAME.txt"
+done
+echo "gridrun --report NAME matches its section of the render for all 7 reports"
 "$GRIDRUN" --quick --spawn 2 > /dev/null
 
 echo "== tracereport smoke (release) =="
