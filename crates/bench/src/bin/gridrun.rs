@@ -7,8 +7,9 @@
 //! gridrun --list                # print the job list, one `kind/technique/benchmark/tbpf` per line
 //! gridrun --shard i/N -o F      # compute shard i of N, write the cells as JSONL to F ('-' = stdout)
 //! gridrun --merge F...          # load shard artifacts, merge, verify coverage, render every report
-//! gridrun --spawn N             # drive N `--shard` child processes, merge their artifacts,
-//!                               # assert the render is byte-identical to the in-process run
+//! gridrun --spawn N             # evaluate the grid on N `--jobs` worker processes (gridd's
+//!                               # pull dispatch), assert the render is byte-identical to the
+//!                               # in-process run
 //! gridrun --trace F             # compute in-process with tracing on; write the per-cell
 //!                               # trace artifact (JSONL, see `tracereport`) to F
 //! gridrun --report NAME         # compute one report's slice of the grid and render it
@@ -36,10 +37,9 @@
 //! feeds each of its N workers keys by pull, and a worker evaluates one
 //! job at a time. It captures a per-job [`schematic_obs`] registry (span
 //! timings, per-job wall latency) and ships it on each worker line;
-//! `SCHEMATIC_TELEMETRY=0` disables the capture. The ~1 Hz `--shard`
-//! heartbeats follow `SCHEMATIC_PROGRESS` (`0` off, `1` on, unset =
-//! only when stderr is a terminal), so daemon worker children stay
-//! silent by default.
+//! `SCHEMATIC_TELEMETRY=0` disables the capture. Only `--shard` prints
+//! ~1 Hz heartbeats; they follow `SCHEMATIC_PROGRESS` (`0` off, `1` on,
+//! unset = only when stderr is a terminal).
 //!
 //! In-process computes (the default run and `--resume`) go through the
 //! content-addressed cell cache at `target/gridcache.jsonl`
@@ -58,10 +58,13 @@
 //! 3 when `--spawn`'s parity assertion fails.
 
 use schematic_bench::cache::{
-    compute_cached, worker_line, worker_line_telemetry, CellCache, WorkerTelemetry,
+    compute_cached, parse_worker_line, worker_line, worker_line_telemetry, CellCache,
+    WorkerTelemetry,
 };
 use schematic_bench::experiments::{render, render_all, render_robust, robust_jobs};
-use schematic_bench::grid::{evaluate_traced, CellStore, GridMode, GridSpec, Job, ReportId};
+use schematic_bench::grid::{
+    evaluate_traced, CellStore, GridError, GridMode, GridSpec, Job, ReportId,
+};
 use schematic_bench::json::Json;
 use schematic_bench::{service, trace};
 use schematic_energy::CostTable;
@@ -339,55 +342,31 @@ fn write_artifact(path: &str, text: &str) -> Result<(), String> {
     }
 }
 
-/// `--spawn N`: compute every shard in a child `gridrun --shard`
-/// process, merge the artifacts, and demand byte-parity with the
-/// in-process pipeline.
-fn spawn_children(spec: &GridSpec, mode: GridMode, count: usize) -> Result<String, ExitCode> {
-    let exe = std::env::current_exe().expect("own executable path");
-    let dir = std::env::temp_dir().join(format!("gridrun-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create shard scratch dir");
-    let files: Vec<PathBuf> = (0..count)
-        .map(|i| dir.join(format!("shard_{i}.jsonl")))
-        .collect();
-
-    let mut children = Vec::new();
-    for (i, file) in files.iter().enumerate() {
-        let mut cmd = std::process::Command::new(&exe);
-        if mode == GridMode::Quick {
-            cmd.arg("--quick");
-        }
-        cmd.arg("--shard")
-            .arg(format!("{i}/{count}"))
-            .arg("-o")
-            .arg(file);
-        children.push((i, cmd.spawn().expect("spawn shard child")));
-    }
-    for (i, child) in &mut children {
-        let status = child.wait().expect("wait for shard child");
-        if !status.success() {
-            eprintln!("gridrun: shard {i}/{count} child failed: {status}");
-            return Err(ExitCode::from(2));
-        }
-    }
-
-    let merged = merge_files(spec, &files).map_err(|e| {
+/// `--spawn N`: evaluate the grid on N `gridrun --jobs` workers (the
+/// daemon's pull dispatch), fold their worker lines, and demand
+/// byte-parity with the in-process pipeline.
+fn spawn_workers(spec: &GridSpec, mode: GridMode, count: usize) -> Result<String, ExitCode> {
+    let fail = |e: GridError| {
         eprintln!("gridrun: {e}");
         ExitCode::from(2)
-    })?;
-    let _ = std::fs::remove_dir_all(&dir);
-
-    let rendered = render_all(&merged, mode);
+    };
+    let mut store = CellStore::new();
+    for (_, line) in service::run_workers(mode, count, spec.jobs()).map_err(fail)? {
+        let (job, value, _) = parse_worker_line(&line).map_err(fail)?;
+        store.insert(job, value).map_err(fail)?;
+    }
+    let rendered = render_all(&store, mode);
     let direct = render_all(&CellStore::compute(spec.jobs()), mode);
     if rendered != direct {
         eprintln!(
-            "gridrun: PARITY FAILURE — merged {count}-shard render differs from the \
+            "gridrun: PARITY FAILURE — {count}-worker render differs from the \
              in-process render"
         );
         return Err(ExitCode::from(3));
     }
     eprintln!(
-        "gridrun: {count} shards · {} cells · merged render byte-identical to in-process",
-        merged.len()
+        "gridrun: {count} workers · {} cells · render byte-identical to in-process",
+        store.len()
     );
     Ok(rendered)
 }
@@ -724,7 +703,7 @@ fn main() -> ExitCode {
                 }
             }
         }
-        Command::Spawn { count } => match spawn_children(&spec, opts.mode, count) {
+        Command::Spawn { count } => match spawn_workers(&spec, opts.mode, count) {
             Ok(rendered) => {
                 print!("{rendered}");
                 ExitCode::SUCCESS

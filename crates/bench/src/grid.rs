@@ -557,16 +557,6 @@ impl GridSpec {
         assert!(i < n, "shard index {i} out of range for {n} shards");
         self.jobs.iter().skip(i).step_by(n).cloned().collect()
     }
-
-    /// Total job count when every report enumerates its slice
-    /// independently (the pre-store behaviour) — the denominator of the
-    /// dedup win recorded by `perfsmoke`.
-    pub fn naive_job_count(mode: GridMode) -> usize {
-        ALL_REPORTS
-            .into_iter()
-            .map(|r| report_jobs(r, mode).len())
-            .sum()
-    }
 }
 
 /// A grid-layer error: artifact syntax, merge conflicts, coverage gaps.
@@ -1437,11 +1427,14 @@ mod tests {
         // The union is strictly smaller than the per-report sum: fig6
         // and fig8 share Table III's run cells, Table I shares Table
         // II's bare cells.
-        assert!(spec.len() < GridSpec::naive_job_count(GridMode::Full));
+        let per_report: usize = ALL_REPORTS
+            .into_iter()
+            .map(|r| report_jobs(r, GridMode::Full).len())
+            .sum();
         // 40 support + 8 bare + 120 run + 16 fig7 + 24 ablation +
         // 8 retentive + 40 sound + 40 shadow.
         assert_eq!(spec.len(), 296);
-        assert_eq!(GridSpec::naive_job_count(GridMode::Full), 359);
+        assert_eq!(per_report, 359);
     }
 
     #[test]

@@ -367,7 +367,7 @@ impl Daemon {
         if misses.is_empty() {
             return Ok((hits.len(), 0));
         }
-        let lines = self.run_workers(&misses)?;
+        let lines = run_workers(self.mode, self.workers, &misses)?;
         let mut folded = 0;
         for (worker, line) in lines {
             let (job, value, ims, telemetry) = cache::parse_worker_line_telemetry(&line)?;
@@ -409,26 +409,6 @@ impl Daemon {
             )));
         }
         Ok((hits.len(), folded))
-    }
-
-    /// Runs `misses` on `gridrun --jobs` workers beside this binary;
-    /// see [`run_batch`].
-    fn run_workers(&self, misses: &[Job]) -> Result<Vec<(usize, String)>, GridError> {
-        let gridrun = std::env::current_exe()
-            .ok()
-            .and_then(|p| p.parent().map(|d| d.join("gridrun")))
-            .ok_or_else(|| GridError("cannot locate the gridrun binary".into()))?;
-        let quick = self.mode == GridMode::Quick;
-        let worker = || {
-            let mut cmd = Command::new(&gridrun);
-            if quick {
-                cmd.arg("--quick");
-            }
-            // Children report through worker-line telemetry, not heartbeats.
-            cmd.arg("--jobs").env("SCHEMATIC_PROGRESS", "0");
-            cmd
-        };
-        run_batch(worker, self.workers, misses)
     }
 
     fn status(&self) -> Json {
@@ -536,6 +516,34 @@ impl Queue<'_> {
             self.stdins.iter_mut().for_each(|s| *s = None);
         }
     }
+}
+
+/// Evaluates `jobs` on `workers` `gridrun --jobs` processes in `mode`,
+/// using the `gridrun` binary beside this executable; see
+/// [`run_batch`]. Each returned line decodes with
+/// [`cache::parse_worker_line_telemetry`].
+///
+/// # Errors
+///
+/// As [`run_batch`], or when this executable's directory is unknown.
+pub fn run_workers(
+    mode: GridMode,
+    workers: usize,
+    jobs: &[Job],
+) -> Result<Vec<(usize, String)>, GridError> {
+    let gridrun = std::env::current_exe()
+        .ok()
+        .and_then(|p| p.parent().map(|d| d.join("gridrun")))
+        .ok_or_else(|| GridError("cannot locate the gridrun binary".into()))?;
+    let worker = || {
+        let mut cmd = Command::new(&gridrun);
+        if mode == GridMode::Quick {
+            cmd.arg("--quick");
+        }
+        cmd.arg("--jobs");
+        cmd
+    };
+    run_batch(worker, workers, jobs)
 }
 
 /// Evaluates `misses` on `workers` children made by `worker`, each a

@@ -6,7 +6,10 @@
 //! one from a trace artifact allocates a string per name. These tests
 //! pin that: decoding an artifact of N integer-valued vocabulary
 //! events allocates at most N + O(cells) times, and recording one
-//! event with static names allocates at most once.
+//! event with static names allocates at most once. Span guards and
+//! counters are cheaper still: once a name has been recorded, more
+//! records under it allocate nothing, which is what keeps the
+//! telemetry `gridd` workers always capture within its budget.
 
 use schematic_bench::grid::Job;
 use schematic_bench::trace::{self, CellTrace};
@@ -15,6 +18,7 @@ use schematic_obs as obs;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// Counts allocations (including reallocations) made by threads that
 /// have switched counting on; the test harness runs tests on several
@@ -56,6 +60,9 @@ unsafe impl GlobalAlloc for Counting {
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
+
+/// Serializes the tests that flip the process-global collection flag.
+static GATE: Mutex<()> = Mutex::new(());
 
 /// Runs `f` and returns its result with the allocations it made on
 /// this thread.
@@ -114,6 +121,7 @@ fn decoding_vocabulary_events_allocates_once_per_event() {
 
 #[test]
 fn recording_an_event_with_static_names_allocates_once() {
+    let _gate = GATE.lock().unwrap();
     obs::set_enabled(true);
     let ((), reg) = obs::capture(|| {
         // Warm up: the registry's event buffer allocates on first use.
@@ -136,4 +144,26 @@ fn recording_an_event_with_static_names_allocates_once() {
     assert_eq!(ev.kind, "checkpoint_commit");
     assert_eq!(ev.fields.len(), 7);
     assert_eq!(ev.fields.capacity(), 7);
+}
+
+#[test]
+fn spans_and_counts_under_recorded_names_allocate_nothing() {
+    const N: u64 = 10_000;
+    let _gate = GATE.lock().unwrap();
+    obs::set_enabled(true);
+    let ((), reg) = obs::capture(|| {
+        // The first record of a name allocates its map entry.
+        drop(obs::span("compile/place"));
+        obs::count("alloc/picks", 1);
+        let ((), n) = allocations(|| {
+            for _ in 0..N {
+                let _guard = obs::span("compile/place");
+                obs::count("alloc/picks", 1);
+            }
+        });
+        assert_eq!(n, 0, "{N} spans and counts made {n} allocations");
+    });
+    obs::set_enabled(false);
+    assert_eq!(reg.spans["compile/place"].calls, N + 1);
+    assert_eq!(reg.counters["alloc/picks"], N + 1);
 }

@@ -230,14 +230,6 @@ fn commit(ctx: &mut FuncCtx<'_>, path: &ItemPath, placed: &crate::rcg::PlacedPat
         for &i in &interval.items {
             if let Item::Block(b) = path.items[i] {
                 if ctx.alloc[b.index()].is_none() {
-                    if std::env::var_os("SCHEMATIC_DEBUG_COMMIT").is_some() {
-                        eprintln!(
-                            "[commit] fn{} {b} <- {:?} (path {:?})",
-                            ctx.fid.index(),
-                            interval.alloc,
-                            path.items
-                        );
-                    }
                     ctx.alloc[b.index()] = Some(interval.alloc.clone());
                 }
             }
@@ -505,12 +497,6 @@ pub(crate) fn analyze_loop(
         if numit <= max_iters {
             backedge_period = Some(u32::try_from(numit.min(u32::MAX as u64)).expect("clamped"));
         }
-    }
-    if std::env::var_os("SCHEMATIC_DEBUG").is_some() {
-        eprintln!(
-            "[analyze_loop] fn{} loop@{:?} iters={} iter_energy={} internal_cp={} mismatch={} period={:?} header_alloc={:?}",
-            ctx.fid.index(), lp.header, max_iters, iter_energy, internal_cp, alloc_mismatch, backedge_period, header_alloc
-        );
     }
     if let Some(period) = backedge_period {
         for &latch in &lp.latches {

@@ -441,12 +441,6 @@ impl<'a> ScopeAnalyzer<'a> {
             let _ = node_reset;
             out_b.insert(node, nb);
             out_a.insert(node, na);
-            if std::env::var_os("SCHEMATIC_DEBUG_SCOPE").is_some() && scope.is_none() {
-                eprintln!(
-                    "[scope fn{} top] node={node:?} in_b={in_b} in_a={in_a:?} out_b={nb} out_a={na:?} head={head} tail={tail}",
-                    self.fid.index()
-                );
-            }
 
             // Exits of the scope.
             let is_exit = match scope {
@@ -620,16 +614,6 @@ impl<'a> ScopeAnalyzer<'a> {
             self.loop_nodes[l] = Some(nf);
         }
         let top = self.analyze_scope(None);
-        if std::env::var_os("SCHEMATIC_DEBUG").is_some() {
-            eprintln!(
-                "[verify] fn{}: resets={} entry={} exit={} loops={:?}",
-                self.fid.index(),
-                top.resets,
-                top.head,
-                top.tail,
-                self.loop_nodes
-            );
-        }
         // Boot: the initial interval includes staging the boot set.
         if self.im.module.entry == Some(self.fid) {
             let words: usize = self
@@ -766,15 +750,6 @@ pub fn patch_placement(
             }
             added += 1;
             continue;
-        }
-        if std::env::var_os("SCHEMATIC_DEBUG_PATCH").is_some() {
-            eprintln!(
-                "[patch] round: {} violations, first: fn{} {} {}",
-                report.violations.len(),
-                v.func.index(),
-                v.block,
-                v.detail
-            );
         }
         // A stretch entering a checkpointed callee can only be shortened
         // inside the callee: tighten its conditional periods, else give

@@ -553,68 +553,61 @@ fn eval_interval(
     // allocation may be profitable per access yet unaffordable to
     // save/restore at the interval's boundaries).
     let mut capacity_try = capacity;
-    let mut alloc =
-        match fixed {
-            Some(f) => {
-                let mut set = f.clone();
-                set.union_with(&mandatory);
-                if ctx.set_bytes(&set) > capacity {
-                    return None;
-                }
-                set
+    let mut alloc = match fixed {
+        Some(f) => {
+            let mut set = f.clone();
+            set.union_with(&mandatory);
+            if ctx.set_bytes(&set) > capacity {
+                return None;
             }
-            None => {
-                let mut scale = env.access_scale;
-                let mut vm = select_allocation(
-                    ctx,
-                    scaled(counts_buf, scale, scaled_buf),
-                    &mandatory,
-                    bounds,
-                    capacity_try,
-                )
-                .vm;
-                if env.loop_boundary.is_some() {
-                    // The boundary save/restore is paid once per conditional-
-                    // checkpoint period, while accesses accrue every
-                    // iteration. Iterate so the access scale used by the gain
-                    // matches the period the chosen allocation can afford
-                    // (Algorithm 1's `numit`).
-                    for _ in 0..4 {
-                        let save_words = ctx.set_words(&vm.intersection(&ctx.written));
-                        let restore_words = ctx.set_words(&vm);
-                        let overhead = ctx.table.checkpoint_commit_cost(save_words).energy
-                            + ctx.table.checkpoint_resume_cost(restore_words).energy;
-                        let exec: Energy = items.iter().map(|&i| memo.item_cost(i, &vm)).sum();
-                        let budget = ctx.config.eb.saturating_sub(overhead);
-                        let period = budget.div_floor(exec).unwrap_or(u64::MAX).max(1);
-                        // Clean VM copies persist across checkpoint regions
-                        // (and across calls), so the amortization horizon is
-                        // the conditional-checkpoint period, not this loop's
-                        // trip count.
-                        let new_scale = period.min(1 << 20);
-                        if std::env::var_os("SCHEMATIC_DEBUG_GAIN").is_some() {
-                            eprintln!(
-                            "[gain] fn{} items={:?} scale {} -> {} alloc={:?} overhead={} exec={}",
-                            ctx.fid.index(), items, scale, new_scale, vm, overhead, exec
-                        );
-                        }
-                        if new_scale == scale {
-                            break;
-                        }
-                        scale = new_scale;
-                        vm = select_allocation(
-                            ctx,
-                            scaled(counts_buf, scale, scaled_buf),
-                            &mandatory,
-                            bounds,
-                            capacity_try,
-                        )
-                        .vm;
+            set
+        }
+        None => {
+            let mut scale = env.access_scale;
+            let mut vm = select_allocation(
+                ctx,
+                scaled(counts_buf, scale, scaled_buf),
+                &mandatory,
+                bounds,
+                capacity_try,
+            )
+            .vm;
+            if env.loop_boundary.is_some() {
+                // The boundary save/restore is paid once per conditional-
+                // checkpoint period, while accesses accrue every
+                // iteration. Iterate so the access scale used by the gain
+                // matches the period the chosen allocation can afford
+                // (Algorithm 1's `numit`).
+                for _ in 0..4 {
+                    let save_words = ctx.set_words(&vm.intersection(&ctx.written));
+                    let restore_words = ctx.set_words(&vm);
+                    let overhead = ctx.table.checkpoint_commit_cost(save_words).energy
+                        + ctx.table.checkpoint_resume_cost(restore_words).energy;
+                    let exec: Energy = items.iter().map(|&i| memo.item_cost(i, &vm)).sum();
+                    let budget = ctx.config.eb.saturating_sub(overhead);
+                    let period = budget.div_floor(exec).unwrap_or(u64::MAX).max(1);
+                    // Clean VM copies persist across checkpoint regions
+                    // (and across calls), so the amortization horizon is
+                    // the conditional-checkpoint period, not this loop's
+                    // trip count.
+                    let new_scale = period.min(1 << 20);
+                    if new_scale == scale {
+                        break;
                     }
+                    scale = new_scale;
+                    vm = select_allocation(
+                        ctx,
+                        scaled(counts_buf, scale, scaled_buf),
+                        &mandatory,
+                        bounds,
+                        capacity_try,
+                    )
+                    .vm;
                 }
-                vm
             }
-        };
+            vm
+        }
+    };
 
     // ---- costs ------------------------------------------------------------
     let eb = ctx.config.eb;
@@ -785,17 +778,6 @@ fn eval_interval(
         if b == Anchor::End {
             ranked_closing = Energy::from_pj(closing_cost.as_pj() / period);
         }
-    }
-    if std::env::var_os("SCHEMATIC_DEBUG_EDGE").is_some() && items.len() > 10 {
-        eprintln!(
-            "[edge] fn{} {:?}->{:?} n={} alloc={:?} restore={restore} exec={exec} ranked={}",
-            ctx.fid.index(),
-            a,
-            b,
-            items.len(),
-            alloc,
-            ranked_restore + exec + ranked_closing
-        );
     }
     Some(EdgeEval {
         cost: ranked_restore + exec + ranked_closing,

@@ -102,7 +102,8 @@ pub struct RunConfig {
     /// transient `peak_vm_bytes` gauge, which the fused tier's up-front
     /// residency prep can raise past the per-instruction interleaving —
     /// so this knob exists for differential testing
-    /// (`tests/tier_parity.rs`) and the per-tier perfsmoke breakdown.
+    /// (`tests/tier_parity.rs`) and perfbench's per-tier throughput
+    /// (the `emu.interp` and `emu.fused` rows of `perf_ledger.tsv`).
     pub tier: ExecTier,
 }
 

@@ -16,7 +16,8 @@ cargo test --workspace --offline -q
 echo "== perfbench build (release) =="
 # The benchmark harness is its own Cargo workspace over crates/*, so the
 # workspace build above does not compile it. Build it here, so a change
-# to a public type it uses fails CI rather than the benchmark run.
+# to a public type it uses fails CI rather than the benchmark run. The
+# perf gate at the end runs the benchmark from this target directory.
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
 GRIDDIR="$(mktemp -d)"
@@ -42,7 +43,8 @@ echo "== gridrun shard/merge smoke (release) =="
 # cell-artifact pipeline: compute both shards as separate invocations,
 # merge the JSONL artifacts, and require the merged render to be
 # byte-identical to the single-process render. Then the same through
-# --spawn, which drives real child processes and self-asserts parity.
+# --spawn, which evaluates the grid on two `gridrun --jobs` worker
+# processes (gridd's pull dispatch) and self-asserts parity.
 cargo build --release --offline -p schematic-bench --bin gridrun
 GRIDRUN=target/release/gridrun
 "$GRIDRUN" --quick --shard 0/2 -o "$GRIDDIR/shard_0.jsonl"
@@ -263,12 +265,47 @@ wait "$GRIDD_PID"
 echo "warm daemon: $HITS hits across $JOBS jobs, 0 misses"
 echo "daemon submit/status/stats/fetch/shutdown loopback clean"
 
-echo "== perfsmoke --quick (release) =="
-# Surfaces hot-path throughput in the CI log and enforces the emulator
-# speedup floor (SPEEDUP_FLOOR in perfsmoke) against the pre-tier-ladder
-# baseline, without rewriting BENCH_perf.json (quick windows jitter too
-# much to commit; re-baseline with a full `perfsmoke` run instead).
-SCHEMATIC_PERF_ASSERT=1 \
-  cargo run --release --offline -p schematic-bench --bin perfsmoke -- --quick
+echo "== perf gate (release) =="
+# scripts/perfgate.sh compares traced perfbench runs with the
+# committed perf_ledger.tsv (per key: better direction, median of ten
+# recorded runs, band). First a deterministic self-test on synthetic
+# result lines built from the ledger's own medians, with a host probe
+# of 1 ms and one kernel per emulator tier: the line must pass, and the
+# same line with emu.fused halved, or reporting a failed check, must
+# fail naming exactly that.
+gate_line() { # $1: factor on emu.fused, $2: failed checks
+  awk -F '\t' -v scale="$1" -v failed="$2" '
+    /^#/ { next }
+    $1 == "emu.interp" { $1 = "emu.interp.selftest.minsts_per_s" }
+    $1 == "emu.fused" { $1 = "emu.fused.selftest.minsts_per_s"; $3 *= scale }
+    { m = m sprintf(", \"%s\": {\"value\": %s, \"unit\": \"x\"}", $1, $3) }
+    END {
+      printf "{\"correct\": %s, \"attempted\": 1, \"failed\": %d, \"metrics\": ", failed ? "false" : "true", failed
+      printf "{\"host.probe_ms\": {\"value\": 1, \"unit\": \"ms\"}%s}}\n", m
+    }
+  ' perf_ledger.tsv
+}
+gate_line 1 0 > "$GRIDDIR/gate_ok.json"
+scripts/perfgate.sh check "$GRIDDIR/gate_ok.json" > "$GRIDDIR/gate_ok.txt" \
+  || { cat "$GRIDDIR/gate_ok.txt"; echo "perfgate rejected the ledger's own medians"; exit 1; }
+gate_line 0.5 0 > "$GRIDDIR/gate_slow.json"
+if scripts/perfgate.sh check "$GRIDDIR/gate_slow.json" > "$GRIDDIR/gate_slow.txt"; then
+  echo "perfgate passed a halved emu.fused"; exit 1
+fi
+grep -qx "perfgate: FAIL: emu.fused" "$GRIDDIR/gate_slow.txt"
+gate_line 1 1 > "$GRIDDIR/gate_failed.json"
+if scripts/perfgate.sh check "$GRIDDIR/gate_failed.json" > "$GRIDDIR/gate_failed.txt"; then
+  echo "perfgate passed a run with a failed check"; exit 1
+fi
+grep -qx "perfgate: FAIL: failed" "$GRIDDIR/gate_failed.txt"
+echo "perfgate self-test: ledger medians pass; halved emu.fused and failed=1 fail"
+# Then two live traced gridd runs (about 40 s each), built into the
+# target directory the perfbench build step above already filled; the
+# gate takes each key's better value of the two.
+for SEED in 1 2; do
+  CARGO_TARGET_DIR=perfbench/target bash perfbench/run.sh \
+    --workload gridd --seed "$SEED" --seconds 25 --trace 1 > "$GRIDDIR/perf_$SEED.json"
+done
+scripts/perfgate.sh check "$GRIDDIR/perf_1.json" "$GRIDDIR/perf_2.json"
 
 echo "CI gate passed."
