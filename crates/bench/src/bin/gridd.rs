@@ -87,16 +87,14 @@ fn main() -> ExitCode {
     let cache = if opts.no_cache {
         None
     } else {
-        let path = opts.cache.clone().unwrap_or_else(|| {
-            std::env::var("SCHEMATIC_CACHE").unwrap_or_else(|_| "target/gridcache.jsonl".into())
-        });
+        let path = opts.cache.as_deref().unwrap_or("target/gridcache.jsonl");
         Some(CellCache::open(path))
     };
     if let Some(c) = &cache {
-        let (memos, cells) = c.len();
         eprintln!(
-            "gridd: cache {} loaded ({memos} memos, {cells} cells)",
-            c.path().display()
+            "gridd: cache {} loaded ({} records)",
+            c.path().display(),
+            c.len()
         );
     }
     let listener = match TcpListener::bind(&opts.addr) {

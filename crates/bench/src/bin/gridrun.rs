@@ -5,8 +5,10 @@
 //! gridrun                       # compute the full grid in-process, render every report
 //! gridrun --quick               # CI-sized grid (soundcheck static-only, Schematic+Ratchet)
 //! gridrun --list                # print the job list, one `kind/technique/benchmark/tbpf` per line
-//! gridrun --shard i/N -o F      # compute shard i of N, write the cells as JSONL to F ('-' = stdout)
-//! gridrun --merge F...          # load shard artifacts, merge, verify coverage, render every report
+//! gridrun --shard i/N -o F      # compute shard i of N, write keyed cell lines to F ('-' = stdout);
+//!                               # the artifact is also a cache file (`--cache F`)
+//! gridrun --merge F...          # load shard, fetch or cache files, merge, verify coverage,
+//!                               # render every report
 //! gridrun --spawn N             # evaluate the grid on N `--jobs` worker processes (gridd's
 //!                               # pull dispatch), assert the render is byte-identical to the
 //!                               # in-process run
@@ -17,11 +19,9 @@
 //! gridrun --report robust       # multi-seed robustness report: completion rate and energy
 //!          [--seeds N]          # spread per technique x benchmark across N stochastic
 //!                               # seeds (default 8) plus every recorded trace in traces/
-//! gridrun --resume F [-o OUT]   # load a (possibly partial) artifact, compute only the
-//!                               # missing cells, render; OUT gets the completed artifact
 //! gridrun --jobs                # worker mode: read one job key per line on stdin, answer
-//!                               # each with one extended cell line (cell + program digests
-//!                               # + telemetry) on stdout, flushed at once; exit at EOF
+//!                               # each with one cell line (cell + program digests +
+//!                               # telemetry) on stdout, flushed at once; exit at EOF
 //! gridrun --connect ADDR ...    # thin client for a running `gridd`:
 //!                               #   --submit SPEC   evaluate 'all' or shard 'i/N' remotely
 //!                               #   --status        print daemon tallies
@@ -36,17 +36,18 @@
 //! Worker mode is how `gridd --workers N` evaluates a batch: the daemon
 //! feeds each of its N workers keys by pull, and a worker evaluates one
 //! job at a time. It captures a per-job [`schematic_obs`] registry (span
-//! timings, per-job wall latency) and ships it on each worker line;
-//! `SCHEMATIC_TELEMETRY=0` disables the capture. Only `--shard` prints
-//! ~1 Hz heartbeats; they follow `SCHEMATIC_PROGRESS` (`0` off, `1` on,
-//! unset = only when stderr is a terminal).
+//! timings, per-job wall latency) and ships it on each answer line. Only
+//! `--shard` prints ~1 Hz heartbeats; they follow `SCHEMATIC_PROGRESS`
+//! (`0` off, `1` on, unset = only when stderr is a terminal).
 //!
-//! In-process computes (the default run and `--resume`) go through the
-//! content-addressed cell cache at `target/gridcache.jsonl`
-//! (`SCHEMATIC_CACHE` or `--cache F` overrides, `--no-cache` disables,
-//! `--cache-verify` recomputes every hit and fails on divergence).
-//! Shard, worker and merge modes never touch the cache: shards may run
-//! concurrently, and the cache file has a single writer by design.
+//! In-process computes (the default run and `--report`) go through the
+//! content-addressed cell cache at `target/gridcache.jsonl` (`--cache F`
+//! overrides, `--no-cache` disables, `--cache-verify` recomputes every
+//! hit and fails on divergence). A shard artifact is a cache file, so
+//! `--cache F` on a partial artifact computes only the missing cells
+//! and appends them to F. Shard, worker and merge modes never open the
+//! cache: shards may run concurrently, and the cache file has a single
+//! writer by design.
 //!
 //! Shards partition the grid deterministically (every N-th job), so any
 //! split computed anywhere — other processes, other hosts — merges back
@@ -57,13 +58,11 @@
 //! Exit codes: 0 on success, 2 on usage/artifact/coverage errors,
 //! 3 when `--spawn`'s parity assertion fails.
 
-use schematic_bench::cache::{
-    compute_cached, parse_worker_line, worker_line, worker_line_telemetry, CellCache,
-    WorkerTelemetry,
-};
+use schematic_bench::cache::{compute_cached, evaluate_keyed, CellCache, SourceDigests};
 use schematic_bench::experiments::{render, render_all, render_robust, robust_jobs};
 use schematic_bench::grid::{
-    evaluate_traced, CellStore, GridError, GridMode, GridSpec, Job, ReportId,
+    evaluate_traced, CellLine, CellStore, GridError, GridMode, GridSpec, Job, ReportId,
+    WorkerTelemetry,
 };
 use schematic_bench::json::Json;
 use schematic_bench::{service, trace};
@@ -85,7 +84,7 @@ struct Options {
 }
 
 enum CacheOpt {
-    /// `target/gridcache.jsonl`, or `SCHEMATIC_CACHE` when set.
+    /// `target/gridcache.jsonl`.
     Default,
     Path(String),
     Off,
@@ -93,14 +92,11 @@ enum CacheOpt {
 
 impl CacheOpt {
     fn open(&self) -> Option<CellCache> {
-        let path = match self {
-            CacheOpt::Off => return None,
-            CacheOpt::Path(p) => p.clone(),
-            CacheOpt::Default => {
-                std::env::var("SCHEMATIC_CACHE").unwrap_or_else(|_| "target/gridcache.jsonl".into())
-            }
-        };
-        Some(CellCache::open(path))
+        match self {
+            CacheOpt::Off => None,
+            CacheOpt::Path(p) => Some(CellCache::open(p)),
+            CacheOpt::Default => Some(CellCache::open("target/gridcache.jsonl")),
+        }
     }
 }
 
@@ -109,7 +105,7 @@ enum Command {
     Direct,
     /// Print the job list.
     List,
-    /// Compute one shard into an artifact file.
+    /// Compute one shard into a keyed artifact file.
     Shard {
         index: usize,
         count: usize,
@@ -119,12 +115,7 @@ enum Command {
     Merge { files: Vec<String> },
     /// Drive child processes over all shards, merge, verify parity.
     Spawn { count: usize },
-    /// Load a partial artifact, compute the rest, render.
-    Resume {
-        artifact: String,
-        out: Option<String>,
-    },
-    /// Worker mode: answer job keys on stdin with extended cell lines.
+    /// Worker mode: answer job keys on stdin with cell lines.
     Jobs,
     /// `--report NAME`: one paper report.
     Report { id: ReportId },
@@ -145,8 +136,7 @@ enum ClientAction {
 fn usage() -> ! {
     eprintln!(
         "usage: gridrun [--quick] [--trace FILE] [--cache FILE | --no-cache] [--cache-verify] \
-         [--list | --shard i/N -o FILE | --merge FILE... | --spawn N | \
-         --resume FILE [-o FILE] | --jobs | \
+         [--list | --shard i/N -o FILE | --merge FILE... | --spawn N | --jobs | \
          --report table1|table2|table3|fig6|fig7|fig8|ablations|soundcheck | \
          --report robust [--seeds N] | \
          --connect ADDR (--submit all|i/N | --status | --fetch -o FILE | \
@@ -215,16 +205,6 @@ fn parse_args() -> Options {
                     .filter(|&n| n >= 1)
                     .unwrap_or_else(|| usage());
                 set(Command::Spawn { count }, &mut command);
-            }
-            "--resume" => {
-                let artifact = it.next().unwrap_or_else(|| usage());
-                let out = if it.peek().map(String::as_str) == Some("-o") {
-                    it.next();
-                    Some(it.next().unwrap_or_else(|| usage()))
-                } else {
-                    None
-                };
-                set(Command::Resume { artifact, out }, &mut command);
             }
             "--jobs" => set(Command::Jobs, &mut command),
             "--report" => match it.next().as_deref() {
@@ -305,7 +285,8 @@ fn parse_args() -> Options {
     }
 }
 
-/// Loads and merges shard artifacts, then verifies they cover `spec`.
+/// Loads and merges files of cell lines (shard, fetch or cache files),
+/// then verifies they cover `spec`.
 fn merge_files(spec: &GridSpec, files: &[PathBuf]) -> Result<CellStore, String> {
     let mut store = CellStore::new();
     for file in files {
@@ -351,9 +332,9 @@ fn spawn_workers(spec: &GridSpec, mode: GridMode, count: usize) -> Result<String
         ExitCode::from(2)
     };
     let mut store = CellStore::new();
-    for (_, line) in service::run_workers(mode, count, spec.jobs()).map_err(fail)? {
-        let (job, value, _) = parse_worker_line(&line).map_err(fail)?;
-        store.insert(job, value).map_err(fail)?;
+    for (_, text) in service::run_workers(mode, count, spec.jobs()).map_err(fail)? {
+        let line = CellLine::parse(&text).map_err(fail)?;
+        store.insert(line.job, line.value).map_err(fail)?;
     }
     let rendered = render_all(&store, mode);
     let direct = render_all(&CellStore::compute(spec.jobs()), mode);
@@ -376,7 +357,7 @@ fn spawn_workers(spec: &GridSpec, mode: GridMode, count: usize) -> Result<String
 fn compute(jobs: &[Job], opts: &Options) -> Result<CellStore, String> {
     let mut cache = opts.cache.open();
     let (store, stats) =
-        compute_cached(jobs, cache.as_mut(), opts.verify, &|_, _| {}).map_err(|e| e.to_string())?;
+        compute_cached(jobs, cache.as_mut(), opts.verify).map_err(|e| e.to_string())?;
     match &cache {
         Some(c) => eprintln!(
             "gridrun: cache {}: {} hits, {} computed{}",
@@ -408,45 +389,18 @@ fn compute_and_print(
     }
 }
 
-/// `--resume F`: complete a partial artifact and render it.
-fn resume(
-    spec: &GridSpec,
-    artifact: &str,
-    out: Option<&str>,
-    opts: &Options,
-) -> Result<String, String> {
-    let text = std::fs::read_to_string(artifact).map_err(|e| format!("{artifact}: {e}"))?;
-    let mut store = CellStore::from_jsonl(&text).map_err(|e| format!("{artifact}: {e}"))?;
-    let loaded = store.len();
-    let missing: Vec<Job> = store.missing(spec.jobs()).into_iter().cloned().collect();
-    let computed = compute(&missing, opts)?;
-    store.merge_from(computed).map_err(|e| e.to_string())?;
-    eprintln!(
-        "gridrun: resume {artifact}: {loaded} cells loaded, {} missing computed, {} total",
-        missing.len(),
-        store.len()
-    );
-    if let Some(out) = out {
-        write_artifact(out, &store.to_jsonl())?;
-    }
-    Ok(render_all(&store, opts.mode))
-}
-
 /// `--jobs`: the worker half of the daemon's pull dispatch — read one
 /// job key per line from stdin, evaluate it (no cache: the parent owns
-/// it), and answer with one extended artifact line on stdout, flushed at
-/// once because the daemon hands out the next key only after an answer.
-/// Each line carries the program digests plus, unless
-/// `SCHEMATIC_TELEMETRY=0`, a captured per-job registry the daemon
-/// merges into its service telemetry. Returns at stdin EOF.
+/// it), and answer with one cell line on stdout, flushed at once because
+/// the daemon hands out the next key only after an answer. Each line
+/// carries the program digests and a captured per-job registry the
+/// daemon merges into its service telemetry. Returns at stdin EOF.
 fn run_jobs() -> Result<(), String> {
     use std::io::{BufRead, Write};
     let table = CostTable::msp430fr5969();
-    let telemetry_on = std::env::var("SCHEMATIC_TELEMETRY").map_or(true, |v| v != "0");
-    if telemetry_on {
-        schematic_obs::set_enabled(true);
-    }
+    schematic_obs::set_enabled(true);
     let mut out = std::io::stdout().lock();
+    let mut answer = String::new();
     let mut done = 0usize;
     for (lineno, line) in std::io::stdin().lock().lines().enumerate() {
         let line = line.map_err(|e| format!("stdin: {e}"))?;
@@ -454,21 +408,21 @@ fn run_jobs() -> Result<(), String> {
             continue;
         }
         let job = Job::parse(line.trim()).map_err(|e| format!("stdin:{}: {e}", lineno + 1))?;
-        let mut answer = if telemetry_on {
-            let t0 = Instant::now();
-            let ((value, ims), mut registry) =
-                schematic_obs::capture(|| evaluate_traced(&job, &table));
-            let wall_nanos = t0.elapsed().as_nanos() as u64;
-            registry.record_span(&format!("job/{job}"), wall_nanos);
-            let telemetry = WorkerTelemetry {
-                wall_nanos,
-                registry,
-            };
-            worker_line_telemetry(&job, &value, &ims, &telemetry)
-        } else {
-            let (value, ims) = evaluate_traced(&job, &table);
-            worker_line(&job, &value, &ims)
+        let t0 = Instant::now();
+        let ((value, ims), mut registry) = schematic_obs::capture(|| evaluate_traced(&job, &table));
+        let wall_nanos = t0.elapsed().as_nanos() as u64;
+        registry.record_span(&format!("job/{job}"), wall_nanos);
+        let telemetry = WorkerTelemetry {
+            wall_nanos,
+            registry,
         };
+        answer.clear();
+        CellLine {
+            ims: Some(ims),
+            telemetry: Some(telemetry),
+            ..CellLine::plain(job, value)
+        }
+        .write(&mut answer);
         answer.push('\n');
         out.write_all(answer.as_bytes())
             .and_then(|()| out.flush())
@@ -656,7 +610,9 @@ fn main() -> ExitCode {
                     jobs.len()
                 );
             }
-            let store = CellStore::compute_with_progress(&jobs, &|done, total| {
+            let table = CostTable::msp430fr5969();
+            let mut sources = SourceDigests::new();
+            let lines = evaluate_keyed(&jobs, &table, &mut sources, &|done, total| {
                 if !progress {
                     return;
                 }
@@ -675,7 +631,12 @@ fn main() -> ExitCode {
                     );
                 }
             });
-            match write_artifact(&out, &store.to_jsonl()) {
+            let mut artifact = String::new();
+            for line in &lines {
+                line.write(&mut artifact);
+                artifact.push('\n');
+            }
+            match write_artifact(&out, &artifact) {
                 Ok(()) => {
                     eprintln!(
                         "gridrun: shard {index}/{count} computed {} of {} cells",
@@ -710,18 +671,6 @@ fn main() -> ExitCode {
             }
             Err(code) => code,
         },
-        Command::Resume { artifact, out } => {
-            match resume(&spec, &artifact, out.as_deref(), &opts) {
-                Ok(rendered) => {
-                    print!("{rendered}");
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("gridrun: {e}");
-                    ExitCode::from(2)
-                }
-            }
-        }
         Command::Jobs => match run_jobs() {
             Ok(()) => ExitCode::SUCCESS,
             Err(e) => {

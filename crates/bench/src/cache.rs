@@ -3,41 +3,41 @@
 //!
 //! A cell's value is a pure function of four things: the job key, the
 //! platform cost table, the configurations the kernel compiles and runs
-//! with, and the compiled programs themselves. The cache captures that
-//! dependency chain with **two** content-addressed record kinds instead
-//! of one, so the warm path can skip the compile too:
+//! with, and the compiled programs themselves. The cache files each
+//! cell under **two** content-addressed keys, so the warm path can skip
+//! the compile too:
 //!
-//! * A **memo** record maps the *compile inputs* — job, cost table,
-//!   configs, and the stable digest of the benchmark's *source* module —
-//!   to the digests of every [`InstrumentedModule`] the kernel produced
+//! * the **memo key** hashes the *compile inputs* — job, cost table,
+//!   configs, and the stable digest of the benchmark's *source* module
 //!   ([`memo_key`]). Building a source module and hashing it costs
 //!   microseconds; compiling and placing checkpoints does not.
-//! * A **cell** record maps the *evaluation inputs* — job, cost table,
-//!   configs, and the instrumented-module digests — to the cell's value
-//!   ([`cell_key`]). Routing the cell key through the memo's digests
-//!   means an edited benchmark or perturbed platform constant misses the
-//!   memo, which misses the cell, which recomputes — no staleness by
-//!   construction.
+//! * the **cell key** hashes the *evaluation inputs* — job, cost table,
+//!   configs, and the digests of every `InstrumentedModule` the kernel
+//!   compiled ([`cell_key`]).
 //!
-//! Both keys also fold in [`KEY_SCHEMA_VERSION`]; bump it whenever the
-//! *kernel code* changes what a cell means (the one input content
-//! addressing cannot see).
+//! A lookup finds the record under the memo key and requires the cell
+//! key re-derived from its program digests to match. An edited
+//! benchmark or perturbed platform constant misses the memo key and
+//! recomputes — no staleness by construction. Both keys fold in
+//! [`KEY_SCHEMA_VERSION`]; bump it whenever the *kernel code* changes
+//! what a cell means (the one input content addressing cannot see).
 //!
-//! The store is an append-only JSONL file (one record per line, via
-//! [`crate::json`]). Loading is tolerant: unparsable or truncated lines
-//! — a crashed writer's torn tail — and records from another schema are
-//! skipped, never fatal; the cache is advisory and a lost record only
-//! costs a recompute. Duplicate keys resolve last-writer-wins, and
-//! [`CellCache::open`] compacts the file (rewrite-then-rename) when more
-//! than a third of its lines are dead. Single-writer discipline is the
-//! caller's job: `gridrun` child shards run with the cache off, and in
-//! daemon mode `gridd` is the sole writer.
+//! The store is an append-only file of keyed cell lines ([`CellLine`]:
+//! the cell, its program digests and both keys), the lines `gridrun
+//! --shard` writes, so a shard artifact is a cache. Loading is tolerant
+//! and never destroys what the cache did not write: a record of another
+//! schema, a superseded duplicate (last writer wins), or a torn,
+//! unparsable or non-UTF-8 line is *dead* — skipped, since a lost record
+//! only costs a recompute — and any other readable line (a plain cell
+//! line, a trace line) is *kept* verbatim. [`CellCache::open`] compacts
+//! the file (rewrite-then-rename) when more than a third of its lines
+//! are dead. Single-writer discipline is the caller's job: `gridrun`
+//! shard and worker processes never open the cache, and in daemon mode
+//! `gridd` is the sole writer.
 
 use crate::grid::{
-    cell_from_json, cell_to_json, evaluate_traced, write_job_identity, CellStore, CellValue,
-    GridError, Job,
+    evaluate_traced, write_job_identity, CellKeys, CellLine, CellStore, CellValue, GridError, Job,
 };
-use crate::json::Json;
 use crate::parallel::par_map;
 use schematic_energy::CostTable;
 use schematic_ir::hash::{hash_module, Digest, StableHasher};
@@ -45,6 +45,7 @@ use std::collections::BTreeMap;
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Version of the key derivation *and* of the meaning of the kernels
 /// behind it. Bump on any change to what a cell computes that the
@@ -136,23 +137,18 @@ impl SourceDigests {
     }
 }
 
-fn hex(d: Digest) -> Json {
-    Json::Str(d.to_hex())
-}
-
-fn digest_field(json: &Json, key: &str) -> Option<Digest> {
-    Digest::from_hex(json.get(key)?.as_str()?)
-}
-
-/// The disk-backed cache: memo and cell records keyed by digest.
+/// The disk-backed cache: keyed cell lines by memo key.
 #[derive(Debug)]
 pub struct CellCache {
     path: PathBuf,
-    memos: BTreeMap<Digest, Vec<Digest>>,
-    cells: BTreeMap<Digest, (Job, CellValue)>,
-    /// Lines in the backing file that are not live records (superseded
-    /// duplicates, torn tails, foreign schemas) — the compaction
-    /// trigger.
+    /// Live records by memo key.
+    records: BTreeMap<Digest, CellLine>,
+    /// Readable lines that are not records of this cache, rewritten
+    /// verbatim by [`CellCache::compact`].
+    kept: Vec<String>,
+    /// Lines in the backing file that are neither live records nor kept
+    /// (superseded duplicates, other schemas, torn or non-UTF-8 lines) —
+    /// the compaction trigger.
     dead: usize,
 }
 
@@ -162,72 +158,40 @@ impl CellCache {
     /// empty/shorter cache, not an error. Compacts the file in place
     /// when dead lines outnumber a third of the total.
     pub fn open(path: impl AsRef<Path>) -> CellCache {
-        let path = path.as_ref().to_path_buf();
         let mut cache = CellCache {
-            path,
-            memos: BTreeMap::new(),
-            cells: BTreeMap::new(),
+            path: path.as_ref().to_path_buf(),
+            records: BTreeMap::new(),
+            kept: Vec::new(),
             dead: 0,
         };
-        let text = fs::read_to_string(&cache.path).unwrap_or_default();
-        for line in text.lines() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            if !cache.load_line(line) {
-                cache.dead += 1;
+        let bytes = fs::read(&cache.path).unwrap_or_default();
+        for line in bytes.split(|&b| b == b'\n') {
+            match std::str::from_utf8(line) {
+                Ok(line) if line.trim().is_empty() => {}
+                Ok(line) => cache.load_line(line),
+                Err(_) => cache.dead += 1,
             }
         }
-        let live = cache.memos.len() + cache.cells.len();
-        if cache.dead > 0 && cache.dead * 2 > live {
+        if cache.dead > 0 && cache.dead * 2 > cache.records.len() + cache.kept.len() {
             let _ = cache.compact();
         }
         cache
     }
 
-    /// Parses one record line into the in-memory maps; `false` when the
-    /// line is not a live record of this schema.
-    fn load_line(&mut self, line: &str) -> bool {
-        let json = match Json::parse(line) {
-            Ok(j) => j,
-            Err(_) => return false,
-        };
-        if json.get("schema").and_then(Json::as_u64) != Some(KEY_SCHEMA_VERSION) {
-            return false;
-        }
-        let Some(key) = digest_field(&json, "k") else {
-            return false;
-        };
-        match json.get("t").and_then(Json::as_str) {
-            Some("memo") => {
-                let Some(Json::Arr(items)) = json.get("ims") else {
-                    return false;
-                };
-                let mut ims = Vec::with_capacity(items.len());
-                for item in items {
-                    match item.as_str().and_then(Digest::from_hex) {
-                        Some(d) => ims.push(d),
-                        None => return false,
+    /// Files one line as a live record, a kept line or a dead one.
+    fn load_line(&mut self, text: &str) {
+        match CellLine::parse(text) {
+            Ok(line) => match line.keys {
+                Some(keys) if keys.schema == KEY_SCHEMA_VERSION => {
+                    if self.records.insert(keys.memo, line).is_some() {
+                        self.dead += 1; // superseded duplicate
                     }
                 }
-                if self.memos.insert(key, ims).is_some() {
-                    self.dead += 1; // superseded duplicate
-                }
-                true
-            }
-            Some("cell") => {
-                let Some(cell) = json.get("cell") else {
-                    return false;
-                };
-                let Ok((job, value)) = cell_from_json(cell) else {
-                    return false;
-                };
-                if self.cells.insert(key, (job, value)).is_some() {
-                    self.dead += 1;
-                }
-                true
-            }
-            _ => false,
+                Some(_) => self.dead += 1,
+                None => self.kept.push(text.to_string()),
+            },
+            Err(_) if is_foreign(text) => self.kept.push(text.to_string()),
+            Err(_) => self.dead += 1,
         }
     }
 
@@ -236,97 +200,69 @@ impl CellCache {
         &self.path
     }
 
-    /// Live `(memo, cell)` record counts.
-    pub fn len(&self) -> (usize, usize) {
-        (self.memos.len(), self.cells.len())
+    /// Live record count.
+    pub fn len(&self) -> usize {
+        self.records.len()
     }
 
     /// Whether the cache holds no records.
     pub fn is_empty(&self) -> bool {
-        self.memos.is_empty() && self.cells.is_empty()
+        self.records.is_empty()
     }
 
-    /// The instrumented-module digests memoized for a compile-inputs
-    /// key.
-    pub fn memo_get(&self, key: Digest) -> Option<&[Digest]> {
-        self.memos.get(&key).map(Vec::as_slice)
+    /// The cached value of `job`, whose benchmark source digests to
+    /// `source`: the record under the job's memo key, when the cell key
+    /// its program digests derive is the one it was filed under.
+    pub fn get(&self, job: &Job, table: &CostTable, source: Digest) -> Option<&CellValue> {
+        let line = self.records.get(&memo_key(job, table, source))?;
+        let (keys, ims) = (line.keys?, line.ims.as_deref()?);
+        (keys.cell == cell_key(job, table, ims)).then_some(&line.value)
     }
 
-    /// Records a compile memo and appends it to the backing file
-    /// (best-effort: an append failure costs a future recompute, never
-    /// the current run).
-    pub fn memo_put(&mut self, key: Digest, ims: Vec<Digest>) {
-        let record = crate::grid::obj(vec![
-            ("schema", Json::UInt(KEY_SCHEMA_VERSION)),
-            ("t", Json::Str("memo".into())),
-            ("k", hex(key)),
-            ("ims", Json::Arr(ims.iter().map(|&d| hex(d)).collect())),
-        ]);
-        if self.memos.insert(key, ims).is_some() {
-            self.dead += 1;
+    /// Records keyed lines and appends them to the backing file in one
+    /// write (best-effort: an append failure costs a future recompute,
+    /// never the current run).
+    ///
+    /// # Panics
+    ///
+    /// On a line without keys ([`keyed_line`] makes them).
+    pub fn put(&mut self, lines: impl IntoIterator<Item = CellLine>) {
+        let mut text = String::new();
+        for line in lines {
+            let keys = line.keys.expect("cache records are keyed lines");
+            line.write(&mut text);
+            text.push('\n');
+            if self.records.insert(keys.memo, line).is_some() {
+                self.dead += 1;
+            }
         }
-        self.append(&record);
-    }
-
-    /// The cached value for a cell key.
-    pub fn cell_get(&self, key: Digest) -> Option<&CellValue> {
-        self.cells.get(&key).map(|(_, v)| v)
-    }
-
-    /// Records a cell value and appends it to the backing file
-    /// (best-effort, like [`CellCache::memo_put`]).
-    pub fn cell_put(&mut self, key: Digest, job: &Job, value: CellValue) {
-        let record = crate::grid::obj(vec![
-            ("schema", Json::UInt(KEY_SCHEMA_VERSION)),
-            ("t", Json::Str("cell".into())),
-            ("k", hex(key)),
-            ("cell", cell_to_json(job, &value)),
-        ]);
-        if self.cells.insert(key, (job.clone(), value)).is_some() {
-            self.dead += 1;
+        if text.is_empty() {
+            return;
         }
-        self.append(&record);
-    }
-
-    fn append(&self, record: &Json) {
-        let mut line = record.encode();
-        line.push('\n');
         let opened = fs::OpenOptions::new()
             .create(true)
             .append(true)
             .open(&self.path);
         if let Ok(mut f) = opened {
-            let _ = f.write_all(line.as_bytes());
+            let _ = f.write_all(text.as_bytes());
         }
     }
 
-    /// Rewrites the backing file with only the live records (memos
-    /// first, then cells, in key order), via a temporary file and an
-    /// atomic rename so a crash never leaves a half-written cache.
+    /// Rewrites the backing file with the kept lines, then the live
+    /// records in memo-key order, via a temporary file and an atomic
+    /// rename so a crash never leaves a half-written cache.
     ///
     /// # Errors
     ///
     /// The underlying filesystem error, if any.
     pub fn compact(&mut self) -> std::io::Result<()> {
         let mut out = String::new();
-        for (&key, ims) in &self.memos {
-            let record = crate::grid::obj(vec![
-                ("schema", Json::UInt(KEY_SCHEMA_VERSION)),
-                ("t", Json::Str("memo".into())),
-                ("k", hex(key)),
-                ("ims", Json::Arr(ims.iter().map(|&d| hex(d)).collect())),
-            ]);
-            out.push_str(&record.encode());
+        for line in &self.kept {
+            out.push_str(line);
             out.push('\n');
         }
-        for (&key, (job, value)) in &self.cells {
-            let record = crate::grid::obj(vec![
-                ("schema", Json::UInt(KEY_SCHEMA_VERSION)),
-                ("t", Json::Str("cell".into())),
-                ("k", hex(key)),
-                ("cell", cell_to_json(job, value)),
-            ]);
-            out.push_str(&record.encode());
+        for line in self.records.values() {
+            line.write(&mut out);
             out.push('\n');
         }
         let tmp = self.path.with_extension("jsonl.tmp");
@@ -335,6 +271,63 @@ impl CellCache {
         self.dead = 0;
         Ok(())
     }
+}
+
+/// Whether `text` is a JSON object this cache did not write: it parses,
+/// and lacks the `schema` member every cache record — of any layout —
+/// carries.
+fn is_foreign(text: &str) -> bool {
+    let mut r = schematic_obs::json::Reader::new(text);
+    let mut schema = false;
+    let parsed = r.object(|r, key| {
+        schema |= key == "schema";
+        r.skip()
+    });
+    parsed.and_then(|()| r.finish()).is_ok() && !schema
+}
+
+/// Files a computed cell under its cache keys: the keyed line
+/// [`CellCache::put`] records and `gridrun --shard` writes.
+pub fn keyed_line(
+    job: Job,
+    value: CellValue,
+    ims: Vec<Digest>,
+    table: &CostTable,
+    sources: &mut SourceDigests,
+) -> CellLine {
+    let keys = CellKeys {
+        schema: KEY_SCHEMA_VERSION,
+        memo: memo_key(&job, table, sources.digest(&job.benchmark)),
+        cell: cell_key(&job, table, &ims),
+    };
+    CellLine {
+        ims: Some(ims),
+        keys: Some(keys),
+        ..CellLine::plain(job, value)
+    }
+}
+
+/// Evaluates `jobs` (fanning out over the parallel driver) into keyed
+/// lines, in job order, calling `progress(done, total)` after each
+/// cell. The callback runs on worker threads (hence `Sync`) and
+/// completion order is nondeterministic, but `done` is a monotone count.
+pub fn evaluate_keyed(
+    jobs: &[Job],
+    table: &CostTable,
+    sources: &mut SourceDigests,
+    progress: &(impl Fn(usize, usize) + Sync),
+) -> Vec<CellLine> {
+    let total = jobs.len();
+    let done = AtomicUsize::new(0);
+    let computed = par_map(jobs, |job| {
+        let out = evaluate_traced(job, table);
+        progress(done.fetch_add(1, Ordering::Relaxed) + 1, total);
+        out
+    });
+    jobs.iter()
+        .zip(computed)
+        .map(|(job, (value, ims))| keyed_line(job.clone(), value, ims, table, sources))
+        .collect()
 }
 
 /// Pass 1 of a cached evaluation (serial, cheap): splits `jobs` into
@@ -354,11 +347,7 @@ pub fn resolve(
     let mut miss_kinds: BTreeMap<&'static str, u64> = BTreeMap::new();
     for job in jobs {
         let source = sources.digest(&job.benchmark);
-        let cached = cache
-            .memo_get(memo_key(job, table, source))
-            .map(|ims| cell_key(job, table, ims))
-            .and_then(|ck| cache.cell_get(ck));
-        match cached {
+        match cache.get(job, table, source) {
             Some(value) => {
                 *hit_kinds.entry(job.kind.name()).or_default() += 1;
                 hits.push((job.clone(), value.clone()));
@@ -394,9 +383,7 @@ pub struct CacheStats {
 
 /// Evaluates `jobs` into a [`CellStore`], answering from `cache` where
 /// possible and writing every miss back. With `cache = None` this is
-/// exactly [`CellStore::compute_with_progress`]. `progress(done, total)`
-/// reports *computed* cells only — hits are effectively free and would
-/// drown the signal.
+/// exactly [`CellStore::compute`].
 ///
 /// With `verify` set, cache hits are additionally recomputed and
 /// compared — the paranoia mode `gridrun --cache-verify` exposes; any
@@ -410,15 +397,13 @@ pub fn compute_cached(
     jobs: &[Job],
     cache: Option<&mut CellCache>,
     verify: bool,
-    progress: &(impl Fn(usize, usize) + Sync),
 ) -> Result<(CellStore, CacheStats), GridError> {
     let Some(cache) = cache else {
-        let store = CellStore::compute_with_progress(jobs, progress);
         let stats = CacheStats {
             hits: 0,
             computed: jobs.len(),
         };
-        return Ok((store, stats));
+        return Ok((CellStore::compute(jobs), stats));
     };
     let table = CostTable::msp430fr5969();
     let mut sources = SourceDigests::new();
@@ -426,14 +411,7 @@ pub fn compute_cached(
 
     // Pass 2 (parallel): evaluate the misses — and, in verify mode,
     // re-evaluate the hits to cross-check the cache.
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    let total = misses.len();
-    let done = AtomicUsize::new(0);
-    let computed: Vec<(CellValue, Vec<Digest>)> = par_map(&misses, |job| {
-        let out = evaluate_traced(job, &table);
-        progress(done.fetch_add(1, Ordering::Relaxed) + 1, total);
-        out
-    });
+    let computed = evaluate_keyed(&misses, &table, &mut sources, &|_, _| {});
     if verify {
         schematic_obs::gcount("cache/verify", hits.len() as u64);
         let fresh = par_map(&hits, |(job, _)| evaluate_traced(job, &table).0);
@@ -459,15 +437,12 @@ pub fn compute_cached(
             .insert(job.clone(), value.clone())
             .expect("cached cells are deterministic");
     }
-    for (job, (value, ims)) in misses.iter().zip(computed) {
-        let source = sources.digest(&job.benchmark);
-        let ck = cell_key(job, &table, &ims);
-        cache.memo_put(memo_key(job, &table, source), ims);
-        cache.cell_put(ck, job, value.clone());
+    for line in &computed {
         store
-            .insert(job.clone(), value)
+            .insert(line.job.clone(), line.value.clone())
             .expect("computed cells are deterministic");
     }
+    cache.put(computed);
     Ok((
         store,
         CacheStats {
@@ -475,120 +450,6 @@ pub fn compute_cached(
             computed: misses.len(),
         },
     ))
-}
-
-/// Per-job telemetry a worker attaches to its artifact line: the job's
-/// wall-clock nanoseconds plus everything the job's [`schematic_obs`]
-/// capture recorded (phase spans, counters, events).
-#[derive(Debug, Clone, PartialEq)]
-pub struct WorkerTelemetry {
-    /// Wall-clock nanoseconds the worker spent evaluating the job.
-    pub wall_nanos: u64,
-    /// The job's captured observation registry.
-    pub registry: schematic_obs::Registry,
-}
-
-/// Encodes one worker-shard output line: the cell plus its
-/// instrumented-module digests, so a parent with the cache (the daemon)
-/// can append both record kinds without recompiling anything.
-pub fn worker_line(job: &Job, value: &CellValue, ims: &[Digest]) -> String {
-    worker_record(job, value, ims, None).encode()
-}
-
-/// [`worker_line`] with per-job telemetry attached: the registry rides
-/// the line as an embedded [`schematic_obs::codec`] string, so the
-/// digest-carrying artifact stream doubles as the telemetry channel —
-/// no second file, no second protocol.
-pub fn worker_line_telemetry(
-    job: &Job,
-    value: &CellValue,
-    ims: &[Digest],
-    telemetry: &WorkerTelemetry,
-) -> String {
-    worker_record(job, value, ims, Some(telemetry)).encode()
-}
-
-fn worker_record(
-    job: &Job,
-    value: &CellValue,
-    ims: &[Digest],
-    telemetry: Option<&WorkerTelemetry>,
-) -> Json {
-    let mut pairs = vec![
-        ("cell", cell_to_json(job, value)),
-        ("ims", Json::Arr(ims.iter().map(|&d| hex(d)).collect())),
-    ];
-    if let Some(t) = telemetry {
-        pairs.push(("wall_nanos", Json::UInt(t.wall_nanos)));
-        pairs.push((
-            "telemetry",
-            Json::Str(schematic_obs::codec::encode(&t.registry)),
-        ));
-    }
-    crate::grid::obj(pairs)
-}
-
-/// Decodes a [`worker_line`], ignoring any telemetry fields — the
-/// cell-folding path a parent without a registry uses.
-///
-/// # Errors
-///
-/// A [`GridError`] describing the malformed field.
-pub fn parse_worker_line(line: &str) -> Result<(Job, CellValue, Vec<Digest>), GridError> {
-    parse_worker_line_telemetry(line).map(|(job, value, ims, _)| (job, value, ims))
-}
-
-/// Decodes a worker line including its optional telemetry: `None` when
-/// the line came from a telemetry-off worker (both spellings stay
-/// parseable so mixed fleets interoperate).
-///
-/// # Errors
-///
-/// A [`GridError`] describing the malformed field — including a
-/// present-but-corrupt telemetry payload, which must not silently
-/// vanish from service aggregates.
-pub fn parse_worker_line_telemetry(
-    line: &str,
-) -> Result<(Job, CellValue, Vec<Digest>, Option<WorkerTelemetry>), GridError> {
-    let json = Json::parse(line).map_err(|e| GridError(e.to_string()))?;
-    let cell = json
-        .get("cell")
-        .ok_or_else(|| GridError("missing field 'cell'".into()))?;
-    let (job, value) = cell_from_json(cell)?;
-    let Some(Json::Arr(items)) = json.get("ims") else {
-        return Err(GridError("missing or non-array field 'ims'".into()));
-    };
-    let mut ims = Vec::with_capacity(items.len());
-    for item in items {
-        let d = item
-            .as_str()
-            .and_then(Digest::from_hex)
-            .ok_or_else(|| GridError("field 'ims' holds a non-digest entry".into()))?;
-        ims.push(d);
-    }
-    let telemetry = match (json.get("wall_nanos"), json.get("telemetry")) {
-        (None, None) => None,
-        (Some(wall), Some(text)) => {
-            let wall_nanos = wall
-                .as_u64()
-                .ok_or_else(|| GridError("non-integer field 'wall_nanos'".into()))?;
-            let encoded = text
-                .as_str()
-                .ok_or_else(|| GridError("non-string field 'telemetry'".into()))?;
-            let registry = schematic_obs::codec::parse(encoded)
-                .map_err(|e| GridError(format!("bad telemetry payload: {e}")))?;
-            Some(WorkerTelemetry {
-                wall_nanos,
-                registry,
-            })
-        }
-        _ => {
-            return Err(GridError(
-                "fields 'wall_nanos' and 'telemetry' must appear together".into(),
-            ))
-        }
-    };
-    Ok((job, value, ims, telemetry))
 }
 
 #[cfg(test)]
@@ -651,12 +512,12 @@ mod tests {
         let _ = fs::remove_file(&path);
         let jobs = quick_jobs();
         let mut cache = CellCache::open(&path);
-        let (cold, s1) = compute_cached(&jobs, Some(&mut cache), false, &|_, _| {}).unwrap();
+        let (cold, s1) = compute_cached(&jobs, Some(&mut cache), false).unwrap();
         assert_eq!((s1.hits, s1.computed), (0, jobs.len()));
         // Reopen from disk: everything must hit, and byte-identically.
         let mut cache = CellCache::open(&path);
-        assert_eq!(cache.len(), (jobs.len(), jobs.len()));
-        let (warm, s2) = compute_cached(&jobs, Some(&mut cache), false, &|_, _| {}).unwrap();
+        assert_eq!(cache.len(), jobs.len());
+        let (warm, s2) = compute_cached(&jobs, Some(&mut cache), false).unwrap();
         assert_eq!((s2.hits, s2.computed), (jobs.len(), 0));
         assert_eq!(cold.to_jsonl(), warm.to_jsonl());
         let _ = fs::remove_file(&path);
@@ -668,24 +529,29 @@ mod tests {
         let _ = fs::remove_file(&path);
         let jobs = quick_jobs();
         let mut cache = CellCache::open(&path);
-        let (cold, _) = compute_cached(&jobs, Some(&mut cache), false, &|_, _| {}).unwrap();
-        // Simulate an edited benchmark: the victim's memo now names a
-        // compile output that has no cached cell.
+        let (cold, _) = compute_cached(&jobs, Some(&mut cache), false).unwrap();
+        // Simulate an edited benchmark: the victim's record now names
+        // compiled programs its cell key was not derived from.
         let table = CostTable::msp430fr5969();
         let victim = &jobs[3];
-        let src = SourceDigests::new().digest(&victim.benchmark);
-        cache.memo_put(
-            memo_key(victim, &table, src),
-            vec![Digest {
-                hi: 0xDEAD,
-                lo: 0xBEEF,
-            }],
+        let (value, ims) = evaluate_traced(victim, &table);
+        let mut poisoned = keyed_line(
+            victim.clone(),
+            value,
+            ims,
+            &table,
+            &mut SourceDigests::new(),
         );
-        let (warm, stats) = compute_cached(&jobs, Some(&mut cache), false, &|_, _| {}).unwrap();
+        poisoned.ims = Some(vec![Digest {
+            hi: 0xDEAD,
+            lo: 0xBEEF,
+        }]);
+        cache.put([poisoned]);
+        let (warm, stats) = compute_cached(&jobs, Some(&mut cache), false).unwrap();
         assert_eq!((stats.hits, stats.computed), (jobs.len() - 1, 1));
         // The recompute repairs the memo and reproduces the value.
         assert_eq!(cold.to_jsonl(), warm.to_jsonl());
-        let (_, healed) = compute_cached(&jobs, Some(&mut cache), false, &|_, _| {}).unwrap();
+        let (_, healed) = compute_cached(&jobs, Some(&mut cache), false).unwrap();
         assert_eq!((healed.hits, healed.computed), (jobs.len(), 0));
         let _ = fs::remove_file(&path);
     }
@@ -696,8 +562,8 @@ mod tests {
         let _ = fs::remove_file(&path);
         let jobs = quick_jobs();
         let mut cache = CellCache::open(&path);
-        compute_cached(&jobs, Some(&mut cache), false, &|_, _| {}).unwrap();
-        let (_, stats) = compute_cached(&jobs, Some(&mut cache), true, &|_, _| {}).unwrap();
+        compute_cached(&jobs, Some(&mut cache), false).unwrap();
+        let (_, stats) = compute_cached(&jobs, Some(&mut cache), true).unwrap();
         assert_eq!(stats.hits, jobs.len());
         let _ = fs::remove_file(&path);
     }
@@ -708,7 +574,7 @@ mod tests {
         let _ = fs::remove_file(&path);
         let jobs = quick_jobs();
         let mut cache = CellCache::open(&path);
-        compute_cached(&jobs, Some(&mut cache), false, &|_, _| {}).unwrap();
+        compute_cached(&jobs, Some(&mut cache), false).unwrap();
         let live = cache.len();
         // A crashed writer's torn tail, garbage, and a foreign schema.
         let mut f = fs::OpenOptions::new().append(true).open(&path).unwrap();
@@ -717,52 +583,57 @@ mod tests {
         drop(f);
         let cache = CellCache::open(&path);
         assert_eq!(cache.len(), live);
-        // 3 dead lines > (live/2 is 4 for 8 live... ) — force-check the
-        // compaction path explicitly instead of relying on the ratio.
+        // Force-check the compaction path explicitly instead of relying
+        // on the ratio.
         let mut cache = cache;
         cache.compact().unwrap();
         let text = fs::read_to_string(&path).unwrap();
-        assert_eq!(text.lines().count(), live.0 + live.1);
+        // One keyed line per record.
+        assert_eq!(text.lines().count(), live);
         assert_eq!(CellCache::open(&path).len(), live);
         let _ = fs::remove_file(&path);
     }
 
     #[test]
-    fn worker_line_roundtrips() {
-        let job = Job::run("Schematic", "crc", 10_000);
-        let value = CellValue::Run {
-            outcome: None,
-            reason: Some("no sound placement: x".into()),
-        };
-        let ims = vec![Digest { hi: 5, lo: 6 }];
-        let line = worker_line(&job, &value, &ims);
-        let (j2, v2, i2) = parse_worker_line(&line).unwrap();
-        assert_eq!((j2, v2, i2), (job.clone(), value.clone(), ims.clone()));
-        // A plain line carries no telemetry.
-        let (_, _, _, t) = parse_worker_line_telemetry(&line).unwrap();
-        assert!(t.is_none());
-        assert!(parse_worker_line("garbage").is_err());
-        assert!(parse_worker_line("{\"cell\":{}}").is_err());
+    fn cell_lines_it_did_not_write_survive_compaction() {
+        // A plain artifact (a `fetch` download, or a shard artifact of an
+        // older layout) with a trace line, used as the cache file.
+        let path = tmp("artifact.jsonl");
+        let jobs = quick_jobs();
+        let mut artifact = CellStore::compute(&jobs).to_jsonl();
+        artifact.push_str("{\"spill\":{\"job\":\"bare/-/crc/0\",\"seq\":0,\"events\":[]}}\n");
+        fs::write(&path, &artifact).unwrap();
+        let mut cache = CellCache::open(&path);
+        compute_cached(&jobs, Some(&mut cache), false).unwrap();
+        // Enough torn lines to make compaction due, then an explicit
+        // compaction too: neither may drop a line of the artifact.
+        let mut f = fs::OpenOptions::new().append(true).open(&path).unwrap();
+        f.write_all(&b"{\"torn\n".repeat(3 * jobs.len())).unwrap();
+        drop(f);
+        let mut cache = CellCache::open(&path);
+        cache.compact().unwrap();
+        let text = fs::read_to_string(&path).unwrap();
+        for line in artifact.lines() {
+            assert!(text.lines().any(|l| l == line), "lost {line}");
+        }
+        assert!(!text.contains("torn"), "dead lines compacted away");
+        let _ = fs::remove_file(&path);
+    }
 
-        // The telemetry spelling round-trips registry and wall time.
-        let mut registry = schematic_obs::Registry::default();
-        registry.record_span("cell/compile", 1234);
-        registry.record_span(&format!("job/{job}"), 5678);
-        *registry.counters.entry("cells".into()).or_default() += 1;
-        let telemetry = WorkerTelemetry {
-            wall_nanos: 5678,
-            registry,
-        };
-        let line = worker_line_telemetry(&job, &value, &ims, &telemetry);
-        let (j2, v2, i2, t2) = parse_worker_line_telemetry(&line).unwrap();
-        assert_eq!((j2, v2, i2), (job, value, ims));
-        assert_eq!(t2, Some(telemetry));
-        // The telemetry-blind parser still folds the cell.
-        assert!(parse_worker_line(&line).is_ok());
-        // A corrupt telemetry payload is an error, not a silent drop.
-        assert!(parse_worker_line_telemetry(
-            &line.replace("\\\"t\\\":\\\"reg\\\"", "\\\"t\\\":\\\"wat\\\"")
-        )
-        .is_err());
+    #[test]
+    fn a_non_utf8_line_costs_one_dead_line_not_the_cache() {
+        let path = tmp("binary.jsonl");
+        let _ = fs::remove_file(&path);
+        let jobs = quick_jobs();
+        let mut cache = CellCache::open(&path);
+        compute_cached(&jobs, Some(&mut cache), false).unwrap();
+        let mut f = fs::OpenOptions::new().append(true).open(&path).unwrap();
+        f.write_all(b"\xff\xfe not text\n").unwrap();
+        drop(f);
+        let mut cache = CellCache::open(&path);
+        assert_eq!(cache.len(), jobs.len());
+        let (_, stats) = compute_cached(&jobs, Some(&mut cache), false).unwrap();
+        assert_eq!((stats.hits, stats.computed), (jobs.len(), 0));
+        let _ = fs::remove_file(&path);
     }
 }

@@ -11,12 +11,11 @@
 //!    for multi-process (or multi-host) runs.
 //! 2. **Compute layer** — [`CellStore::compute`] evaluates jobs into
 //!    cell values exactly once, fanning out over
-//!    [`crate::parallel::par_map`]; [`CellStore::to_jsonl`] /
-//!    [`CellStore::from_jsonl`] serialize cells to a line-oriented JSON
-//!    artifact (one cell per line, hand-rolled in [`crate::json`] — the
-//!    build is offline) so shards can move between processes and hosts
-//!    as plain files, and [`CellStore::merge_from`] folds them back
-//!    deterministically (duplicate cells must agree, conflicts are
+//!    [`crate::parallel::par_map`]. A cell crosses processes as one
+//!    [`CellLine`] — the shape of artifact lines, cache records, worker
+//!    answers and `fetch` cells alike — so shards move between processes
+//!    and hosts as plain files, and [`CellStore::merge_from`] folds them
+//!    back deterministically (duplicate cells must agree, conflicts are
 //!    errors).
 //! 3. **Render layer** — the report functions in
 //!    [`crate::experiments`] are pure functions from a store to
@@ -37,6 +36,7 @@ use schematic_core::{compile, SchematicConfig};
 use schematic_emu::{InstrumentedModule, Machine, Metrics, PowerModel, RunConfig, RunStatus};
 use schematic_energy::CostTable;
 use schematic_ir::hash::Digest;
+use schematic_obs::json::{write_str, write_u64, JsonError, Reader};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -587,26 +587,8 @@ impl CellStore {
     /// store. Each job is computed once; results are independent of
     /// worker count and job order.
     pub fn compute(jobs: &[Job]) -> CellStore {
-        CellStore::compute_with_progress(jobs, &|_, _| {})
-    }
-
-    /// Like [`CellStore::compute`], additionally calling
-    /// `progress(done, total)` after each completed cell. The callback
-    /// runs on worker threads (hence `Sync`) and completion order is
-    /// nondeterministic, but `done` is a monotone global count.
-    pub fn compute_with_progress(
-        jobs: &[Job],
-        progress: &(impl Fn(usize, usize) + Sync),
-    ) -> CellStore {
-        use std::sync::atomic::{AtomicUsize, Ordering};
         let table = CostTable::msp430fr5969();
-        let total = jobs.len();
-        let done = AtomicUsize::new(0);
-        let values = par_map(jobs, |job| {
-            let value = evaluate(job, &table);
-            progress(done.fetch_add(1, Ordering::Relaxed) + 1, total);
-            value
-        });
+        let values = par_map(jobs, |job| evaluate(job, &table));
         let mut store = CellStore::new();
         for (job, value) in jobs.iter().zip(values) {
             store
@@ -710,14 +692,16 @@ impl CellStore {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for (job, value) in self.iter() {
-            out.push_str(&cell_to_json(job, value).encode());
+            write_cell(&mut out, job, value);
             out.push('\n');
         }
         out
     }
 
-    /// Parses a JSONL artifact produced by [`CellStore::to_jsonl`]
-    /// (blank lines tolerated), applying the merge duplicate rules.
+    /// Reads the cells of a file of cell lines — an artifact of
+    /// [`CellStore::to_jsonl`], a shard artifact or a cache file (blank
+    /// lines tolerated) — applying the merge duplicate rules. Whatever
+    /// else a line carries is ignored.
     ///
     /// # Errors
     ///
@@ -729,11 +713,9 @@ impl CellStore {
             if line.trim().is_empty() {
                 continue;
             }
-            let json =
-                Json::parse(line).map_err(|e| GridError(format!("line {}: {e}", lineno + 1)))?;
-            let (job, value) = cell_from_json(&json)
+            let line = CellLine::parse(line)
                 .map_err(|e| GridError(format!("line {}: {e}", lineno + 1)))?;
-            store.insert(job, value)?;
+            store.insert(line.job, line.value)?;
         }
         Ok(store)
     }
@@ -1112,307 +1094,549 @@ fn evaluate_shadow(job: &Job, table: &CostTable) -> (CellValue, Vec<Digest>) {
 }
 
 // ---------------------------------------------------------------------
-// Artifact codec
+// Cell line codec
 // ---------------------------------------------------------------------
+//
+// Every cell that leaves a process is one line: shard artifacts, cache
+// records, worker answers and the cells of a `fetch` frame. A line is
+// written straight into a `String` and read back by walking a `Reader`
+// (both `schematic_obs::json`), with no value tree in between:
+//
+//   {"kind":K,"technique":T,"benchmark":B,"tbpf":N|"scenario":S,
+//    "value":{…}[,"ims":[HEX…]][,"schema":V,"memo_key":HEX,"cell_key":HEX]
+//    [,"wall_nanos":N,"telemetry":STR]}
+//
+// A plain line stops after `value`. Periodic jobs keep the legacy
+// numeric `tbpf` member; other scenarios spell themselves in
+// `scenario`. Readers take members in any order and skip unknown ones.
 
-pub(crate) fn obj(pairs: Vec<(&str, Json)>) -> Json {
-    Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+/// The cache keys a keyed line is filed under (see [`crate::cache`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CellKeys {
+    /// The [`crate::cache::KEY_SCHEMA_VERSION`] they were derived under.
+    pub schema: u64,
+    /// [`crate::cache::memo_key`]: the compile inputs.
+    pub memo: Digest,
+    /// [`crate::cache::cell_key`]: the evaluation inputs.
+    pub cell: Digest,
 }
 
-fn opt_str(v: &Option<String>) -> Json {
-    match v {
-        Some(s) => Json::Str(s.clone()),
-        None => Json::Null,
+/// Per-job telemetry a worker attaches to its line: the job's
+/// wall-clock nanoseconds plus everything the job's [`schematic_obs`]
+/// capture recorded (phase spans, counters, events).
+#[derive(Debug, Clone, PartialEq)]
+pub struct WorkerTelemetry {
+    /// Wall-clock nanoseconds the worker spent evaluating the job.
+    pub wall_nanos: u64,
+    /// The job's captured observation registry.
+    pub registry: schematic_obs::Registry,
+}
+
+/// One cell line: a job and its value, plus what travels with it. A
+/// shard artifact or cache record is a *keyed* line (`ims` and `keys`
+/// set); a worker answers with `ims` and `telemetry`; `fetch` and
+/// [`CellStore::to_jsonl`] write plain lines.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CellLine {
+    /// The grid key.
+    pub job: Job,
+    /// The computed value.
+    pub value: CellValue,
+    /// The stable digests of the programs the kernel compiled, in
+    /// kernel order ([`evaluate_traced`]).
+    pub ims: Option<Vec<Digest>>,
+    /// The cache keys, when the line is a cache record.
+    pub keys: Option<CellKeys>,
+    /// A worker's per-job telemetry.
+    pub telemetry: Option<WorkerTelemetry>,
+}
+
+impl CellLine {
+    /// A line carrying only the cell.
+    pub fn plain(job: Job, value: CellValue) -> CellLine {
+        CellLine {
+            job,
+            value,
+            ims: None,
+            keys: None,
+            telemetry: None,
+        }
+    }
+
+    /// Appends the line, without a newline.
+    pub fn write(&self, out: &mut String) {
+        write_cell_members(out, &self.job, &self.value);
+        if let Some(ims) = &self.ims {
+            out.push_str(",\"ims\":[");
+            for (i, d) in ims.iter().enumerate() {
+                put_str(out, if i == 0 { "" } else { "," }, &d.to_hex());
+            }
+            out.push(']');
+        }
+        if let Some(keys) = &self.keys {
+            put_u64(out, ",\"schema\":", keys.schema);
+            put_str(out, ",\"memo_key\":", &keys.memo.to_hex());
+            put_str(out, ",\"cell_key\":", &keys.cell.to_hex());
+        }
+        if let Some(t) = &self.telemetry {
+            put_u64(out, ",\"wall_nanos\":", t.wall_nanos);
+            let registry = schematic_obs::codec::encode(&t.registry);
+            put_str(out, ",\"telemetry\":", &registry);
+        }
+        out.push('}');
+    }
+
+    /// Decodes one line (surrounding whitespace allowed).
+    ///
+    /// # Errors
+    ///
+    /// A [`GridError`] naming the malformed or missing member and its
+    /// byte offset — a present but corrupt telemetry payload included,
+    /// so it never silently vanishes from service aggregates.
+    pub fn parse(text: &str) -> Result<CellLine, GridError> {
+        read_line(text).map_err(|e| GridError(e.to_string()))
     }
 }
 
-/// Encodes one cell as a JSON object (one artifact line).
-pub fn cell_to_json(job: &Job, value: &CellValue) -> Json {
-    let value_json = match value {
-        CellValue::Support(supported) => obj(vec![("supported", Json::Bool(*supported))]),
-        CellValue::Bare { cycles, data_bytes } => obj(vec![
-            ("cycles", Json::UInt(*cycles)),
-            ("data_bytes", Json::UInt(*data_bytes)),
-        ]),
+/// Appends the plain line of one cell, without a newline.
+pub fn write_cell(out: &mut String, job: &Job, value: &CellValue) {
+    write_cell_members(out, job, value);
+    out.push('}');
+}
+
+/// Decodes a cell from a parsed [`Json`] tree by re-encoding it for
+/// [`CellLine::parse`]. Only perfbench's `fetch` decode still holds a
+/// tree; delete this once it moves to [`CellLine::parse`] (the ROADMAP
+/// perf-gate item).
+///
+/// # Errors
+///
+/// As [`CellLine::parse`].
+pub fn cell_from_json(json: &Json) -> Result<(Job, CellValue), GridError> {
+    CellLine::parse(&json.encode()).map(|line| (line.job, line.value))
+}
+
+/// Appends a job's members — `"kind"`, `"technique"`, `"benchmark"` and
+/// then `"tbpf"` (periodic) or `"scenario"` — with no braces around
+/// them: a cell line holds them at its top level, a trace line in its
+/// `job` object.
+pub(crate) fn write_job(out: &mut String, job: &Job) {
+    put_str(out, "\"kind\":", job.kind.name());
+    put_str(out, ",\"technique\":", &job.technique);
+    put_str(out, ",\"benchmark\":", &job.benchmark);
+    match &job.scenario {
+        Scenario::Periodic { tbpf } => put_u64(out, ",\"tbpf\":", *tbpf),
+        other => put_str(out, ",\"scenario\":", &other.to_string()),
+    }
+}
+
+/// Reads a job object written as `{` [`write_job`] `}`.
+pub(crate) fn read_job(r: &mut Reader) -> Result<Job, JsonError> {
+    let mut job = JobMembers::default();
+    r.object(|r, key| {
+        if !job.read(r, &key)? {
+            r.skip()?;
+        }
+        Ok(())
+    })?;
+    job.finish(r)
+}
+
+/// A line up to and including its `value` member, object left open.
+/// Each `put_*` call writes the literal text before a value (member
+/// separator and key), then the value.
+fn write_cell_members(out: &mut String, job: &Job, value: &CellValue) {
+    out.push('{');
+    write_job(out, job);
+    out.push_str(",\"value\":");
+    match value {
+        CellValue::Support(supported) => put_bool(out, "{\"supported\":", *supported),
+        CellValue::Bare { cycles, data_bytes } => {
+            put_u64(out, "{\"cycles\":", *cycles);
+            put_u64(out, ",\"data_bytes\":", *data_bytes);
+        }
         CellValue::Run { outcome, reason } => {
-            let outcome_json = match outcome {
-                Some(o) => obj(vec![
-                    ("status", Json::Str(status_name(o.status).into())),
-                    ("correct", Json::Bool(o.correct)),
-                    ("metrics", metrics_to_json(&o.metrics)),
-                ]),
-                None => Json::Null,
-            };
-            obj(vec![("outcome", outcome_json), ("reason", opt_str(reason))])
+            put_opt(out, "{\"outcome\":", outcome.as_ref(), |out, o| {
+                let (_, status) = STATUSES
+                    .iter()
+                    .find(|(s, _)| *s == o.status)
+                    .expect("listed");
+                put_str(out, "{\"status\":", status);
+                put_bool(out, ",\"correct\":", o.correct);
+                out.push_str(",\"metrics\":");
+                write_metrics(out, &o.metrics);
+                out.push('}');
+            });
+            put_opt(out, ",\"reason\":", reason.as_deref(), write_str);
         }
         CellValue::Measured { metrics, note } => {
-            let metrics_json = match metrics {
-                Some(m) => metrics_to_json(m),
-                None => Json::Null,
-            };
-            obj(vec![("metrics", metrics_json), ("note", opt_str(note))])
+            put_opt(out, "{\"metrics\":", metrics.as_ref(), write_metrics);
+            put_opt(out, ",\"note\":", note.as_deref(), write_str);
         }
         CellValue::Retentive {
             deep_pj,
             retentive_pj,
-        } => obj(vec![
-            ("deep_pj", Json::UInt(*deep_pj)),
-            ("retentive_pj", Json::UInt(*retentive_pj)),
-        ]),
+        } => {
+            put_u64(out, "{\"deep_pj\":", *deep_pj);
+            put_u64(out, ",\"retentive_pj\":", *retentive_pj);
+        }
         CellValue::Sound { counts, note } => {
-            let counts_json = match counts {
-                Some(c) => obj(vec![
-                    ("regions", Json::UInt(c.regions)),
-                    ("idempotent", Json::UInt(c.idempotent)),
-                    ("war_free", Json::UInt(c.war_free)),
-                    ("shielded", Json::UInt(c.shielded)),
-                    ("hazardous", Json::UInt(c.hazardous)),
-                    ("placement_sound", Json::Bool(c.placement_sound)),
-                ]),
-                None => Json::Null,
-            };
-            obj(vec![("counts", counts_json), ("note", opt_str(note))])
+            put_opt(out, "{\"counts\":", counts.as_ref(), |out, c| {
+                put_u64(out, "{\"regions\":", c.regions);
+                put_u64(out, ",\"idempotent\":", c.idempotent);
+                put_u64(out, ",\"war_free\":", c.war_free);
+                put_u64(out, ",\"shielded\":", c.shielded);
+                put_u64(out, ",\"hazardous\":", c.hazardous);
+                put_bool(out, ",\"placement_sound\":", c.placement_sound);
+                out.push('}');
+            });
+            put_opt(out, ",\"note\":", note.as_deref(), write_str);
         }
         CellValue::Shadow {
             observed,
             unpredicted,
-        } => obj(vec![
-            (
-                "observed",
-                match observed {
-                    Some(n) => Json::UInt(*n),
-                    None => Json::Null,
-                },
-            ),
-            ("unpredicted", Json::UInt(*unpredicted)),
-        ]),
-    };
-    let mut fields = vec![
-        ("kind", Json::Str(job.kind.name().into())),
-        ("technique", Json::Str(job.technique.clone())),
-        ("benchmark", Json::Str(job.benchmark.clone())),
-    ];
-    // Periodic cells keep the legacy numeric `tbpf` field (artifact
-    // lines stay byte-identical); other scenarios carry their key
-    // spelling in a `scenario` string.
-    match &job.scenario {
-        Scenario::Periodic { tbpf } => fields.push(("tbpf", Json::UInt(*tbpf))),
-        other => fields.push(("scenario", Json::Str(other.to_string()))),
+        } => {
+            put_opt(out, "{\"observed\":", *observed, write_u64);
+            put_u64(out, ",\"unpredicted\":", *unpredicted);
+        }
     }
-    fields.push(("value", value_json));
-    obj(fields)
+    out.push('}');
 }
 
-/// Decodes one artifact line back into a cell.
-///
-/// # Errors
-///
-/// A [`GridError`] describing the missing or mistyped field.
-pub fn cell_from_json(json: &Json) -> Result<(Job, CellValue), GridError> {
-    let kind_name = str_field(json, "kind")?;
-    let kind = JobKind::from_name(&kind_name)
-        .ok_or_else(|| GridError(format!("unknown cell kind '{kind_name}'")))?;
-    let scenario = match json.get("scenario") {
-        Some(Json::Str(s)) => Scenario::parse(s).map_err(GridError)?,
-        Some(_) => return Err(GridError("field 'scenario' is not a string".into())),
-        None => Scenario::periodic(u64_field(json, "tbpf")?),
-    };
-    let job = Job {
-        kind,
-        technique: str_field(json, "technique")?,
-        benchmark: str_field(json, "benchmark")?,
-        scenario,
-    };
-    let value_json = json
-        .get("value")
-        .ok_or_else(|| GridError("missing field 'value'".into()))?;
-    let value = match kind {
-        JobKind::Support => CellValue::Support(bool_field(value_json, "supported")?),
-        JobKind::Bare => CellValue::Bare {
-            cycles: u64_field(value_json, "cycles")?,
-            data_bytes: u64_field(value_json, "data_bytes")?,
-        },
-        JobKind::Run => {
-            let outcome = match value_json.get("outcome") {
-                None | Some(Json::Null) => None,
-                Some(o) => Some(CellOutcome {
-                    status: status_from_name(&str_field(o, "status")?)?,
-                    correct: bool_field(o, "correct")?,
-                    metrics: metrics_from_json(
-                        o.get("metrics")
-                            .ok_or_else(|| GridError("missing field 'metrics'".into()))?,
-                    )?,
-                }),
-            };
-            CellValue::Run {
-                outcome,
-                reason: opt_str_field(value_json, "reason")?,
+fn put_u64(out: &mut String, prefix: &str, n: u64) {
+    out.push_str(prefix);
+    write_u64(out, n);
+}
+
+fn put_str(out: &mut String, prefix: &str, s: &str) {
+    out.push_str(prefix);
+    write_str(out, s);
+}
+
+fn put_bool(out: &mut String, prefix: &str, b: bool) {
+    out.push_str(prefix);
+    out.push_str(if b { "true" } else { "false" });
+}
+
+/// `prefix`, then `null` or the value `write` appends.
+fn put_opt<T>(out: &mut String, prefix: &str, v: Option<T>, write: impl FnOnce(&mut String, T)) {
+    out.push_str(prefix);
+    match v {
+        Some(v) => write(out, v),
+        None => out.push_str("null"),
+    }
+}
+
+fn write_metrics(out: &mut String, m: &Metrics) {
+    for (i, (name, get, _)) in METRIC_FIELDS.iter().enumerate() {
+        put_str(out, if i == 0 { "{" } else { "," }, name);
+        put_u64(out, ":", get(m));
+    }
+    out.push('}');
+}
+
+/// The job members of an object, gathered in any order.
+#[derive(Default)]
+struct JobMembers {
+    kind: Option<JobKind>,
+    technique: Option<String>,
+    benchmark: Option<String>,
+    tbpf: Option<u64>,
+    scenario: Option<Scenario>,
+}
+
+impl JobMembers {
+    /// Reads member `key` when it is a job member; `false` (nothing
+    /// consumed) otherwise.
+    fn read(&mut self, r: &mut Reader, key: &str) -> Result<bool, JsonError> {
+        match key {
+            "kind" => {
+                let name = r.str()?;
+                let kind = JobKind::from_name(&name)
+                    .ok_or_else(|| r.err(format!("unknown cell kind '{name}'")))?;
+                self.kind = Some(kind);
             }
-        }
-        JobKind::Fig7 | JobKind::Ablation => {
-            let metrics = match value_json.get("metrics") {
-                None | Some(Json::Null) => None,
-                Some(m) => Some(metrics_from_json(m)?),
-            };
-            CellValue::Measured {
-                metrics,
-                note: opt_str_field(value_json, "note")?,
+            "technique" => self.technique = Some(r.str()?.into_owned()),
+            "benchmark" => self.benchmark = Some(r.str()?.into_owned()),
+            "tbpf" => self.tbpf = Some(r.u64()?),
+            "scenario" => {
+                let spelling = r.str()?;
+                self.scenario = Some(Scenario::parse(&spelling).map_err(|e| r.err(e))?);
             }
+            _ => return Ok(false),
         }
-        JobKind::Retentive => CellValue::Retentive {
-            deep_pj: u64_field(value_json, "deep_pj")?,
-            retentive_pj: u64_field(value_json, "retentive_pj")?,
-        },
-        JobKind::Sound => {
-            let counts = match value_json.get("counts") {
-                None | Some(Json::Null) => None,
-                Some(c) => Some(SoundCounts {
-                    regions: u64_field(c, "regions")?,
-                    idempotent: u64_field(c, "idempotent")?,
-                    war_free: u64_field(c, "war_free")?,
-                    shielded: u64_field(c, "shielded")?,
-                    hazardous: u64_field(c, "hazardous")?,
-                    placement_sound: bool_field(c, "placement_sound")?,
-                }),
-            };
-            CellValue::Sound {
-                counts,
-                note: opt_str_field(value_json, "note")?,
+        Ok(true)
+    }
+
+    fn finish(self, r: &Reader) -> Result<Job, JsonError> {
+        let scenario = match self.scenario {
+            Some(s) => s,
+            None => Scenario::periodic(r.need(self.tbpf, "tbpf")?),
+        };
+        Ok(Job {
+            kind: r.need(self.kind, "kind")?,
+            technique: r.need(self.technique, "technique")?,
+            benchmark: r.need(self.benchmark, "benchmark")?,
+            scenario,
+        })
+    }
+}
+
+/// The members of a `value` object. Member names are unique across the
+/// kinds, so one pass gathers them before the job's kind (which may come
+/// later in the line) picks the variant; a `null` reads as absent.
+#[derive(Default)]
+struct ValueMembers {
+    supported: Option<bool>,
+    cycles: Option<u64>,
+    data_bytes: Option<u64>,
+    outcome: Option<CellOutcome>,
+    reason: Option<String>,
+    metrics: Option<Metrics>,
+    note: Option<String>,
+    deep_pj: Option<u64>,
+    retentive_pj: Option<u64>,
+    counts: Option<SoundCounts>,
+    observed: Option<u64>,
+    unpredicted: Option<u64>,
+}
+
+impl ValueMembers {
+    fn read(r: &mut Reader) -> Result<ValueMembers, JsonError> {
+        let mut v = ValueMembers::default();
+        r.object(|r, key| {
+            match &*key {
+                "supported" => v.supported = Some(r.bool()?),
+                "cycles" => v.cycles = Some(r.u64()?),
+                "data_bytes" => v.data_bytes = Some(r.u64()?),
+                "outcome" => v.outcome = nullable(r, read_outcome)?,
+                "reason" => v.reason = nullable(r, |r| Ok(r.str()?.into_owned()))?,
+                "metrics" => v.metrics = nullable(r, read_metrics)?,
+                "note" => v.note = nullable(r, |r| Ok(r.str()?.into_owned()))?,
+                "deep_pj" => v.deep_pj = Some(r.u64()?),
+                "retentive_pj" => v.retentive_pj = Some(r.u64()?),
+                "counts" => v.counts = nullable(r, read_counts)?,
+                "observed" => v.observed = nullable(r, Reader::u64)?,
+                "unpredicted" => v.unpredicted = Some(r.u64()?),
+                _ => r.skip()?,
             }
-        }
-        JobKind::Shadow => CellValue::Shadow {
-            observed: match value_json.get("observed") {
-                None | Some(Json::Null) => None,
-                Some(v) => Some(v.as_u64().ok_or_else(|| {
-                    GridError("field 'observed' is not an unsigned integer".into())
-                })?),
+            Ok(())
+        })?;
+        Ok(v)
+    }
+
+    fn into_value(self, kind: JobKind, r: &Reader) -> Result<CellValue, JsonError> {
+        Ok(match kind {
+            JobKind::Support => CellValue::Support(r.need(self.supported, "supported")?),
+            JobKind::Bare => CellValue::Bare {
+                cycles: r.need(self.cycles, "cycles")?,
+                data_bytes: r.need(self.data_bytes, "data_bytes")?,
             },
-            unpredicted: u64_field(value_json, "unpredicted")?,
-        },
-    };
-    Ok((job, value))
-}
-
-fn status_name(status: RunStatus) -> &'static str {
-    match status {
-        RunStatus::Completed => "completed",
-        RunStatus::Livelock => "livelock",
-        RunStatus::CycleLimit => "cycle_limit",
-        RunStatus::FailureLimit => "failure_limit",
+            JobKind::Run => CellValue::Run {
+                outcome: self.outcome,
+                reason: self.reason,
+            },
+            JobKind::Fig7 | JobKind::Ablation => CellValue::Measured {
+                metrics: self.metrics,
+                note: self.note,
+            },
+            JobKind::Retentive => CellValue::Retentive {
+                deep_pj: r.need(self.deep_pj, "deep_pj")?,
+                retentive_pj: r.need(self.retentive_pj, "retentive_pj")?,
+            },
+            JobKind::Sound => CellValue::Sound {
+                counts: self.counts,
+                note: self.note,
+            },
+            JobKind::Shadow => CellValue::Shadow {
+                observed: self.observed,
+                unpredicted: r.need(self.unpredicted, "unpredicted")?,
+            },
+        })
     }
 }
 
-fn status_from_name(name: &str) -> Result<RunStatus, GridError> {
-    Ok(match name {
-        "completed" => RunStatus::Completed,
-        "livelock" => RunStatus::Livelock,
-        "cycle_limit" => RunStatus::CycleLimit,
-        "failure_limit" => RunStatus::FailureLimit,
-        other => return Err(GridError(format!("unknown run status '{other}'"))),
+/// `None` for `null`, otherwise the value `read` decodes.
+fn nullable<'a, T>(
+    r: &mut Reader<'a>,
+    read: impl FnOnce(&mut Reader<'a>) -> Result<T, JsonError>,
+) -> Result<Option<T>, JsonError> {
+    if r.peek() == Some(b'n') {
+        r.null()?;
+        Ok(None)
+    } else {
+        read(r).map(Some)
+    }
+}
+
+fn read_outcome(r: &mut Reader) -> Result<CellOutcome, JsonError> {
+    let (mut status, mut correct, mut metrics) = (None, None, None);
+    r.object(|r, key| {
+        match &*key {
+            "status" => {
+                let name = r.str()?;
+                let found = STATUSES.iter().find(|(_, n)| *n == name);
+                let found = found.ok_or_else(|| r.err(format!("unknown run status '{name}'")))?;
+                status = Some(found.0);
+            }
+            "correct" => correct = Some(r.bool()?),
+            "metrics" => metrics = Some(read_metrics(r)?),
+            _ => r.skip()?,
+        }
+        Ok(())
+    })?;
+    Ok(CellOutcome {
+        status: r.need(status, "status")?,
+        correct: r.need(correct, "correct")?,
+        metrics: r.need(metrics, "metrics")?,
     })
 }
 
-fn str_field(json: &Json, key: &str) -> Result<String, GridError> {
-    json.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| GridError(format!("missing or non-string field '{key}'")))
+fn read_counts(r: &mut Reader) -> Result<SoundCounts, JsonError> {
+    let mut n = [None; 5];
+    let mut placement_sound = None;
+    r.object(|r, key| {
+        match &*key {
+            "regions" => n[0] = Some(r.u64()?),
+            "idempotent" => n[1] = Some(r.u64()?),
+            "war_free" => n[2] = Some(r.u64()?),
+            "shielded" => n[3] = Some(r.u64()?),
+            "hazardous" => n[4] = Some(r.u64()?),
+            "placement_sound" => placement_sound = Some(r.bool()?),
+            _ => r.skip()?,
+        }
+        Ok(())
+    })?;
+    Ok(SoundCounts {
+        regions: r.need(n[0], "regions")?,
+        idempotent: r.need(n[1], "idempotent")?,
+        war_free: r.need(n[2], "war_free")?,
+        shielded: r.need(n[3], "shielded")?,
+        hazardous: r.need(n[4], "hazardous")?,
+        placement_sound: r.need(placement_sound, "placement_sound")?,
+    })
 }
 
-fn opt_str_field(json: &Json, key: &str) -> Result<Option<String>, GridError> {
-    match json.get(key) {
-        None | Some(Json::Null) => Ok(None),
-        Some(Json::Str(s)) => Ok(Some(s.clone())),
-        Some(_) => Err(GridError(format!("field '{key}' is not a string or null"))),
+fn read_metrics(r: &mut Reader) -> Result<Metrics, JsonError> {
+    let mut m = Metrics::default();
+    let mut seen = [false; METRIC_FIELDS.len()];
+    r.object(|r, key| {
+        match METRIC_FIELDS.iter().position(|(name, ..)| key == *name) {
+            Some(i) => {
+                (METRIC_FIELDS[i].2)(&mut m, r.u64()?);
+                seen[i] = true;
+            }
+            None => r.skip()?,
+        }
+        Ok(())
+    })?;
+    match seen.iter().position(|&seen| !seen) {
+        Some(i) => Err(r.err(format!("missing field '{}'", METRIC_FIELDS[i].0))),
+        None => Ok(m),
     }
 }
 
-fn u64_field(json: &Json, key: &str) -> Result<u64, GridError> {
-    json.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| GridError(format!("missing or non-integer field '{key}'")))
+fn read_digest(r: &mut Reader) -> Result<Digest, JsonError> {
+    let hex = r.str()?;
+    Digest::from_hex(&hex).ok_or_else(|| r.err(format!("'{hex}' is not a digest")))
 }
 
-fn bool_field(json: &Json, key: &str) -> Result<bool, GridError> {
-    json.get(key)
-        .and_then(Json::as_bool)
-        .ok_or_else(|| GridError(format!("missing or non-bool field '{key}'")))
+fn read_line(text: &str) -> Result<CellLine, JsonError> {
+    let mut r = Reader::new(text);
+    let mut job = JobMembers::default();
+    let mut value = None;
+    let mut ims = None;
+    let (mut schema, mut memo, mut cell) = (None, None, None);
+    let (mut wall_nanos, mut telemetry) = (None, None);
+    r.object(|r, key| {
+        if job.read(r, &key)? {
+            return Ok(());
+        }
+        match &*key {
+            "value" => value = Some(ValueMembers::read(r)?),
+            "ims" => ims = Some(r.vec(read_digest)?),
+            "schema" => schema = Some(r.u64()?),
+            "memo_key" => memo = Some(read_digest(r)?),
+            "cell_key" => cell = Some(read_digest(r)?),
+            "wall_nanos" => wall_nanos = Some(r.u64()?),
+            "telemetry" => {
+                let text = r.str()?;
+                let registry = schematic_obs::codec::parse(&text)
+                    .map_err(|e| r.err(format!("bad telemetry payload: {e}")))?;
+                telemetry = Some(registry);
+            }
+            _ => r.skip()?,
+        }
+        Ok(())
+    })?;
+    r.finish()?;
+    let job = job.finish(&r)?;
+    let value = r.need(value, "value")?.into_value(job.kind, &r)?;
+    let keys = match (schema, memo, cell, &ims) {
+        (None, None, None, _) => None,
+        (Some(schema), Some(memo), Some(cell), Some(_)) => Some(CellKeys { schema, memo, cell }),
+        _ => return Err(r.err("keys need 'schema', 'memo_key', 'cell_key' and 'ims'")),
+    };
+    let telemetry = match (wall_nanos, telemetry) {
+        (None, None) => None,
+        (Some(wall_nanos), Some(registry)) => Some(WorkerTelemetry {
+            wall_nanos,
+            registry,
+        }),
+        _ => return Err(r.err("'wall_nanos' and 'telemetry' must appear together")),
+    };
+    Ok(CellLine {
+        job,
+        value,
+        ims,
+        keys,
+        telemetry,
+    })
 }
 
-/// Projects one [`Metrics`] field to its serialized `u64`.
-type MetricGetter = fn(&Metrics) -> u64;
-
-/// `(label, getter)` pairs for every [`Metrics`] field, in struct
-/// order; the single source of truth for the metrics codec.
-const METRIC_FIELDS: [(&str, MetricGetter); 23] = [
-    ("computation_pj", |m| m.computation.as_pj()),
-    ("save_pj", |m| m.save.as_pj()),
-    ("restore_pj", |m| m.restore.as_pj()),
-    ("reexecution_pj", |m| m.reexecution.as_pj()),
-    ("cpu_energy_pj", |m| m.cpu_energy.as_pj()),
-    ("vm_access_energy_pj", |m| m.vm_access_energy.as_pj()),
-    ("nvm_access_energy_pj", |m| m.nvm_access_energy.as_pj()),
-    ("active_cycles", |m| m.active_cycles),
-    ("power_failures", |m| m.power_failures),
-    ("checkpoints_committed", |m| m.checkpoints_committed),
-    ("checkpoints_skipped", |m| m.checkpoints_skipped),
-    ("sleep_events", |m| m.sleep_events),
-    ("restores", |m| m.restores),
-    ("implicit_restores", |m| m.implicit_restores),
-    ("implicit_saves", |m| m.implicit_saves),
-    ("unexpected_failures", |m| m.unexpected_failures),
-    ("vm_reads", |m| m.vm_reads),
-    ("vm_writes", |m| m.vm_writes),
-    ("nvm_reads", |m| m.nvm_reads),
-    ("nvm_writes", |m| m.nvm_writes),
-    ("coherence_violations", |m| m.coherence_violations),
-    ("peak_vm_bytes", |m| m.peak_vm_bytes as u64),
-    ("insts_retired", |m| m.insts_retired),
+/// Every run status with its artifact spelling.
+const STATUSES: [(RunStatus, &str); 4] = [
+    (RunStatus::Completed, "completed"),
+    (RunStatus::Livelock, "livelock"),
+    (RunStatus::CycleLimit, "cycle_limit"),
+    (RunStatus::FailureLimit, "failure_limit"),
 ];
 
-/// Encodes [`Metrics`] field-by-field (all integers — exact).
-pub fn metrics_to_json(m: &Metrics) -> Json {
-    Json::Obj(
-        METRIC_FIELDS
-            .iter()
-            .map(|(name, get)| (name.to_string(), Json::UInt(get(m))))
-            .collect(),
-    )
-}
+/// One serialized [`Metrics`] field: its label, and how to read it out
+/// of and write it into the struct.
+type MetricField = (&'static str, fn(&Metrics) -> u64, fn(&mut Metrics, u64));
 
-/// Inverse of [`metrics_to_json`].
-///
-/// # Errors
-///
-/// A [`GridError`] naming the missing field.
-pub fn metrics_from_json(json: &Json) -> Result<Metrics, GridError> {
-    use schematic_energy::Energy;
-    let f = |key: &str| u64_field(json, key);
-    Ok(Metrics {
-        computation: Energy::from_pj(f("computation_pj")?),
-        save: Energy::from_pj(f("save_pj")?),
-        restore: Energy::from_pj(f("restore_pj")?),
-        reexecution: Energy::from_pj(f("reexecution_pj")?),
-        cpu_energy: Energy::from_pj(f("cpu_energy_pj")?),
-        vm_access_energy: Energy::from_pj(f("vm_access_energy_pj")?),
-        nvm_access_energy: Energy::from_pj(f("nvm_access_energy_pj")?),
-        active_cycles: f("active_cycles")?,
-        power_failures: f("power_failures")?,
-        checkpoints_committed: f("checkpoints_committed")?,
-        checkpoints_skipped: f("checkpoints_skipped")?,
-        sleep_events: f("sleep_events")?,
-        restores: f("restores")?,
-        implicit_restores: f("implicit_restores")?,
-        implicit_saves: f("implicit_saves")?,
-        unexpected_failures: f("unexpected_failures")?,
-        vm_reads: f("vm_reads")?,
-        vm_writes: f("vm_writes")?,
-        nvm_reads: f("nvm_reads")?,
-        nvm_writes: f("nvm_writes")?,
-        coherence_violations: f("coherence_violations")?,
-        peak_vm_bytes: f("peak_vm_bytes")? as usize,
-        insts_retired: f("insts_retired")?,
-    })
+/// Every [`Metrics`] field, in struct order: the metrics codec writes
+/// them in this order and reads them in any. One field per line.
+#[rustfmt::skip]
+const METRIC_FIELDS: [MetricField; 23] = [
+    ("computation_pj", |m| m.computation.as_pj(), |m, n| m.computation = pj(n)),
+    ("save_pj", |m| m.save.as_pj(), |m, n| m.save = pj(n)),
+    ("restore_pj", |m| m.restore.as_pj(), |m, n| m.restore = pj(n)),
+    ("reexecution_pj", |m| m.reexecution.as_pj(), |m, n| m.reexecution = pj(n)),
+    ("cpu_energy_pj", |m| m.cpu_energy.as_pj(), |m, n| m.cpu_energy = pj(n)),
+    ("vm_access_energy_pj", |m| m.vm_access_energy.as_pj(), |m, n| m.vm_access_energy = pj(n)),
+    ("nvm_access_energy_pj", |m| m.nvm_access_energy.as_pj(), |m, n| m.nvm_access_energy = pj(n)),
+    ("active_cycles", |m| m.active_cycles, |m, n| m.active_cycles = n),
+    ("power_failures", |m| m.power_failures, |m, n| m.power_failures = n),
+    ("checkpoints_committed", |m| m.checkpoints_committed, |m, n| m.checkpoints_committed = n),
+    ("checkpoints_skipped", |m| m.checkpoints_skipped, |m, n| m.checkpoints_skipped = n),
+    ("sleep_events", |m| m.sleep_events, |m, n| m.sleep_events = n),
+    ("restores", |m| m.restores, |m, n| m.restores = n),
+    ("implicit_restores", |m| m.implicit_restores, |m, n| m.implicit_restores = n),
+    ("implicit_saves", |m| m.implicit_saves, |m, n| m.implicit_saves = n),
+    ("unexpected_failures", |m| m.unexpected_failures, |m, n| m.unexpected_failures = n),
+    ("vm_reads", |m| m.vm_reads, |m, n| m.vm_reads = n),
+    ("vm_writes", |m| m.vm_writes, |m, n| m.vm_writes = n),
+    ("nvm_reads", |m| m.nvm_reads, |m, n| m.nvm_reads = n),
+    ("nvm_writes", |m| m.nvm_writes, |m, n| m.nvm_writes = n),
+    ("coherence_violations", |m| m.coherence_violations, |m, n| m.coherence_violations = n),
+    ("peak_vm_bytes", |m| m.peak_vm_bytes as u64, |m, n| m.peak_vm_bytes = n as usize),
+    ("insts_retired", |m| m.insts_retired, |m, n| m.insts_retired = n),
+];
+
+fn pj(n: u64) -> schematic_energy::Energy {
+    schematic_energy::Energy::from_pj(n)
 }
 
 #[cfg(test)]
@@ -1514,12 +1738,72 @@ mod tests {
         assert!(CellStore::from_jsonl("{\"kind\":\"nope\"}\n").is_err());
         assert!(CellStore::from_jsonl("not json\n").is_err());
         // Conflicting duplicate across lines.
-        let a = cell_to_json(&Job::support("Schematic", "crc"), &CellValue::Support(true));
-        let b = cell_to_json(
-            &Job::support("Schematic", "crc"),
-            &CellValue::Support(false),
-        );
-        let text = format!("{}\n{}\n", a.encode(), b.encode());
+        let mut text = String::new();
+        for supported in [true, false] {
+            write_cell(
+                &mut text,
+                &Job::support("Schematic", "crc"),
+                &CellValue::Support(supported),
+            );
+            text.push('\n');
+        }
         assert!(CellStore::from_jsonl(&text).is_err());
+    }
+
+    #[test]
+    fn cell_lines_carry_digests_keys_and_telemetry() {
+        let job = Job::run("Schematic", "crc", 10_000);
+        let value = CellValue::Run {
+            outcome: None,
+            reason: Some("no sound placement: x".into()),
+        };
+        let plain = CellLine::plain(job.clone(), value.clone());
+        let mut text = String::new();
+        plain.write(&mut text);
+        let mut artifact = String::new();
+        write_cell(&mut artifact, &job, &value);
+        assert_eq!(text, artifact, "a plain line is the artifact line");
+        assert_eq!(CellLine::parse(&text).unwrap(), plain);
+        assert!(CellLine::parse("garbage").is_err());
+        assert!(CellLine::parse("{\"cell\":{}}").is_err());
+
+        let mut registry = schematic_obs::Registry::default();
+        registry.record_span("cell/compile", 1234);
+        registry.record_span(&format!("job/{job}"), 5678);
+        *registry.counters.entry("cells".into()).or_default() += 1;
+        let digest = |n| Digest { hi: n, lo: n + 1 };
+        let full = CellLine {
+            ims: Some(vec![digest(5), digest(7)]),
+            keys: Some(CellKeys {
+                schema: 3,
+                memo: digest(1),
+                cell: digest(2),
+            }),
+            telemetry: Some(WorkerTelemetry {
+                wall_nanos: 5678,
+                registry,
+            }),
+            ..plain.clone()
+        };
+        text.clear();
+        full.write(&mut text);
+        let open = artifact.strip_suffix('}').unwrap();
+        assert!(text.starts_with(open), "{text}");
+        assert_eq!(CellLine::parse(&text).unwrap(), full);
+        // A corrupt telemetry payload is an error, not a silent drop.
+        let corrupt = text.replace("\\\"t\\\":\\\"reg\\\"", "\\\"t\\\":\\\"wat\\\"");
+        assert_ne!(corrupt, text);
+        assert!(CellLine::parse(&corrupt).is_err());
+        // Keys need the digests they were derived from; wall time and
+        // telemetry come together.
+        text.clear();
+        CellLine {
+            ims: None,
+            ..full.clone()
+        }
+        .write(&mut text);
+        assert!(CellLine::parse(&text).is_err());
+        let half = format!("{open},\"wall_nanos\":1}}");
+        assert!(CellLine::parse(&half).is_err());
     }
 }

@@ -1,12 +1,13 @@
-//! The [`Json`] value tree, for the grid artifact format.
+//! The [`Json`] value tree, for the `gridd` frames.
 //!
-//! Cell lines, cache records, worker lines and `gridd` frames are built
-//! as a [`Json`] tree and encoded in one go. The tree speaks the
-//! workspace's integer-JSON dialect (unsigned integers only, no floats
-//! or negatives); [`Json::encode`] writes through the dialect's writer
-//! and [`Json::parse`] is a small builder over its pull reader, both in
-//! [`schematic_obs::json`]. Hot decoders (the trace artifact,
-//! [`crate::trace`]) skip the tree and walk the reader directly.
+//! The service's request and response frames are built as a [`Json`]
+//! tree and encoded in one go. The tree speaks the workspace's
+//! integer-JSON dialect (unsigned integers only, no floats or
+//! negatives); [`Json::encode`] writes through the dialect's writer and
+//! [`Json::parse`] is a small builder over its pull reader, both in
+//! [`schematic_obs::json`]. Every other artifact — cell lines
+//! ([`crate::grid::CellLine`]), the `fetch` cells, trace lines — skips
+//! the tree and is written and read through that module directly.
 
 use schematic_obs::json::{write_str, write_u64, JsonError, Reader};
 
@@ -46,25 +47,12 @@ impl Json {
         }
     }
 
-    /// The value as a bool, when it is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The value as a string slice, when it is one.
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Json::Str(s) => Some(s),
             _ => None,
         }
-    }
-
-    /// Whether the value is `null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, Json::Null)
     }
 
     /// Serializes to compact JSON (no whitespace).

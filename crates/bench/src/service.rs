@@ -18,24 +18,25 @@
 //!   `{"op":"submit","jobs":["run/Schematic/crc/10000",…]}` evaluates a
 //!   batch (cache-first, optionally fanned out to worker processes),
 //!   `{"op":"status"}` reports store and cache tallies, `{"op":"fetch"}`
-//!   returns every accumulated cell as artifact objects,
+//!   returns every accumulated cell as a plain cell line
+//!   ([`crate::grid::write_cell`]), written with no value tree,
 //!   `{"op":"stats"}` returns the daemon's live telemetry (see below),
 //!   and `{"op":"shutdown"}` stops the daemon. Errors come back as
 //!   `{"ok":false,"error":…}` — a bad request never kills the service.
 //! * **[`Daemon`]** — the state machine behind the socket loop:
-//!   [`Daemon::handle`] maps one request to one response plus a
+//!   [`Daemon::handle`] maps one request to one encoded response plus a
 //!   shutdown flag, and [`serve`] runs one connection through it. The
 //!   `gridd` binary owns the `TcpListener` and hands each accepted
 //!   stream to [`serve`].
 //! * **Dispatch** — with workers, a batch's cache misses stream by pull
 //!   to `gridrun --jobs` children over pipes: one job key per line in,
-//!   one worker line per job out, and each answer earns that worker the
-//!   next key.
+//!   one cell line per job out (the cell, its program digests and the
+//!   job's telemetry), and each answer earns that worker the next key.
 //!
 //! ## Service telemetry
 //!
 //! Worker children attach a serialized [`schematic_obs::Registry`] to
-//! every artifact line (see [`cache::worker_line_telemetry`]); the
+//! every cell line they answer ([`crate::grid::WorkerTelemetry`]); the
 //! daemon folds them into one **service registry**, adds a
 //! `service/job_wall` latency histogram per dispatched job, and folds
 //! in the process-global counters (`cache/hit`, `cache/miss`,
@@ -48,7 +49,7 @@
 //! `tracereport --service` renders offline from a dumped file.
 
 use crate::cache::{self, CellCache, SourceDigests};
-use crate::grid::{CellStore, GridError, GridMode, Job};
+use crate::grid::{write_cell, CellLine, CellStore, GridError, GridMode, Job};
 use crate::json::Json;
 use schematic_energy::CostTable;
 use schematic_obs::Registry;
@@ -103,7 +104,11 @@ impl std::error::Error for FrameError {}
 /// [`FrameError::Oversize`] when the encoded payload exceeds
 /// [`MAX_FRAME`]; [`FrameError::Io`] on stream failure.
 pub fn write_frame(w: &mut impl Write, json: &Json) -> Result<(), FrameError> {
-    let text = json.encode();
+    write_payload(w, &json.encode())
+}
+
+/// [`write_frame`] for a payload that is already encoded.
+fn write_payload(w: &mut impl Write, text: &str) -> Result<(), FrameError> {
     let len = text.len();
     if len > MAX_FRAME {
         return Err(FrameError::Oversize(len));
@@ -185,7 +190,7 @@ pub fn serve(daemon: &mut Daemon, stream: &mut (impl Read + Write)) -> bool {
             }
         };
         let (resp, shutdown) = daemon.handle(&req);
-        if write_frame(stream, &resp).is_err() {
+        if write_payload(stream, &resp).is_err() {
             return shutdown;
         }
         if shutdown {
@@ -194,14 +199,18 @@ pub fn serve(daemon: &mut Daemon, stream: &mut (impl Read + Write)) -> bool {
     }
 }
 
+fn obj(pairs: Vec<(&str, Json)>) -> Json {
+    Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+}
+
 fn ok_response(mut fields: Vec<(&str, Json)>) -> Json {
     let mut pairs = vec![("ok", Json::Bool(true))];
     pairs.append(&mut fields);
-    crate::grid::obj(pairs)
+    obj(pairs)
 }
 
 fn error_response(message: String) -> Json {
-    crate::grid::obj(vec![
+    obj(vec![
         ("ok", Json::Bool(false)),
         ("error", Json::Str(message)),
     ])
@@ -264,13 +273,13 @@ impl Daemon {
         self.mode
     }
 
-    /// Maps one request to `(response, shutdown)`. Never panics on a
-    /// malformed request: the error goes back to the client and the
+    /// Maps one request to `(encoded response, shutdown)`. Never panics
+    /// on a malformed request: the error goes back to the client and the
     /// daemon keeps serving.
-    pub fn handle(&mut self, req: &Json) -> (Json, bool) {
+    pub fn handle(&mut self, req: &Json) -> (String, bool) {
         let _span = schematic_obs::span("daemon/request");
         let Some(op) = req.get("op").and_then(Json::as_str) else {
-            return (error_response("missing field 'op'".into()), false);
+            return (error_response("missing field 'op'".into()).encode(), false);
         };
         // Only known ops get a counter of their own: a counter per
         // distinct bogus op would grow the process-global counters, and
@@ -284,14 +293,15 @@ impl Daemon {
             _ => "daemon/op/unknown",
         };
         schematic_obs::gcount(counter, 1);
-        match op {
-            "submit" => (self.submit(req), false),
-            "status" => (self.status(), false),
-            "fetch" => (self.fetch(), false),
-            "stats" => (self.stats(), false),
-            "shutdown" => (ok_response(vec![]), true),
-            other => (error_response(format!("unknown op '{other}'")), false),
-        }
+        let resp = match op {
+            "submit" => self.submit(req),
+            "status" => self.status(),
+            "fetch" => return (self.fetch(), false),
+            "stats" => self.stats(),
+            "shutdown" => return (ok_response(vec![]).encode(), true),
+            other => error_response(format!("unknown op '{other}'")),
+        };
+        (resp.encode(), false)
     }
 
     fn submit(&mut self, req: &Json) -> Json {
@@ -338,7 +348,7 @@ impl Daemon {
 
     fn compute_inline(&mut self, needed: &[Job]) -> Result<(usize, usize), GridError> {
         let t0 = Instant::now();
-        let (batch, stats) = cache::compute_cached(needed, self.cache.as_mut(), false, &|_, _| {})?;
+        let (batch, stats) = cache::compute_cached(needed, self.cache.as_mut(), false)?;
         self.store.merge_from(batch)?;
         self.service_reg
             .record_span("daemon/batch", t0.elapsed().as_nanos() as u64);
@@ -369,20 +379,27 @@ impl Daemon {
         }
         let lines = run_workers(self.mode, self.workers, &misses)?;
         let mut folded = 0;
-        for (worker, line) in lines {
-            let (job, value, ims, telemetry) = cache::parse_worker_line_telemetry(&line)?;
+        let mut records = Vec::new();
+        for (worker, text) in lines {
+            let line = CellLine::parse(&text)?;
+            let ims = line
+                .ims
+                .ok_or_else(|| GridError("worker line lacks field 'ims'".into()))?;
             *self
                 .service_reg
                 .counters
                 .entry(format!("worker/{worker}/jobs"))
                 .or_default() += 1;
-            if let Some(cache) = &mut self.cache {
-                let source = self.sources.digest(&job.benchmark);
-                let ck = cache::cell_key(&job, &table, &ims);
-                cache.memo_put(cache::memo_key(&job, &table, source), ims);
-                cache.cell_put(ck, &job, value.clone());
+            if self.cache.is_some() {
+                records.push(cache::keyed_line(
+                    line.job.clone(),
+                    line.value.clone(),
+                    ims,
+                    &table,
+                    &mut self.sources,
+                ));
             }
-            if let Some(mut t) = telemetry {
+            if let Some(mut t) = line.telemetry {
                 // Keep the aggregates (spans, counters, histograms)
                 // but not the event logs: a long-lived daemon would
                 // otherwise hoard them until `stats` frames hit the
@@ -397,8 +414,11 @@ impl Daemon {
                 self.worker_jobs += 1;
                 self.worker_busy_nanos = self.worker_busy_nanos.saturating_add(t.wall_nanos);
             }
-            self.store.insert(job, value)?;
+            self.store.insert(line.job, line.value)?;
             folded += 1;
+        }
+        if let Some(cache) = &mut self.cache {
+            cache.put(records);
         }
         self.service_reg
             .record_span("daemon/batch", t0.elapsed().as_nanos() as u64);
@@ -412,24 +432,29 @@ impl Daemon {
     }
 
     fn status(&self) -> Json {
-        let (memos, cells) = self.cache.as_ref().map_or((0, 0), CellCache::len);
+        let records = self.cache.as_ref().map_or(0, CellCache::len) as u64;
         ok_response(vec![
             ("cells", Json::UInt(self.store.len() as u64)),
             ("batches", Json::UInt(self.batches)),
             ("hits", Json::UInt(self.hits)),
             ("computed", Json::UInt(self.computed)),
-            ("cache_memos", Json::UInt(memos as u64)),
-            ("cache_cells", Json::UInt(cells as u64)),
+            ("cache_memos", Json::UInt(records)),
+            ("cache_cells", Json::UInt(records)),
         ])
     }
 
-    fn fetch(&self) -> Json {
-        let cells = self
-            .store
-            .iter()
-            .map(|(job, value)| crate::grid::cell_to_json(job, value))
-            .collect();
-        ok_response(vec![("cells", Json::Arr(cells))])
+    /// The encoded `fetch` response: every stored cell as a plain cell
+    /// line, in the grid's stable order.
+    fn fetch(&self) -> String {
+        let mut out = String::from("{\"ok\":true,\"cells\":[");
+        for (i, (job, value)) in self.store.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            write_cell(&mut out, job, value);
+        }
+        out.push_str("]}");
+        out
     }
 
     /// Snapshot of the live service registry plus daemon gauges. The
@@ -441,7 +466,7 @@ impl Daemon {
         for (name, n) in schematic_obs::gcounters() {
             *reg.counters.entry(name).or_default() += n;
         }
-        let (memos, cells) = self.cache.as_ref().map_or((0, 0), CellCache::len);
+        let records = self.cache.as_ref().map_or(0, CellCache::len) as u64;
         ok_response(vec![
             (
                 "uptime_nanos",
@@ -451,8 +476,8 @@ impl Daemon {
             ("hits", Json::UInt(self.hits)),
             ("computed", Json::UInt(self.computed)),
             ("cells", Json::UInt(self.store.len() as u64)),
-            ("cache_memos", Json::UInt(memos as u64)),
-            ("cache_cells", Json::UInt(cells as u64)),
+            ("cache_memos", Json::UInt(records)),
+            ("cache_cells", Json::UInt(records)),
             ("workers", Json::UInt(self.workers as u64)),
             ("worker_jobs", Json::UInt(self.worker_jobs)),
             ("worker_busy_nanos", Json::UInt(self.worker_busy_nanos)),
@@ -520,8 +545,7 @@ impl Queue<'_> {
 
 /// Evaluates `jobs` on `workers` `gridrun --jobs` processes in `mode`,
 /// using the `gridrun` binary beside this executable; see
-/// [`run_batch`]. Each returned line decodes with
-/// [`cache::parse_worker_line_telemetry`].
+/// [`run_batch`]. Each returned line decodes with [`CellLine::parse`].
 ///
 /// # Errors
 ///
@@ -667,9 +691,10 @@ pub struct StatsSnapshot {
     pub computed: u64,
     /// Cells accumulated in the store.
     pub cells: u64,
-    /// Memo entries in the warm disk cache.
+    /// Memo keys in the warm disk cache: one per keyed line.
     pub cache_memos: u64,
-    /// Cell entries in the warm disk cache.
+    /// Cell keys in the warm disk cache: one per keyed line too, so
+    /// equal to `cache_memos`.
     pub cache_cells: u64,
     /// Configured worker process count (`0` = inline).
     pub workers: u64,
@@ -1016,6 +1041,12 @@ mod tests {
     use crate::grid::GridSpec;
     use std::io::Cursor;
 
+    /// [`Daemon::handle`] with the response decoded.
+    fn handle(d: &mut Daemon, req: &Json) -> (Json, bool) {
+        let (resp, stop) = d.handle(req);
+        (Json::parse(&resp).expect("responses are JSON"), stop)
+    }
+
     /// SplitMix64 — the deterministic fuzz driver.
     struct Rng(u64);
 
@@ -1034,7 +1065,7 @@ mod tests {
         let msgs = [
             Json::Null,
             Json::Str("hello \u{1F600} \"quoted\"".into()),
-            crate::grid::obj(vec![
+            obj(vec![
                 ("op", Json::Str("submit".into())),
                 (
                     "jobs",
@@ -1056,11 +1087,7 @@ mod tests {
     #[test]
     fn truncated_frames_error_at_every_cut() {
         let mut buf = Vec::new();
-        write_frame(
-            &mut buf,
-            &crate::grid::obj(vec![("op", Json::Str("status".into()))]),
-        )
-        .unwrap();
+        write_frame(&mut buf, &obj(vec![("op", Json::Str("status".into()))])).unwrap();
         for cut in 1..buf.len() {
             let mut r = Cursor::new(&buf[..cut]);
             assert_eq!(
@@ -1109,7 +1136,7 @@ mod tests {
     #[test]
     fn daemon_serves_a_batch_lifecycle() {
         let mut d = Daemon::new(GridMode::Quick, None, 0);
-        let submit = crate::grid::obj(vec![
+        let submit = obj(vec![
             ("op", Json::Str("submit".into())),
             (
                 "jobs",
@@ -1121,26 +1148,23 @@ mod tests {
                 ]),
             ),
         ]);
-        let (resp, stop) = d.handle(&submit);
+        let (resp, stop) = handle(&mut d, &submit);
         assert!(!stop);
         assert_eq!(resp.get("ok"), Some(&Json::Bool(true)));
         assert_eq!(resp.get("requested").and_then(Json::as_u64), Some(2));
         assert_eq!(resp.get("computed").and_then(Json::as_u64), Some(2));
         // Resubmitting is free: the store already has both cells.
-        let (resp, _) = d.handle(&submit);
+        let (resp, _) = handle(&mut d, &submit);
         assert_eq!(resp.get("computed").and_then(Json::as_u64), Some(0));
-        let (status, _) = d.handle(&crate::grid::obj(vec![("op", Json::Str("status".into()))]));
+        let (status, _) = handle(&mut d, &obj(vec![("op", Json::Str("status".into()))]));
         assert_eq!(status.get("cells").and_then(Json::as_u64), Some(2));
         assert_eq!(status.get("batches").and_then(Json::as_u64), Some(2));
-        let (fetch, _) = d.handle(&crate::grid::obj(vec![("op", Json::Str("fetch".into()))]));
+        let (fetch, _) = handle(&mut d, &obj(vec![("op", Json::Str("fetch".into()))]));
         let Some(Json::Arr(cells)) = fetch.get("cells") else {
             panic!("fetch returns cells");
         };
         assert_eq!(cells.len(), 2);
-        let (resp, stop) = d.handle(&crate::grid::obj(vec![(
-            "op",
-            Json::Str("shutdown".into()),
-        )]));
+        let (resp, stop) = handle(&mut d, &obj(vec![("op", Json::Str("shutdown".into()))]));
         assert_eq!(resp.get("ok"), Some(&Json::Bool(true)));
         assert!(stop);
     }
@@ -1149,13 +1173,16 @@ mod tests {
     fn fetch_frame_matches_the_encode_then_parse_form() {
         use crate::grid::CellValue;
         let mut d = Daemon::new(GridMode::Quick, None, 0);
-        let (resp, _) = d.handle(&crate::grid::obj(vec![
-            ("op", Json::Str("submit".into())),
-            (
-                "jobs",
-                Json::Arr(vec![Json::Str("support/Schematic/crc/0".into())]),
-            ),
-        ]));
+        let (resp, _) = handle(
+            &mut d,
+            &obj(vec![
+                ("op", Json::Str("submit".into())),
+                (
+                    "jobs",
+                    Json::Arr(vec![Json::Str("support/Schematic/crc/0".into())]),
+                ),
+            ]),
+        );
         assert_eq!(resp.get("ok"), Some(&Json::Bool(true)));
         for (key, value) in [
             (
@@ -1190,10 +1217,10 @@ mod tests {
             .map(|line| Json::parse(line).unwrap())
             .collect();
         let old = ok_response(vec![("cells", Json::Arr(cells))]);
-        let (new, _) = d.handle(&crate::grid::obj(vec![("op", Json::Str("fetch".into()))]));
+        let (new, _) = d.handle(&obj(vec![("op", Json::Str("fetch".into()))]));
         let (mut old_frame, mut new_frame) = (Vec::new(), Vec::new());
         write_frame(&mut old_frame, &old).unwrap();
-        write_frame(&mut new_frame, &new).unwrap();
+        write_payload(&mut new_frame, &new).unwrap();
         assert_eq!(new_frame, old_frame);
     }
 
@@ -1301,7 +1328,7 @@ mod tests {
 
     #[test]
     fn a_frame_is_one_write() {
-        let req = crate::grid::obj(vec![("op", Json::Str("status".into()))]);
+        let req = obj(vec![("op", Json::Str("status".into()))]);
         let mut w = WriteCalls::default();
         write_frame(&mut w, &req).unwrap();
         assert_eq!(w.0, vec![4 + req.encode().len()]);
@@ -1318,14 +1345,14 @@ mod tests {
             serve(&mut d, &mut stream)
         });
         let mut client = TcpStream::connect(addr).unwrap();
-        let status = crate::grid::obj(vec![("op", Json::Str("status".into()))]);
+        let status = obj(vec![("op", Json::Str("status".into()))]);
         let t0 = Instant::now();
         for _ in 0..50 {
             let resp = request(&mut client, &status).unwrap();
             assert_eq!(resp.get("ok"), Some(&Json::Bool(true)));
         }
         let elapsed = t0.elapsed();
-        let shutdown = crate::grid::obj(vec![("op", Json::Str("shutdown".into()))]);
+        let shutdown = obj(vec![("op", Json::Str("shutdown".into()))]);
         request(&mut client, &shutdown).unwrap();
         assert!(server.join().unwrap(), "serve saw the shutdown");
         assert!(
@@ -1366,10 +1393,10 @@ mod tests {
         client.write_all(&deep_frame()).unwrap();
         let resp = read_frame(&mut client).unwrap().unwrap();
         assert_eq!(resp.get("ok"), Some(&Json::Bool(false)));
-        let status = crate::grid::obj(vec![("op", Json::Str("status".into()))]);
+        let status = obj(vec![("op", Json::Str("status".into()))]);
         let resp = request(&mut client, &status).unwrap();
         assert_eq!(resp.get("ok"), Some(&Json::Bool(true)));
-        let shutdown = crate::grid::obj(vec![("op", Json::Str("shutdown".into()))]);
+        let shutdown = obj(vec![("op", Json::Str("shutdown".into()))]);
         request(&mut client, &shutdown).unwrap();
         assert!(server.join().unwrap(), "serve saw the shutdown");
     }
@@ -1386,10 +1413,7 @@ mod tests {
         let before = schematic_obs::gcounters();
         let mut d = Daemon::new(GridMode::Quick, None, 0);
         for i in 0..1000 {
-            let (resp, stop) = d.handle(&crate::grid::obj(vec![(
-                "op",
-                Json::Str(format!("bogus-{i}")),
-            )]));
+            let (resp, stop) = handle(&mut d, &obj(vec![("op", Json::Str(format!("bogus-{i}")))]));
             assert_eq!(resp.get("ok"), Some(&Json::Bool(false)));
             assert!(!stop);
         }
@@ -1405,7 +1429,7 @@ mod tests {
             .collect();
         assert!(added.len() <= 1, "added {} counter names", added.len());
         assert!(schematic_obs::gcounter("daemon/op/unknown") >= 1000);
-        let (stats, _) = d.handle(&crate::grid::obj(vec![("op", Json::Str("stats".into()))]));
+        let (stats, _) = handle(&mut d, &obj(vec![("op", Json::Str("stats".into()))]));
         let snap = StatsSnapshot::parse(&stats).unwrap();
         assert!(!snap.registry.counters.keys().any(|k| k.contains("bogus")));
     }
@@ -1415,26 +1439,26 @@ mod tests {
         let mut d = Daemon::new(GridMode::Quick, None, 0);
         for bad in [
             Json::Null,
-            crate::grid::obj(vec![("op", Json::Str("explode".into()))]),
-            crate::grid::obj(vec![("op", Json::Str("submit".into()))]),
-            crate::grid::obj(vec![
+            obj(vec![("op", Json::Str("explode".into()))]),
+            obj(vec![("op", Json::Str("submit".into()))]),
+            obj(vec![
                 ("op", Json::Str("submit".into())),
                 ("jobs", Json::Arr(vec![Json::Str("not-a-job".into())])),
             ]),
         ] {
-            let (resp, stop) = d.handle(&bad);
+            let (resp, stop) = handle(&mut d, &bad);
             assert_eq!(resp.get("ok"), Some(&Json::Bool(false)), "{}", bad.encode());
             assert!(!stop);
         }
         // Still alive and serving.
-        let (status, _) = d.handle(&crate::grid::obj(vec![("op", Json::Str("status".into()))]));
+        let (status, _) = handle(&mut d, &obj(vec![("op", Json::Str("status".into()))]));
         assert_eq!(status.get("ok"), Some(&Json::Bool(true)));
     }
 
     #[test]
     fn stats_op_reports_a_parseable_snapshot() {
         let mut d = Daemon::new(GridMode::Quick, None, 0);
-        let submit = crate::grid::obj(vec![
+        let submit = obj(vec![
             ("op", Json::Str("submit".into())),
             (
                 "jobs",
@@ -1444,9 +1468,9 @@ mod tests {
                 ]),
             ),
         ]);
-        let (resp, _) = d.handle(&submit);
+        let (resp, _) = handle(&mut d, &submit);
         assert_eq!(resp.get("ok"), Some(&Json::Bool(true)));
-        let (stats, stop) = d.handle(&crate::grid::obj(vec![("op", Json::Str("stats".into()))]));
+        let (stats, stop) = handle(&mut d, &obj(vec![("op", Json::Str("stats".into()))]));
         assert!(!stop);
         assert_eq!(stats.get("ok"), Some(&Json::Bool(true)));
         let snap = StatsSnapshot::parse(&stats).unwrap();
@@ -1546,7 +1570,7 @@ mod tests {
     fn stats_frames_survive_truncation_oversize_and_garbage() {
         // A realistic stats response frame, then every prefix of it.
         let mut d = Daemon::new(GridMode::Quick, None, 0);
-        let (resp, _) = d.handle(&crate::grid::obj(vec![("op", Json::Str("stats".into()))]));
+        let (resp, _) = handle(&mut d, &obj(vec![("op", Json::Str("stats".into()))]));
         let mut buf = Vec::new();
         write_frame(&mut buf, &resp).unwrap();
         for cut in 1..buf.len() {
@@ -1572,10 +1596,13 @@ mod tests {
             }
         }
         // A stats request with stray fields still answers.
-        let (resp, stop) = d.handle(&crate::grid::obj(vec![
-            ("op", Json::Str("stats".into())),
-            ("extra", Json::UInt(7)),
-        ]));
+        let (resp, stop) = handle(
+            &mut d,
+            &obj(vec![
+                ("op", Json::Str("stats".into())),
+                ("extra", Json::UInt(7)),
+            ]),
+        );
         assert!(!stop);
         assert_eq!(resp.get("ok"), Some(&Json::Bool(true)));
     }

@@ -32,7 +32,7 @@
 //! ordered stream no matter how long the run was, while peak memory
 //! stays bounded at the cap.
 
-use crate::grid::{evaluate, CellStore, GridError, Job, JobKind};
+use crate::grid::{evaluate, read_job, write_job, CellStore, GridError, Job};
 use crate::parallel::par_map;
 use crate::{render_table, uj};
 use schematic_emu::trace::SNAPSHOT_KEYS;
@@ -213,7 +213,8 @@ pub fn capture_grid_streaming(
 // event's fields go through `schematic_obs::codec`'s field codec, the
 // one the telemetry registry uses. A trace line is
 //
-//   {"job":{"kind","technique","benchmark","tbpf"|"scenario"},
+//   {"job":{"kind","technique","benchmark","tbpf"|"scenario"} (the cell
+//    line's job members, `grid::write_job`),
 //    "wall_nanos":N,"phases":[{"name","calls","total_nanos","p50_nanos",
 //    "p95_nanos"}…],"counters":[[name,N]…],"events":[EVENT…],
 //    "dropped_events":N,"spilled_events":N}
@@ -239,24 +240,9 @@ fn write_events(out: &mut String, events: &[obs::Event]) {
 
 /// Appends one trace as an artifact line, newline included.
 fn write_trace_line(out: &mut String, t: &CellTrace) {
-    out.push_str("{\"job\":{\"kind\":");
-    write_str(out, t.job.kind.name());
-    out.push_str(",\"technique\":");
-    write_str(out, &t.job.technique);
-    out.push_str(",\"benchmark\":");
-    write_str(out, &t.job.benchmark);
-    // Same scenario encoding as the cell artifact codec: legacy numeric
-    // `tbpf` for periodic, a `scenario` spelling otherwise.
-    match &t.job.scenario {
-        crate::Scenario::Periodic { tbpf } => {
-            out.push_str(",\"tbpf\":");
-            write_u64(out, *tbpf);
-        }
-        other => {
-            out.push_str(",\"scenario\":");
-            write_str(out, &other.to_string());
-        }
-    }
+    // The job object holds the cell line's job members.
+    out.push_str("{\"job\":{");
+    write_job(out, &t.job);
     out.push_str("},\"wall_nanos\":");
     write_u64(out, t.wall_nanos);
     out.push_str(",\"phases\":[");
@@ -340,44 +326,6 @@ fn read_events(r: &mut Reader) -> Result<Vec<obs::Event>, JsonError> {
             kind: r.need(kind, "kind")?,
             fields: r.need(fields, "fields")?,
         })
-    })
-}
-
-fn read_job(r: &mut Reader) -> Result<Job, JsonError> {
-    let mut kind = None;
-    let mut technique = None;
-    let mut benchmark = None;
-    let mut tbpf = None;
-    let mut scenario = None;
-    r.object(|r, key| {
-        match &*key {
-            "kind" => {
-                let name = r.str()?;
-                kind = Some(
-                    JobKind::from_name(&name)
-                        .ok_or_else(|| r.err(format!("unknown cell kind '{name}'")))?,
-                );
-            }
-            "technique" => technique = Some(r.str()?.into_owned()),
-            "benchmark" => benchmark = Some(r.str()?.into_owned()),
-            "tbpf" => tbpf = Some(r.u64()?),
-            "scenario" => {
-                let spelling = r.str()?;
-                scenario = Some(crate::Scenario::parse(&spelling).map_err(|e| r.err(e))?);
-            }
-            _ => r.skip()?,
-        }
-        Ok(())
-    })?;
-    let scenario = match scenario {
-        Some(s) => s,
-        None => crate::Scenario::periodic(r.need(tbpf, "tbpf")?),
-    };
-    Ok(Job {
-        kind: r.need(kind, "kind")?,
-        technique: r.need(technique, "technique")?,
-        benchmark: r.need(benchmark, "benchmark")?,
-        scenario,
     })
 }
 

@@ -1,12 +1,12 @@
 //! Cache parity over the quick grid: a warm, fully cache-served run
 //! must render byte-identically to the cold run that populated it, and
-//! invalidating one cell's compile memo must recompute exactly that
-//! cell — the incremental contract `gridrun --resume` and `gridd` build
-//! on.
+//! invalidating one cell's record must recompute exactly that cell —
+//! the incremental contract `gridrun --cache` on a partial shard
+//! artifact and `gridd` build on.
 
 use schematic_bench::cache::{self, CellCache, SourceDigests};
 use schematic_bench::experiments::render_all;
-use schematic_bench::grid::{GridMode, GridSpec};
+use schematic_bench::grid::{evaluate_traced, GridMode, GridSpec};
 use schematic_energy::CostTable;
 use schematic_ir::hash::Digest;
 
@@ -19,7 +19,7 @@ fn warm_quick_grid_is_free_and_byte_identical() {
     // Cold: everything computes, the cache fills.
     let mut cold_cache = CellCache::open(&path);
     let (cold_store, cold) =
-        cache::compute_cached(spec.jobs(), Some(&mut cold_cache), false, &|_, _| {}).unwrap();
+        cache::compute_cached(spec.jobs(), Some(&mut cold_cache), false).unwrap();
     assert_eq!(cold.hits, 0);
     assert_eq!(cold.computed, spec.len());
     let cold_render = render_all(&cold_store, GridMode::Quick);
@@ -27,24 +27,24 @@ fn warm_quick_grid_is_free_and_byte_identical() {
     // Warm, from a fresh process's view of the file: zero computes,
     // byte-identical artifact and render.
     let mut warm_cache = CellCache::open(&path);
-    assert_eq!(warm_cache.len(), (spec.len(), spec.len()));
+    assert_eq!(warm_cache.len(), spec.len());
     let (warm_store, warm) =
-        cache::compute_cached(spec.jobs(), Some(&mut warm_cache), false, &|_, _| {}).unwrap();
+        cache::compute_cached(spec.jobs(), Some(&mut warm_cache), false).unwrap();
     assert_eq!((warm.hits, warm.computed), (spec.len(), 0));
     assert_eq!(warm_store.to_jsonl(), cold_store.to_jsonl());
     assert_eq!(render_all(&warm_store, GridMode::Quick), cold_render);
 
-    // Invalidation: poison one job's memo — as if its benchmark's
-    // compiled program changed — and exactly that cell recomputes.
+    // Invalidation: poison one job's record — as if its benchmark's
+    // compiled program changed under the same memo key — and exactly
+    // that cell recomputes.
     let table = CostTable::msp430fr5969();
     let victim = spec.jobs()[spec.len() / 2].clone();
-    let src = SourceDigests::new().digest(&victim.benchmark);
-    warm_cache.memo_put(
-        cache::memo_key(&victim, &table, src),
-        vec![Digest { hi: 1, lo: 1 }],
-    );
+    let (value, ims) = evaluate_traced(&victim, &table);
+    let mut poisoned = cache::keyed_line(victim, value, ims, &table, &mut SourceDigests::new());
+    poisoned.ims = Some(vec![Digest { hi: 1, lo: 1 }]);
+    warm_cache.put([poisoned]);
     let (healed_store, healed) =
-        cache::compute_cached(spec.jobs(), Some(&mut warm_cache), false, &|_, _| {}).unwrap();
+        cache::compute_cached(spec.jobs(), Some(&mut warm_cache), false).unwrap();
     assert_eq!((healed.hits, healed.computed), (spec.len() - 1, 1));
     assert_eq!(healed_store.to_jsonl(), cold_store.to_jsonl());
 

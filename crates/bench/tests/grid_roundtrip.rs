@@ -1,5 +1,5 @@
-//! SplitMix64-fuzzed round-trip of the cell JSONL codec and the job
-//! key grammar.
+//! SplitMix64-fuzzed round-trip of the cell line codec and the job key
+//! grammar, and the golden that pins the cell wire format.
 //!
 //! Random cells — every kind, every [`Scenario`] variant, metrics with
 //! arbitrary `u64` fields, and reason/note strings stuffed with quotes,
@@ -9,9 +9,13 @@
 //! keys (`kind/technique/benchmark/scenario`) round-trip through
 //! `Display → Job::parse` the same way. The generator is seeded, so a
 //! failing case index reproduces exactly.
+//!
+//! `tests/goldens/cells.jsonl` was recorded with the tree-building
+//! codec the line codec replaced; it must decode and re-encode byte for
+//! byte.
 
 use schematic_bench::grid::{
-    cell_from_json, cell_to_json, CellStore, CellValue, Job, JobKind, SoundCounts,
+    cell_from_json, write_cell, CellLine, CellStore, CellValue, Job, JobKind, SoundCounts,
 };
 use schematic_bench::json::Json;
 use schematic_bench::{CellOutcome, Scenario};
@@ -179,19 +183,145 @@ fn random_cell(rng: &mut SplitMix64) -> (Job, CellValue) {
     (job, value)
 }
 
-/// Every random cell round-trips bit-exactly through one artifact line.
+/// Every random cell round-trips bit-exactly through one artifact line,
+/// read directly and through the `Json`-tree adapter.
 #[test]
 fn fuzz_cell_lines_roundtrip() {
     let mut rng = SplitMix64::new(SEED);
     for case in 0..CASES {
         let (job, value) = random_cell(&mut rng);
-        let line = cell_to_json(&job, &value).encode();
+        let mut line = String::new();
+        write_cell(&mut line, &job, &value);
         assert!(!line.contains('\n'), "case {case}: line-oriented format");
-        let parsed = Json::parse(&line).unwrap_or_else(|e| panic!("case {case}: {e}\n{line}"));
+        let parsed = CellLine::parse(&line).unwrap_or_else(|e| panic!("case {case}: {e}\n{line}"));
+        assert_eq!(job, parsed.job, "case {case}");
+        assert_eq!(value, parsed.value, "case {case}");
+        let tree = Json::parse(&line).unwrap_or_else(|e| panic!("case {case}: {e}\n{line}"));
         let (job2, value2) =
-            cell_from_json(&parsed).unwrap_or_else(|e| panic!("case {case}: {e}\n{line}"));
+            cell_from_json(&tree).unwrap_or_else(|e| panic!("case {case}: {e}\n{line}"));
         assert_eq!(job, job2, "case {case}");
         assert_eq!(value, value2, "case {case}");
+    }
+}
+
+const GOLDEN: &str = include_str!("../../../tests/goldens/cells.jsonl");
+
+/// The golden covers every value variant and each `None` sub-case,
+/// every run status, periodic, stochastic and recorded scenarios, and
+/// every escape class in `reason`/`note`; each line decodes and
+/// re-encodes byte for byte.
+#[test]
+fn golden_cells_decode_and_reencode_byte_for_byte() {
+    let mut lines = Vec::new();
+    for text in GOLDEN.lines() {
+        let line = CellLine::parse(text).unwrap_or_else(|e| panic!("{e}\n{text}"));
+        assert_eq!(line, CellLine::plain(line.job.clone(), line.value.clone()));
+        let mut again = String::new();
+        line.write(&mut again);
+        assert_eq!(again, text);
+        lines.push(line);
+    }
+    let store = CellStore::from_jsonl(GOLDEN).unwrap();
+    assert_eq!(store.to_jsonl(), GOLDEN);
+    for kind in KINDS {
+        assert!(lines.iter().any(|l| l.job.kind == kind), "{kind:?}");
+    }
+    let has = |pred: &dyn Fn(&CellValue) -> bool| lines.iter().any(|l| pred(&l.value));
+    assert!(has(&|v| matches!(v, CellValue::Support(false))));
+    assert!(has(&|v| matches!(
+        v,
+        CellValue::Run {
+            outcome: None,
+            reason: None
+        }
+    )));
+    assert!(has(&|v| matches!(
+        v,
+        CellValue::Run {
+            outcome: None,
+            reason: Some(_)
+        }
+    )));
+    assert!(has(&|v| matches!(
+        v,
+        CellValue::Run {
+            outcome: Some(_),
+            reason: Some(_)
+        }
+    )));
+    assert!(has(&|v| matches!(
+        v,
+        CellValue::Measured {
+            metrics: None,
+            note: None
+        }
+    )));
+    assert!(has(&|v| matches!(
+        v,
+        CellValue::Measured {
+            metrics: None,
+            note: Some(_)
+        }
+    )));
+    assert!(has(&|v| matches!(
+        v,
+        CellValue::Measured {
+            metrics: Some(_),
+            ..
+        }
+    )));
+    assert!(has(&|v| matches!(
+        v,
+        CellValue::Sound {
+            counts: None,
+            note: None
+        }
+    )));
+    assert!(has(&|v| matches!(
+        v,
+        CellValue::Sound {
+            counts: None,
+            note: Some(_)
+        }
+    )));
+    assert!(has(&|v| matches!(
+        v,
+        CellValue::Sound {
+            counts: Some(_),
+            ..
+        }
+    )));
+    assert!(has(&|v| matches!(
+        v,
+        CellValue::Shadow { observed: None, .. }
+    )));
+    assert!(has(&|v| matches!(
+        v,
+        CellValue::Shadow {
+            observed: Some(_),
+            ..
+        }
+    )));
+    for status in [
+        RunStatus::Completed,
+        RunStatus::Livelock,
+        RunStatus::CycleLimit,
+        RunStatus::FailureLimit,
+    ] {
+        assert!(
+            has(&|v| matches!(v, CellValue::Run { outcome: Some(o), .. } if o.status == status)),
+            "{status:?}"
+        );
+    }
+    for scenario in [
+        "\"tbpf\":",
+        "\"scenario\":\"stoch:",
+        "\"scenario\":\"trace:",
+    ] {
+        assert!(GOLDEN.contains(scenario), "{scenario}");
+    }
+    for escaped in ["\\\"", "\\\\", "\\n", "\\u0001", "†", "🦀"] {
+        assert!(GOLDEN.contains(escaped), "{escaped}");
     }
 }
 

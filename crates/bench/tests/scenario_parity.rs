@@ -5,7 +5,7 @@
 //! deterministic end to end.
 
 use schematic_bench::experiments::{render_robust, robust_jobs};
-use schematic_bench::grid::{cell_to_json, CellStore, Job};
+use schematic_bench::grid::{write_cell, CellStore, CellValue, Job};
 use schematic_bench::{run_cell_scenario_traced, run_cell_traced, Scenario};
 use schematic_energy::CostTable;
 
@@ -46,7 +46,12 @@ fn zero_jitter_stochastic_matches_periodic_cells() {
 fn periodic_artifact_spelling_is_legacy_byte_compatible() {
     let job = Job::run("Schematic", "crc", 10_000);
     assert_eq!(job.to_string(), "run/Schematic/crc/10000");
-    let line = cell_to_json(&job, &schematic_bench::grid::CellValue::Support(true)).encode();
+    let encode = |job: &Job| {
+        let mut line = String::new();
+        write_cell(&mut line, job, &CellValue::Support(true));
+        line
+    };
+    let line = encode(&job);
     assert!(line.contains("\"tbpf\":10000"), "{line}");
     assert!(!line.contains("scenario"), "{line}");
 
@@ -60,7 +65,7 @@ fn periodic_artifact_spelling_is_legacy_byte_compatible() {
         },
     );
     assert_eq!(stoch.to_string(), "run/Schematic/crc/stoch:10000:2000:7");
-    let line = cell_to_json(&stoch, &schematic_bench::grid::CellValue::Support(true)).encode();
+    let line = encode(&stoch);
     assert!(
         line.contains("\"scenario\":\"stoch:10000:2000:7\""),
         "{line}"

@@ -5,9 +5,10 @@
 //! deterministically regardless of arrival order — the contract that
 //! lets the daemon fold worker telemetry from any dispatch interleaving.
 
-use schematic_bench::cache::{self, WorkerTelemetry};
 use schematic_bench::experiments::render_all;
-use schematic_bench::grid::{evaluate_traced, CellStore, GridMode, GridSpec};
+use schematic_bench::grid::{
+    evaluate_traced, CellLine, CellStore, GridMode, GridSpec, WorkerTelemetry,
+};
 use schematic_energy::CostTable;
 use schematic_obs::Registry;
 
@@ -16,13 +17,19 @@ fn telemetry_capture_is_invisible_to_grid_output() {
     let spec = GridSpec::full_grid(GridMode::Quick);
     let table = CostTable::msp430fr5969();
 
-    // Telemetry off: the plain worker path.
+    // Telemetry off: cell lines with program digests only.
     schematic_obs::set_enabled(false);
     let mut off = CellStore::new();
     let mut off_lines = Vec::new();
     for job in spec.jobs() {
         let (value, ims) = evaluate_traced(job, &table);
-        off_lines.push(cache::worker_line(job, &value, &ims));
+        let mut line = String::new();
+        CellLine {
+            ims: Some(ims),
+            ..CellLine::plain(job.clone(), value.clone())
+        }
+        .write(&mut line);
+        off_lines.push(line);
         off.insert(job.clone(), value).unwrap();
     }
     let off_render = render_all(&off, GridMode::Quick);
@@ -41,7 +48,14 @@ fn telemetry_capture_is_invisible_to_grid_output() {
             wall_nanos: 1,
             registry,
         };
-        on_lines.push(cache::worker_line_telemetry(job, &value, &ims, &t));
+        let mut line = String::new();
+        CellLine {
+            ims: Some(ims),
+            telemetry: Some(t.clone()),
+            ..CellLine::plain(job.clone(), value.clone())
+        }
+        .write(&mut line);
+        on_lines.push(line);
         telemetry.push(t);
         on.insert(job.clone(), value).unwrap();
     }
@@ -51,16 +65,17 @@ fn telemetry_capture_is_invisible_to_grid_output() {
     assert_eq!(on.to_jsonl(), off.to_jsonl());
     assert_eq!(render_all(&on, GridMode::Quick), off_render);
 
-    // A telemetry-carrying line folds to the same cell whether the
-    // reader understands telemetry or not, and the rich reader
-    // round-trips the registry exactly.
+    // A telemetry-carrying line folds to the same cell and digests as
+    // one without, and round-trips the registry exactly.
     for ((plain, rich), t) in off_lines.iter().zip(&on_lines).zip(&telemetry) {
-        let (pj, pv, pi) = cache::parse_worker_line(plain).unwrap();
-        let (bj, bv, bi) = cache::parse_worker_line(rich).unwrap();
-        assert_eq!((&pj, &pv, &pi), (&bj, &bv, &bi));
-        let (rj, rv, ri, rt) = cache::parse_worker_line_telemetry(rich).unwrap();
-        assert_eq!((&pj, &pv, &pi), (&rj, &rv, &ri));
-        let rt = rt.expect("rich line carries telemetry");
+        let plain = CellLine::parse(plain).unwrap();
+        let rich = CellLine::parse(rich).unwrap();
+        assert_eq!(
+            (&plain.job, &plain.value, &plain.ims),
+            (&rich.job, &rich.value, &rich.ims)
+        );
+        assert!(plain.telemetry.is_none());
+        let rt = rich.telemetry.expect("rich line carries telemetry");
         assert_eq!(rt.wall_nanos, t.wall_nanos);
         assert_eq!(rt.registry, t.registry);
     }

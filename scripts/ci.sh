@@ -105,12 +105,13 @@ echo "tracereport --diff self-comparison clean"
 diff -u tests/goldens/trace_report.txt "$GRIDDIR/golden_trace_report.txt"
 echo "golden trace artifact renders tests/goldens/trace_report.txt"
 
-echo "== gridrun cache + resume smoke (release) =="
+echo "== gridrun cache + shard-artifact smoke (release) =="
 # Cold in-process run populates a fresh content-addressed cell cache
-# (shard/worker modes never touch it by design); a warm verified rerun
+# (shard/worker modes never open it by design); a warm verified rerun
 # must serve every cell as a hit (0 computed) and render
-# byte-identically. Resuming a cache-less half-grid shard artifact must
-# then complete the other half purely from cache hits.
+# byte-identically. A shard artifact is itself a cache file: a complete
+# one must answer every cell, and a half-grid one must compute exactly
+# the other half, after which a verified rerun on it computes nothing.
 CACHE="$GRIDDIR/cache.jsonl"
 "$GRIDRUN" --quick --cache "$CACHE" > "$GRIDDIR/cold.txt" 2> "$GRIDDIR/cold.log"
 grep -q "0 hits" "$GRIDDIR/cold.log"
@@ -120,18 +121,24 @@ diff -u "$GRIDDIR/direct.txt" "$GRIDDIR/cold.txt"
 grep -q ", 0 computed (hits verified)" "$GRIDDIR/warm.log"
 diff -u "$GRIDDIR/direct.txt" "$GRIDDIR/warm.txt"
 echo "warm rerun served every cell from cache (verified), render byte-identical"
+CELLS="$("$GRIDRUN" --quick --list | wc -l | tr -d ' ')"
 "$GRIDRUN" --quick --shard 0/1 -o "$GRIDDIR/full.jsonl"
-"$GRIDRUN" --quick --cache "$CACHE" --resume "$GRIDDIR/full.jsonl" \
-  > "$GRIDDIR/resumed.txt" 2> "$GRIDDIR/resume.log"
-grep -q "0 missing computed" "$GRIDDIR/resume.log"
-diff -u "$GRIDDIR/direct.txt" "$GRIDDIR/resumed.txt"
-echo "complete-artifact resume computed 0 cells, render byte-identical"
+"$GRIDRUN" --quick --cache "$GRIDDIR/full.jsonl" \
+  > "$GRIDDIR/full_cache.txt" 2> "$GRIDDIR/full_cache.log"
+grep -q ": $CELLS hits, 0 computed$" "$GRIDDIR/full_cache.log"
+diff -u "$GRIDDIR/direct.txt" "$GRIDDIR/full_cache.txt"
+echo "complete shard artifact as --cache computed 0 cells, render byte-identical"
 "$GRIDRUN" --quick --shard 0/2 -o "$GRIDDIR/half.jsonl"
-"$GRIDRUN" --quick --cache "$CACHE" --resume "$GRIDDIR/half.jsonl" \
-  > "$GRIDDIR/resumed_half.txt" 2> "$GRIDDIR/resume_half.log"
-grep -q ", 0 computed" "$GRIDDIR/resume_half.log"
-diff -u "$GRIDDIR/direct.txt" "$GRIDDIR/resumed_half.txt"
-echo "partial-artifact resume completed from cache hits, render byte-identical"
+HALF="$(wc -l < "$GRIDDIR/half.jsonl" | tr -d ' ')"
+"$GRIDRUN" --quick --cache "$GRIDDIR/half.jsonl" \
+  > "$GRIDDIR/half_cache.txt" 2> "$GRIDDIR/half_cache.log"
+grep -q ": $HALF hits, $((CELLS - HALF)) computed$" "$GRIDDIR/half_cache.log"
+diff -u "$GRIDDIR/direct.txt" "$GRIDDIR/half_cache.txt"
+"$GRIDRUN" --quick --cache "$GRIDDIR/half.jsonl" --cache-verify \
+  > "$GRIDDIR/half_verified.txt" 2> "$GRIDDIR/half_verified.log"
+grep -q ": $CELLS hits, 0 computed (hits verified)$" "$GRIDDIR/half_verified.log"
+diff -u "$GRIDDIR/direct.txt" "$GRIDDIR/half_verified.txt"
+echo "half shard artifact as --cache computed the other half, then 0 (verified); renders byte-identical"
 
 echo "== robustness report smoke (release) =="
 # The multi-seed robustness report over 2 stochastic seeds plus every
