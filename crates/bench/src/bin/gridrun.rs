@@ -9,13 +9,12 @@
 //!                               # the artifact is also a cache file (`--cache F`)
 //! gridrun --merge F...          # load shard, fetch or cache files, merge, verify coverage,
 //!                               # render every report
-//! gridrun --spawn N             # evaluate the grid on N `--jobs` worker processes (gridd's
-//!                               # pull dispatch), assert the render is byte-identical to the
-//!                               # in-process run
 //! gridrun --trace F             # compute in-process with tracing on; write the per-cell
 //!                               # trace artifact (JSONL, see `tracereport`) to F
 //! gridrun --report NAME         # compute one report's slice of the grid and render it
 //!                               # (table1..3, fig6..8, ablations, soundcheck)
+//! gridrun --report soundcheck   # append per-region verdicts and the region-class
+//!          --explain            # histogram (`^hist ` lines) to the soundness check
 //! gridrun --report robust       # multi-seed robustness report: completion rate and energy
 //!          [--seeds N]          # spread per technique x benchmark across N stochastic
 //!                               # seeds (default 8) plus every recorded trace in traces/
@@ -36,9 +35,7 @@
 //! Worker mode is how `gridd --workers N` evaluates a batch: the daemon
 //! feeds each of its N workers keys by pull, and a worker evaluates one
 //! job at a time. It captures a per-job [`schematic_obs`] registry (span
-//! timings, per-job wall latency) and ships it on each answer line. Only
-//! `--shard` prints ~1 Hz heartbeats; they follow `SCHEMATIC_PROGRESS`
-//! (`0` off, `1` on, unset = only when stderr is a terminal).
+//! timings, per-job wall latency) and ships it on each answer line.
 //!
 //! In-process computes (the default run and `--report`) go through the
 //! content-addressed cell cache at `target/gridcache.jsonl` (`--cache F`
@@ -55,21 +52,27 @@
 //! refuses stores with missing cells (it lists them) or conflicting
 //! duplicates; overlapping shards are fine as long as they agree.
 //!
-//! Exit codes: 0 on success, 2 on usage/artifact/coverage errors,
-//! 3 when `--spawn`'s parity assertion fails.
+//! Every mode that prints the soundness check (the default run, with or
+//! without `--trace`, `--merge` and `--report soundcheck`) exits 1 when
+//! its verdict is FAIL: a `hazardous` region under Schematic or Ratchet,
+//! or a WAR the shadow recorder observed but the static analysis did not
+//! predict.
+//!
+//! Exit codes: 0 on success, 1 on a soundcheck FAIL, 2 on
+//! usage/artifact/coverage errors.
 
 use schematic_bench::cache::{compute_cached, evaluate_keyed, CellCache, SourceDigests};
-use schematic_bench::experiments::{render, render_all, render_robust, robust_jobs};
+use schematic_bench::experiments::{
+    render, render_all, render_robust, render_soundcheck, render_soundcheck_explain, robust_jobs,
+};
 use schematic_bench::grid::{
-    evaluate_traced, CellLine, CellStore, GridError, GridMode, GridSpec, Job, ReportId,
-    WorkerTelemetry,
+    evaluate_traced, CellLine, CellStore, GridMode, GridSpec, Job, ReportId, WorkerTelemetry,
 };
 use schematic_bench::json::Json;
 use schematic_bench::{service, trace};
 use schematic_energy::CostTable;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 struct Options {
@@ -113,12 +116,11 @@ enum Command {
     },
     /// Merge artifacts and render.
     Merge { files: Vec<String> },
-    /// Drive child processes over all shards, merge, verify parity.
-    Spawn { count: usize },
     /// Worker mode: answer job keys on stdin with cell lines.
     Jobs,
-    /// `--report NAME`: one paper report.
-    Report { id: ReportId },
+    /// `--report NAME`: one paper report; `explain` (`--explain`, for
+    /// the soundness check only) appends per-region verdicts.
+    Report { id: ReportId, explain: bool },
     /// `--report robust`: the multi-seed robustness report.
     Robust { seeds: u64 },
     /// Thin client against a running daemon.
@@ -136,8 +138,9 @@ enum ClientAction {
 fn usage() -> ! {
     eprintln!(
         "usage: gridrun [--quick] [--trace FILE] [--cache FILE | --no-cache] [--cache-verify] \
-         [--list | --shard i/N -o FILE | --merge FILE... | --spawn N | --jobs | \
-         --report table1|table2|table3|fig6|fig7|fig8|ablations|soundcheck | \
+         [--list | --shard i/N -o FILE | --merge FILE... | --jobs | \
+         --report table1|table2|table3|fig6|fig7|fig8|ablations | \
+         --report soundcheck [--explain] | \
          --report robust [--seeds N] | \
          --connect ADDR (--submit all|i/N | --status | --fetch -o FILE | \
          --stats [--format expo] [-o FILE] | --shutdown)]"
@@ -161,6 +164,7 @@ fn parse_args() -> Options {
     let mut trace = None;
     let mut cache = CacheOpt::Default;
     let mut verify = false;
+    let mut explain = false;
     let mut seeds = None;
     let mut it = args.into_iter().peekable();
     let set = |c: Command, command: &mut Option<Command>| {
@@ -181,6 +185,7 @@ fn parse_args() -> Options {
             "--cache" => cache = CacheOpt::Path(it.next().unwrap_or_else(|| usage())),
             "--no-cache" => cache = CacheOpt::Off,
             "--cache-verify" => verify = true,
+            "--explain" => explain = true,
             "--list" => set(Command::List, &mut command),
             "--shard" => {
                 let spec = it.next().unwrap_or_else(|| usage());
@@ -198,20 +203,12 @@ fn parse_args() -> Options {
                 }
                 set(Command::Merge { files }, &mut command);
             }
-            "--spawn" => {
-                let count: usize = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| usage());
-                set(Command::Spawn { count }, &mut command);
-            }
             "--jobs" => set(Command::Jobs, &mut command),
             "--report" => match it.next().as_deref() {
                 Some("robust") => set(Command::Robust { seeds: 8 }, &mut command),
                 Some(name) => {
                     let id = ReportId::from_name(name).unwrap_or_else(|| usage());
-                    set(Command::Report { id }, &mut command);
+                    set(Command::Report { id, explain: false }, &mut command);
                 }
                 None => usage(),
             },
@@ -268,6 +265,20 @@ fn parse_args() -> Options {
         eprintln!("gridrun: --trace only applies to the in-process (default) run");
         usage();
     }
+    match (&mut command, explain) {
+        (
+            Command::Report {
+                id: ReportId::Soundcheck,
+                explain,
+            },
+            true,
+        ) => *explain = true,
+        (_, true) => {
+            eprintln!("gridrun: --explain only applies to --report soundcheck");
+            usage();
+        }
+        _ => {}
+    }
     match (&mut command, seeds) {
         (Command::Robust { seeds }, Some(n)) => *seeds = n,
         (_, Some(_)) => {
@@ -323,35 +334,6 @@ fn write_artifact(path: &str, text: &str) -> Result<(), String> {
     }
 }
 
-/// `--spawn N`: evaluate the grid on N `gridrun --jobs` workers (the
-/// daemon's pull dispatch), fold their worker lines, and demand
-/// byte-parity with the in-process pipeline.
-fn spawn_workers(spec: &GridSpec, mode: GridMode, count: usize) -> Result<String, ExitCode> {
-    let fail = |e: GridError| {
-        eprintln!("gridrun: {e}");
-        ExitCode::from(2)
-    };
-    let mut store = CellStore::new();
-    for (_, text) in service::run_workers(mode, count, spec.jobs()).map_err(fail)? {
-        let line = CellLine::parse(&text).map_err(fail)?;
-        store.insert(line.job, line.value).map_err(fail)?;
-    }
-    let rendered = render_all(&store, mode);
-    let direct = render_all(&CellStore::compute(spec.jobs()), mode);
-    if rendered != direct {
-        eprintln!(
-            "gridrun: PARITY FAILURE — {count}-worker render differs from the \
-             in-process render"
-        );
-        return Err(ExitCode::from(3));
-    }
-    eprintln!(
-        "gridrun: {count} workers · {} cells · render byte-identical to in-process",
-        store.len()
-    );
-    Ok(rendered)
-}
-
 /// Cache-aware compute of `jobs`, reporting hit/computed tallies on
 /// stderr. `--no-cache` falls through to the plain compute path.
 fn compute(jobs: &[Job], opts: &Options) -> Result<CellStore, String> {
@@ -369,24 +351,6 @@ fn compute(jobs: &[Job], opts: &Options) -> Result<CellStore, String> {
         None => eprintln!("gridrun: cache off: {} computed", stats.computed),
     }
     Ok(store)
-}
-
-/// Cache-aware compute of `jobs`, then prints `render` of the store.
-fn compute_and_print(
-    jobs: &[Job],
-    opts: &Options,
-    render: impl FnOnce(&CellStore) -> String,
-) -> ExitCode {
-    match compute(jobs, opts) {
-        Ok(store) => {
-            print!("{}", render(&store));
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("gridrun: {e}");
-            ExitCode::from(2)
-        }
-    }
 }
 
 /// `--jobs`: the worker half of the daemon's pull dispatch — read one
@@ -431,17 +395,6 @@ fn run_jobs() -> Result<(), String> {
     }
     eprintln!("gridrun: worker evaluated {done} cells");
     Ok(())
-}
-
-/// Whether progress heartbeats go to stderr: `SCHEMATIC_PROGRESS=0`
-/// silences them, `=1` (or any other value) forces them, and unset
-/// follows whether stderr is attached to a terminal.
-fn progress_enabled() -> bool {
-    use std::io::IsTerminal as _;
-    match std::env::var("SCHEMATIC_PROGRESS") {
-        Ok(v) => v != "0",
-        Err(_) => std::io::stderr().is_terminal(),
-    }
 }
 
 /// `--connect ADDR`: one request against a running daemon.
@@ -536,38 +489,35 @@ fn connect(spec: &GridSpec, addr: &str, action: &ClientAction) -> Result<(), Str
     Ok(())
 }
 
-fn main() -> ExitCode {
-    let mut opts = parse_args();
+/// Prints `text`, rendered from `store` with its soundcheck section,
+/// and exits 1 when that section's verdict is FAIL.
+fn print_checked(text: &str, store: &CellStore, mode: GridMode) -> ExitCode {
+    print!("{text}");
+    if render_soundcheck(store, mode).1 {
+        ExitCode::SUCCESS
+    } else {
+        eprintln!("gridrun: soundcheck verdict: FAIL");
+        ExitCode::from(1)
+    }
+}
+
+/// Runs the parsed command; `Err` is a usage, artifact or coverage
+/// error (exit 2).
+fn run(opts: &Options) -> Result<ExitCode, String> {
     let spec = GridSpec::full_grid(opts.mode);
-    match std::mem::replace(&mut opts.command, Command::List) {
+    match &opts.command {
         Command::Direct => {
             let store = match &opts.trace {
-                None => match compute(spec.jobs(), &opts) {
-                    Ok(store) => store,
-                    Err(e) => {
-                        eprintln!("gridrun: {e}");
-                        return ExitCode::from(2);
-                    }
-                },
+                None => compute(spec.jobs(), opts)?,
                 // A real file streams: overflow event chunks spill to
                 // disk during capture, so no event is ever dropped.
                 // Stdout ("-") keeps the buffered ring-capped path.
                 Some(path) if path != "-" => {
-                    let file = match std::fs::File::create(Path::new(path)) {
-                        Ok(f) => f,
-                        Err(e) => {
-                            eprintln!("gridrun: {path}: {e}");
-                            return ExitCode::from(2);
-                        }
-                    };
+                    let file = std::fs::File::create(Path::new(path))
+                        .map_err(|e| format!("{path}: {e}"))?;
                     let writer = std::io::BufWriter::new(file);
-                    let (store, traces) = match trace::capture_grid_streaming(spec.jobs(), writer) {
-                        Ok(out) => out,
-                        Err(e) => {
-                            eprintln!("gridrun: {path}: {e}");
-                            return ExitCode::from(2);
-                        }
-                    };
+                    let (store, traces) = trace::capture_grid_streaming(spec.jobs(), writer)
+                        .map_err(|e| format!("{path}: {e}"))?;
                     eprintln!(
                         "gridrun: wrote {} cell traces ({} events resident, {} streamed) to {path}",
                         traces.len(),
@@ -578,10 +528,7 @@ fn main() -> ExitCode {
                 }
                 Some(path) => {
                     let (store, traces) = trace::capture_grid(spec.jobs());
-                    if let Err(e) = write_artifact(path, &trace::to_jsonl(&traces)) {
-                        eprintln!("gridrun: {e}");
-                        return ExitCode::from(2);
-                    }
+                    write_artifact(path, &trace::to_jsonl(&traces))?;
                     eprintln!(
                         "gridrun: wrote {} cell traces ({} events) to {path}",
                         traces.len(),
@@ -590,109 +537,77 @@ fn main() -> ExitCode {
                     store
                 }
             };
-            print!("{}", render_all(&store, opts.mode));
-            ExitCode::SUCCESS
+            Ok(print_checked(
+                &render_all(&store, opts.mode),
+                &store,
+                opts.mode,
+            ))
         }
         Command::List => {
             for job in spec.jobs() {
                 println!("{job}");
             }
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         Command::Shard { index, count, out } => {
-            let jobs = spec.shard(index, count);
-            let start = Instant::now();
-            let last_beat = AtomicU64::new(0);
-            let progress = progress_enabled();
-            if progress {
-                eprintln!(
-                    "gridrun: shard {index}/{count} starting: 0/{} cells",
-                    jobs.len()
-                );
-            }
+            let jobs = spec.shard(*index, *count);
             let table = CostTable::msp430fr5969();
-            let mut sources = SourceDigests::new();
-            let lines = evaluate_keyed(&jobs, &table, &mut sources, &|done, total| {
-                if !progress {
-                    return;
-                }
-                let elapsed = start.elapsed();
-                let secs = elapsed.as_secs();
-                let prev = last_beat.load(Ordering::Relaxed);
-                let due = secs > prev
-                    && last_beat
-                        .compare_exchange(prev, secs, Ordering::Relaxed, Ordering::Relaxed)
-                        .is_ok();
-                if due || done == total {
-                    eprintln!(
-                        "gridrun: shard {index}/{count} heartbeat: {done}/{total} cells, \
-                         {:.1}s elapsed",
-                        elapsed.as_secs_f64()
-                    );
-                }
-            });
+            let lines = evaluate_keyed(&jobs, &table, &mut SourceDigests::new());
             let mut artifact = String::new();
             for line in &lines {
                 line.write(&mut artifact);
                 artifact.push('\n');
             }
-            match write_artifact(&out, &artifact) {
-                Ok(()) => {
-                    eprintln!(
-                        "gridrun: shard {index}/{count} computed {} of {} cells",
-                        jobs.len(),
-                        spec.len()
-                    );
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("gridrun: {e}");
-                    ExitCode::from(2)
-                }
-            }
+            write_artifact(out, &artifact)?;
+            eprintln!(
+                "gridrun: shard {index}/{count} computed {} of {} cells",
+                jobs.len(),
+                spec.len()
+            );
+            Ok(ExitCode::SUCCESS)
         }
         Command::Merge { files } => {
             let paths: Vec<PathBuf> = files.iter().map(PathBuf::from).collect();
-            match merge_files(&spec, &paths) {
-                Ok(store) => {
-                    print!("{}", render_all(&store, opts.mode));
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("gridrun: {e}");
-                    ExitCode::from(2)
-                }
-            }
+            let store = merge_files(&spec, &paths)?;
+            Ok(print_checked(
+                &render_all(&store, opts.mode),
+                &store,
+                opts.mode,
+            ))
         }
-        Command::Spawn { count } => match spawn_workers(&spec, opts.mode, count) {
-            Ok(rendered) => {
-                print!("{rendered}");
-                ExitCode::SUCCESS
+        Command::Jobs => {
+            run_jobs()?;
+            Ok(ExitCode::SUCCESS)
+        }
+        Command::Report { id, explain } => {
+            let store = compute(GridSpec::for_report(*id, opts.mode).jobs(), opts)?;
+            let mut text = render(*id, &store, opts.mode);
+            if *id != ReportId::Soundcheck {
+                print!("{text}");
+                return Ok(ExitCode::SUCCESS);
             }
-            Err(code) => code,
-        },
-        Command::Jobs => match run_jobs() {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("gridrun: {e}");
-                ExitCode::from(2)
+            if *explain {
+                text.push_str(&render_soundcheck_explain(&store, opts.mode));
             }
-        },
-        Command::Report { id } => {
-            let slice = GridSpec::for_report(id, opts.mode);
-            compute_and_print(slice.jobs(), &opts, |store| render(id, store, opts.mode))
+            Ok(print_checked(&text, &store, opts.mode))
         }
         // The robustness grid goes through the same cache-aware compute
         // as the paper grid, so `--cache-verify` covers scenario cells.
-        Command::Robust { seeds } => compute_and_print(&robust_jobs(seeds), &opts, |store| {
-            render_robust(store, seeds)
-        }),
-        Command::Connect { addr, action } => match connect(&spec, &addr, &action) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("gridrun: {e}");
-                ExitCode::from(2)
-            }
-        },
+        Command::Robust { seeds } => {
+            let store = compute(&robust_jobs(*seeds), opts)?;
+            print!("{}", render_robust(&store, *seeds));
+            Ok(ExitCode::SUCCESS)
+        }
+        Command::Connect { addr, action } => {
+            connect(&spec, addr, action)?;
+            Ok(ExitCode::SUCCESS)
+        }
     }
+}
+
+fn main() -> ExitCode {
+    run(&parse_args()).unwrap_or_else(|e| {
+        eprintln!("gridrun: {e}");
+        ExitCode::from(2)
+    })
 }

@@ -45,7 +45,6 @@ use std::collections::BTreeMap;
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Version of the key derivation *and* of the meaning of the kernels
 /// behind it. Bump on any change to what a cell computes that the
@@ -308,22 +307,13 @@ pub fn keyed_line(
 }
 
 /// Evaluates `jobs` (fanning out over the parallel driver) into keyed
-/// lines, in job order, calling `progress(done, total)` after each
-/// cell. The callback runs on worker threads (hence `Sync`) and
-/// completion order is nondeterministic, but `done` is a monotone count.
+/// lines, in job order.
 pub fn evaluate_keyed(
     jobs: &[Job],
     table: &CostTable,
     sources: &mut SourceDigests,
-    progress: &(impl Fn(usize, usize) + Sync),
 ) -> Vec<CellLine> {
-    let total = jobs.len();
-    let done = AtomicUsize::new(0);
-    let computed = par_map(jobs, |job| {
-        let out = evaluate_traced(job, table);
-        progress(done.fetch_add(1, Ordering::Relaxed) + 1, total);
-        out
-    });
+    let computed = par_map(jobs, |job| evaluate_traced(job, table));
     jobs.iter()
         .zip(computed)
         .map(|(job, (value, ims))| keyed_line(job.clone(), value, ims, table, sources))
@@ -411,7 +401,7 @@ pub fn compute_cached(
 
     // Pass 2 (parallel): evaluate the misses — and, in verify mode,
     // re-evaluate the hits to cross-check the cache.
-    let computed = evaluate_keyed(&misses, &table, &mut sources, &|_, _| {});
+    let computed = evaluate_keyed(&misses, &table, &mut sources);
     if verify {
         schematic_obs::gcount("cache/verify", hits.len() as u64);
         let fresh = par_map(&hits, |(job, _)| evaluate_traced(job, &table).0);

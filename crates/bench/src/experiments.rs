@@ -1,12 +1,10 @@
-//! Report generators behind `gridrun` and `soundcheck` — the **render
-//! layer** of the grid pipeline.
+//! Report generators behind `gridrun` — the **render layer** of the
+//! grid pipeline.
 //!
 //! Each `render_*` function is a pure function from a computed
 //! [`CellStore`] to the report string, and [`render`] picks one by
-//! [`ReportId`]. [`report`] enumerates one report's [`GridSpec`],
-//! computes the store (cells fan out over [`crate::parallel::par_map`]
-//! workers, `SCHEMATIC_JOBS` overrides the count) and renders it;
-//! `gridrun --report NAME` does the same through the cell cache.
+//! [`ReportId`]; `gridrun --report NAME` computes one report's
+//! [`crate::grid::GridSpec`] through the cell cache and renders it.
 //! [`render_all`] renders every section from one store of the
 //! **union** grid, so cells shared between reports (fig6 and fig8 read
 //! Table III's `run` cells, Table I reads Table II's `bare` cells) are
@@ -14,17 +12,13 @@
 //! many workers — or shards (`gridrun`) — computed the store.
 
 use crate::grid::{
-    CellStore, CellValue, GridMode, GridSpec, Job, ReportId, SoundCounts, ALL_REPORTS,
+    sound_techniques, CellStore, CellValue, GridMode, Job, ReportId, SoundCounts, ALL_REPORTS,
 };
 use crate::{
     render_table, technique_names, uj, CellOutcome, Scenario, ENERGY_TBPF, SVM_BYTES, TBPFS,
 };
 use schematic_energy::Energy;
 use std::fmt::Write;
-
-fn store_for(report: ReportId, mode: GridMode) -> CellStore {
-    CellStore::compute(GridSpec::for_report(report, mode).jobs())
-}
 
 /// Renders Table I — ability to support limited VM space (§IV-B) —
 /// from `store` (needs its `support` and `bare` cells).
@@ -512,27 +506,15 @@ pub fn render_ablations(store: &CellStore) -> String {
     out
 }
 
-/// Soundness check (ISSUE 3) — static WAR-hazard classification of every
-/// inter-checkpoint region per technique × benchmark, cross-validated in
-/// full mode against the emulator's shadow recorder across all TBPFs.
+/// Renders the soundness check — static WAR-hazard classification of
+/// every inter-checkpoint region per technique × benchmark, in
+/// [`GridMode::Full`] cross-validated against the emulator's shadow
+/// recorder across all TBPFs — from `store` (needs the `sound` and, in
+/// full mode, `shadow` cells of [`sound_techniques`]).
 ///
 /// Returns the rendered report and whether the check passed: no
 /// `hazardous` region under Schematic or Ratchet, and no observed WAR
 /// the static analysis failed to predict (no false negatives).
-///
-/// `quick` restricts the sweep to Schematic + Ratchet and skips the
-/// shadow runs (static analysis only) — the CI configuration.
-pub fn soundcheck_report(quick: bool) -> (String, bool) {
-    let mode = if quick {
-        GridMode::Quick
-    } else {
-        GridMode::Full
-    };
-    render_soundcheck(&store_for(ReportId::Soundcheck, mode), mode)
-}
-
-/// Renders the soundness check from `store` (needs the `sound` — and in
-/// [`GridMode::Full`], `shadow` — cells of the mode's technique set).
 pub fn render_soundcheck(store: &CellStore, mode: GridMode) -> (String, bool) {
     let quick = mode == GridMode::Quick;
     let mut out = String::new();
@@ -562,11 +544,7 @@ pub fn render_soundcheck(store: &CellStore, mode: GridMode) -> (String, bool) {
     .map(|s| s.to_string())
     .collect();
 
-    let techniques: Vec<&'static str> = if quick {
-        crate::grid::SOUND_QUICK_TECHNIQUES.to_vec()
-    } else {
-        technique_names()
-    };
+    let techniques = sound_techniques(mode);
     let benches = schematic_benchsuite::all();
 
     let mut pass = true;
@@ -649,47 +627,30 @@ pub fn render_soundcheck(store: &CellStore, mode: GridMode) -> (String, bool) {
     (out, pass)
 }
 
-/// `soundcheck --explain`: recomputes every technique × benchmark cell
-/// and prints per-region verdicts — class, WAR variables with their
-/// offending footprints and sites, the index facts justifying each
-/// idempotence downgrade, and the worst-case re-execution bound — plus
-/// machine-greppable histogram lines
-/// (`hist <technique> <benchmark> <regions> <idempotent> <war-free>
-/// <shielded> <hazardous>`) that CI diffs against
-/// `tests/goldens/region_classes.txt`.
-pub fn render_soundcheck_explain(quick: bool) -> String {
+/// `gridrun --report soundcheck --explain`: per-region verdicts — class,
+/// WAR variables with their offending footprints and sites, the index
+/// facts justifying each idempotence downgrade, and the worst-case
+/// re-execution bound — then the region-class histogram
+/// ([`render_region_classes`]). The verdicts recompile each technique ×
+/// benchmark (the cells keep counts only); the histogram reads `store`'s
+/// `sound` cells.
+pub fn render_soundcheck_explain(store: &CellStore, mode: GridMode) -> String {
     use schematic_core::RegionClass;
     let table = schematic_energy::CostTable::msp430fr5969();
     let eb = crate::eb_for_tbpf(&table, ENERGY_TBPF);
-    let techniques: Vec<&'static str> = if quick {
-        crate::grid::SOUND_QUICK_TECHNIQUES.to_vec()
-    } else {
-        technique_names()
-    };
-    let benches = schematic_benchsuite::all();
     let mut out = String::new();
     writeln!(out, "\nPer-region verdicts (--explain)\n").unwrap();
-    let mut hists = String::new();
-    for tech in &techniques {
-        for b in &benches {
+    for tech in sound_techniques(mode) {
+        for b in &schematic_benchsuite::all() {
             let module = (b.build)(crate::SEED);
             if !crate::technique_supports(tech, &module) {
-                writeln!(hists, "hist {tech} {} unsupported", b.name).unwrap();
                 continue;
             }
-            let im = match crate::compile_technique(tech, &module, &table, eb) {
-                Ok(im) => im,
-                Err(_) => {
-                    writeln!(hists, "hist {tech} {} error", b.name).unwrap();
-                    continue;
-                }
+            let Ok(im) = crate::compile_technique(tech, &module, &table, eb) else {
+                continue;
             };
-            let report = match schematic_core::check_all(&im, &table, eb) {
-                Ok(r) => r,
-                Err(_) => {
-                    writeln!(hists, "hist {tech} {} error", b.name).unwrap();
-                    continue;
-                }
+            let Ok(report) = schematic_core::check_all(&im, &table, eb) else {
+                continue;
             };
             writeln!(out, "== {tech} x {} ==", b.name).unwrap();
             for region in &report.anomalies.regions {
@@ -732,18 +693,40 @@ pub fn render_soundcheck_explain(quick: bool) -> String {
                     }
                 }
             }
-            let [idem, free, shielded, hazardous] = report.anomalies.class_counts();
-            writeln!(
-                hists,
-                "hist {tech} {} {} {idem} {free} {shielded} {hazardous}",
-                b.name,
-                report.anomalies.regions.len()
-            )
-            .unwrap();
         }
     }
     writeln!(out, "Region-class histogram (greppable: '^hist '):").unwrap();
-    out.push_str(&hists);
+    out.push_str(&render_region_classes(store, mode));
+    out
+}
+
+/// The region-class histogram from `store`'s `sound` cells, one line
+/// per technique × benchmark: `hist <technique> <benchmark> <regions>
+/// <idempotent> <war-free> <shielded> <hazardous>`, or `unsupported` /
+/// `error` in place of the counts for a skipped cell. Pinned by
+/// `tests/goldens/region_classes.txt` for the quick grid.
+pub fn render_region_classes(store: &CellStore, mode: GridMode) -> String {
+    let mut out = String::new();
+    for tech in sound_techniques(mode) {
+        for b in &schematic_benchsuite::all() {
+            write!(out, "hist {tech} {} ", b.name).unwrap();
+            match store.value(&Job::sound(tech, b.name)) {
+                CellValue::Sound {
+                    counts: Some(c), ..
+                } => writeln!(
+                    out,
+                    "{} {} {} {} {}",
+                    c.regions, c.idempotent, c.war_free, c.shielded, c.hazardous
+                ),
+                CellValue::Sound { note: Some(n), .. } if n == "unsupported" => {
+                    writeln!(out, "unsupported")
+                }
+                CellValue::Sound { .. } => writeln!(out, "error"),
+                other => panic!("sound cell has kind {other:?}"),
+            }
+            .unwrap();
+        }
+    }
     out
 }
 
@@ -772,7 +755,8 @@ pub fn robust_scenarios(seeds: u64) -> Vec<Scenario> {
 
 /// The robustness grid: every technique × benchmark × scenario `run`
 /// job, in the grid's stable order. Deliberately **not** part of
-/// [`GridSpec::full_grid`] — the paper reports stay byte-identical.
+/// [`crate::grid::GridSpec::full_grid`] — the paper reports stay
+/// byte-identical.
 pub fn robust_jobs(seeds: u64) -> Vec<Job> {
     let mut jobs = Vec::new();
     for tech in technique_names() {
@@ -870,8 +854,9 @@ pub fn render_robust(store: &CellStore, seeds: u64) -> String {
 }
 
 /// Renders report `id` from `store`, which must hold the report's
-/// cells ([`GridSpec::for_report`]). The soundness check renders its
-/// text only; its pass/fail verdict is [`render_soundcheck`]'s.
+/// cells ([`crate::grid::GridSpec::for_report`]). The soundness check
+/// renders its text only; its pass/fail verdict is
+/// [`render_soundcheck`]'s.
 pub fn render(id: ReportId, store: &CellStore, mode: GridMode) -> String {
     match id {
         ReportId::Table1 => render_table1(store),
@@ -883,12 +868,6 @@ pub fn render(id: ReportId, store: &CellStore, mode: GridMode) -> String {
         ReportId::Ablations => render_ablations(store),
         ReportId::Soundcheck => render_soundcheck(store, mode).0,
     }
-}
-
-/// Computes report `id`'s slice of the grid into a fresh store and
-/// renders it.
-pub fn report(id: ReportId, mode: GridMode) -> String {
-    render(id, &store_for(id, mode), mode)
 }
 
 /// Every report in [`ALL_REPORTS`] order from one shared store, each

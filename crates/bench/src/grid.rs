@@ -23,7 +23,7 @@
 //!    Table III, the union grid computes each shared cell once.
 //!
 //! The `gridrun` binary drives the pipeline from the command line
-//! (`--shard i/N`, `--merge`, `--spawn N`).
+//! (`--shard i/N`, `--merge`).
 
 use crate::json::Json;
 use crate::parallel::par_map;
@@ -408,8 +408,14 @@ pub const FIG7_VARIANTS: [&str; 2] = ["Schematic", "All-NVM"];
 /// The ablation variant labels, in row order.
 pub const ABLATION_VARIANTS: [&str; 3] = ["full", "no-liveness", "no-ratio"];
 
-/// The techniques the quick soundcheck sweeps (the guarded ones).
-pub const SOUND_QUICK_TECHNIQUES: [&str; 2] = ["Schematic", "Ratchet"];
+/// The techniques the soundcheck sweeps: the guarded ones (Schematic
+/// and Ratchet) in [`GridMode::Quick`], all five in [`GridMode::Full`].
+pub fn sound_techniques(mode: GridMode) -> Vec<&'static str> {
+    match mode {
+        GridMode::Quick => vec!["Schematic", "Ratchet"],
+        GridMode::Full => technique_names(),
+    }
+}
 
 /// The jobs one report needs, before deduplication against other
 /// reports.
@@ -473,10 +479,7 @@ pub fn report_jobs(report: ReportId, mode: GridMode) -> Vec<Job> {
             }
         }
         ReportId::Soundcheck => {
-            let techniques: Vec<&str> = match mode {
-                GridMode::Quick => SOUND_QUICK_TECHNIQUES.to_vec(),
-                GridMode::Full => technique_names(),
-            };
+            let techniques = sound_techniques(mode);
             for tech in &techniques {
                 for b in &benches {
                     jobs.push(Job::sound(tech, b.name));

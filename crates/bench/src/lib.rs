@@ -17,7 +17,7 @@
 //! | `fig7`   | Figure 7 — SCHEMATIC vs All-NVM computation split |
 //! | `fig8`   | Figure 8 — impact of capacitor size on `crc` |
 //! | `ablations` | extension: design-choice ablations (Eq. 2 liveness, gain/size ordering) |
-//! | `soundcheck` | per-region WAR-hazard classification × technique × benchmark |
+//! | `soundcheck` | per-region WAR-hazard classification × technique × benchmark; exits 1 on a FAIL verdict, `--explain` adds per-region verdicts and the region-class histogram |
 //! | `robust` | multi-seed robustness: completion rate and energy spread per technique × benchmark |
 //!
 //! Performance is measured by the separate `perfbench/` package, and
@@ -26,8 +26,7 @@
 //!
 //! | binary   | does |
 //! |----------|------|
-//! | `gridrun` | the grid pipeline: with no mode, computes the whole grid in-process and renders every report above; `--report NAME` renders one; `--shard i/N` computes a slice to a JSONL artifact (with a per-shard progress heartbeat on stderr), `--merge` folds shards back and renders every report, `--spawn N` evaluates the grid on N `--jobs` worker processes and checks the render against the in-process one, `--trace F` captures per-cell traces |
-//! | `soundcheck` | the soundness check with its flags and exit status: `--quick` for the CI static sweep, `--explain` for per-region verdicts; the full sweep adds emulator shadow cross-validation |
+//! | `gridrun` | the grid pipeline: with no mode, computes the whole grid in-process and renders every report above; `--report NAME` renders one; `--shard i/N` computes a slice to a JSONL artifact, `--merge` folds shards back and renders every report, `--jobs` is the worker mode `gridd` spawns, `--trace F` captures per-cell traces; `--quick` shrinks the soundcheck to the CI static sweep |
 //! | `gridd` | the persistent evaluation daemon (`gridrun --connect` drives it) |
 //! | `tracereport` | renders a `--trace` artifact: phase-time table, hottest cells, per-run epoch timelines with the exact Fig. 6 energy split (see [`trace`]) |
 //!

@@ -2,10 +2,22 @@
 //! must render byte-identically to the cold run that populated it, and
 //! invalidating one cell's record must recompute exactly that cell —
 //! the incremental contract `gridrun --cache` on a partial shard
-//! artifact and `gridd` build on.
+//! artifact and `gridd` build on. The cold run is also pinned against
+//! the checked-in goldens: the quick render
+//! (`tests/goldens/render_quick.txt`, what `gridrun --quick` prints) and
+//! the region-class histogram of its `sound` cells
+//! (`tests/goldens/region_classes.txt`, the `^hist ` lines of `gridrun
+//! --quick --report soundcheck --explain`). After a deliberate change,
+//! re-record them with
+//!
+//! ```text
+//! target/release/gridrun --quick --no-cache > tests/goldens/render_quick.txt
+//! target/release/gridrun --quick --no-cache --report soundcheck --explain \
+//!     | grep '^hist ' > tests/goldens/region_classes.txt
+//! ```
 
 use schematic_bench::cache::{self, CellCache, SourceDigests};
-use schematic_bench::experiments::render_all;
+use schematic_bench::experiments::{render_all, render_region_classes};
 use schematic_bench::grid::{evaluate_traced, GridMode, GridSpec};
 use schematic_energy::CostTable;
 use schematic_ir::hash::Digest;
@@ -23,6 +35,16 @@ fn warm_quick_grid_is_free_and_byte_identical() {
     assert_eq!(cold.hits, 0);
     assert_eq!(cold.computed, spec.len());
     let cold_render = render_all(&cold_store, GridMode::Quick);
+    assert_eq!(
+        cold_render,
+        include_str!("../../../tests/goldens/render_quick.txt"),
+        "quick render drifted from tests/goldens/render_quick.txt"
+    );
+    assert_eq!(
+        render_region_classes(&cold_store, GridMode::Quick),
+        include_str!("../../../tests/goldens/region_classes.txt"),
+        "region-class histogram drifted from tests/goldens/region_classes.txt"
+    );
 
     // Warm, from a fresh process's view of the file: zero computes,
     // byte-identical artifact and render.

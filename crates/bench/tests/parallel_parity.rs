@@ -1,8 +1,15 @@
 //! The parallel experiment driver must be observationally invisible:
 //! every report is byte-identical no matter how many workers run.
 
-use schematic_bench::experiments::report;
-use schematic_bench::grid::{GridMode, ReportId};
+use schematic_bench::experiments::render;
+use schematic_bench::grid::{CellStore, GridMode, GridSpec, ReportId};
+
+/// Computes report `id`'s slice of the full grid into a fresh store
+/// and renders it.
+fn report(id: ReportId) -> String {
+    let store = CellStore::compute(GridSpec::for_report(id, GridMode::Full).jobs());
+    render(id, &store, GridMode::Full)
+}
 
 /// One test function mutates `SCHEMATIC_JOBS` sequentially; splitting
 /// the comparisons across `#[test]`s would race on the process-wide
@@ -10,11 +17,11 @@ use schematic_bench::grid::{GridMode, ReportId};
 #[test]
 fn reports_are_identical_across_job_counts() {
     std::env::set_var("SCHEMATIC_JOBS", "1");
-    let table1_serial = report(ReportId::Table1, GridMode::Full);
-    let fig8_serial = report(ReportId::Fig8, GridMode::Full);
+    let table1_serial = report(ReportId::Table1);
+    let fig8_serial = report(ReportId::Fig8);
     std::env::set_var("SCHEMATIC_JOBS", "4");
-    let table1_parallel = report(ReportId::Table1, GridMode::Full);
-    let fig8_parallel = report(ReportId::Fig8, GridMode::Full);
+    let table1_parallel = report(ReportId::Table1);
+    let fig8_parallel = report(ReportId::Fig8);
     std::env::remove_var("SCHEMATIC_JOBS");
     assert_eq!(table1_serial, table1_parallel);
     assert_eq!(fig8_serial, fig8_parallel);

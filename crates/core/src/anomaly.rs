@@ -71,8 +71,8 @@
 //! interval's energy budget `EB` (or that reaches a loop with no trip
 //! annotation) is flagged `over_budget` — it may roll back again before
 //! reaching its next checkpoint. The flag is informational (forward
-//! progress is the province of [`crate::pverify`]); `soundcheck
-//! --explain` surfaces it per region.
+//! progress is the province of [`crate::pverify`]); `gridrun --report
+//! soundcheck --explain` surfaces it per region.
 //!
 //! Entry point: [`check_anomalies`] (or [`check_anomalies_bounded`] with
 //! a cost table); [`crate::analyze::check_all`] folds this together with
@@ -214,7 +214,7 @@ pub struct RegionInfo {
     /// `Idempotent`.
     pub writes_disjoint: bool,
     /// Per-variable accumulated NVM footprints (sorted by variable), for
-    /// diagnostics and `soundcheck --explain`.
+    /// diagnostics and `gridrun --report soundcheck --explain`.
     pub accesses: Vec<RegionAccess>,
     /// Worst-case energy to re-execute the region once after a rollback:
     /// resume cost at the region's start plus every reachable block at

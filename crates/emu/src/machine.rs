@@ -78,21 +78,20 @@ pub struct RunConfig {
     /// paper's §VII future-work direction and quantifies its benefit.
     pub retentive_sleep: bool,
     /// Record the sequence of executed blocks (for path profiling).
-    /// Such a run is never lifecycle-traced: `trace`, [`crate::trace::set_forced`]
-    /// and `SCHEMATIC_TRACE` are ignored for it.
+    /// Such a run is never lifecycle-traced: `trace` and
+    /// [`crate::trace::set_forced`] are ignored for it.
     pub record_trace: bool,
     /// Cap on recorded trace entries.
     pub max_trace: usize,
     /// Record NVM first-access order per inter-checkpoint epoch and
     /// report observed WAR hazards ([`ShadowReport`]), cross-validating
-    /// the static analysis in `schematic-core`. Also enabled by setting
-    /// the `SCHEMATIC_SHADOW_WAR=1` environment variable. Disables the
-    /// fused block dispatch for the run (metrics stay bit-identical,
+    /// the static analysis in `schematic-core`. Disables the fused
+    /// block dispatch for the run (metrics stay bit-identical,
     /// the run is just slower), so it is off by default.
     pub shadow_war: bool,
     /// Emit the intermittent-execution lifecycle as structured
-    /// [`schematic_obs`] events (see [`crate::trace`]). Also enabled by
-    /// `SCHEMATIC_TRACE=1` or [`crate::trace::set_forced`]. Like
+    /// [`schematic_obs`] events (see [`crate::trace`]). Also enabled
+    /// process-wide by [`crate::trace::set_forced`]. Like
     /// [`RunConfig::shadow_war`], disables fused dispatch for the run;
     /// metrics stay bit-identical. Ignored when `record_trace` is set.
     pub trace: bool,
@@ -384,19 +383,16 @@ impl<'a> Machine<'a> {
     ) -> Self {
         let mem = Memory::new(&im.module, config.svm_bytes);
         let power = PowerState::new(config.power);
-        let shadow_on =
-            config.shadow_war || std::env::var_os("SCHEMATIC_SHADOW_WAR").is_some_and(|v| v == "1");
-        let shadow = shadow_on.then(|| ShadowRecorder::new(im.module.vars.iter().map(|v| v.words)));
+        let shadow = config
+            .shadow_war
+            .then(|| ShadowRecorder::new(im.module.vars.iter().map(|v| v.words)));
         // Path-recording runs are compile-time profiling, not
         // intermittent runs, so they never emit lifecycle events.
-        let tracing = !config.record_trace
-            && (config.trace
-                || crate::trace::forced()
-                || std::env::var_os("SCHEMATIC_TRACE").is_some_and(|v| v == "1"));
+        let tracing = !config.record_trace && (config.trace || crate::trace::forced());
         // Shadowing and tracing must observe every access/step
         // individually, so they force the per-instruction tier (metrics
         // stay bit-identical either way).
-        let tier = if shadow_on || tracing {
+        let tier = if config.shadow_war || tracing {
             ExecTier::Interp
         } else {
             config.tier

@@ -1,15 +1,15 @@
 //! Opt-in shadow recorder: dynamic cross-validation of the static
 //! WAR-hazard analysis in `schematic-core`.
 //!
-//! When enabled (see [`crate::RunConfig::shadow_war`] or the
-//! `SCHEMATIC_SHADOW_WAR=1` environment variable), the machine records the
-//! actual first-access order of every **word** of every variable's NVM
-//! home per inter-checkpoint *epoch* — the dynamic counterpart of the
-//! static analysis' region, at the same per-element granularity as its
-//! index-sensitive footprints. An epoch begins at boot, at every
-//! checkpoint commit, and again whenever a power failure rolls execution
-//! back to a committed checkpoint (re-execution restarts the epoch: the
-//! first attempt's reads can no longer pair with the retry's writes).
+//! When enabled (see [`crate::RunConfig::shadow_war`]), the machine
+//! records the actual first-access order of every **word** of every
+//! variable's NVM home per inter-checkpoint *epoch* — the dynamic
+//! counterpart of the static analysis' region, at the same per-element
+//! granularity as its index-sensitive footprints. An epoch begins at
+//! boot, at every checkpoint commit, and again whenever a power failure
+//! rolls execution back to a committed checkpoint (re-execution restarts
+//! the epoch: the first attempt's reads can no longer pair with the
+//! retry's writes).
 //!
 //! An **observed WAR** is an NVM-level read of a word followed, in the
 //! same epoch, by an NVM-level write to the same word. The recorded

@@ -5,12 +5,10 @@
 //! power-on, checkpoint commit/skip/tear, sleep and wake-up, allocation
 //! migration, power failure and rollback restore — into the calling
 //! thread's observation registry. Tracing is enabled per run by
-//! [`RunConfig::trace`](crate::RunConfig::trace), process-wide by the
-//! `SCHEMATIC_TRACE=1` environment variable, or in-process by
-//! [`set_forced`] (which the grid driver uses to avoid environment
-//! races between threads). Events only land somewhere when the
-//! `schematic_obs` collector is also enabled
-//! ([`schematic_obs::set_enabled`]). Path-recording runs
+//! [`RunConfig::trace`](crate::RunConfig::trace), or process-wide by
+//! [`set_forced`] (which the grid driver's trace capture uses). Events
+//! only land somewhere when the `schematic_obs` collector is also
+//! enabled ([`schematic_obs::set_enabled`]). Path-recording runs
 //! ([`RunConfig::record_trace`](crate::RunConfig::record_trace), i.e.
 //! compile-time profiling) are never traced, so a stream always holds
 //! the events of intermittent runs only.
@@ -56,9 +54,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 static FORCED: AtomicBool = AtomicBool::new(false);
 
 /// Forces lifecycle tracing on (or off) for every subsequent run in
-/// this process, regardless of [`RunConfig::trace`](crate::RunConfig::trace)
-/// or the environment. In-process alternative to `SCHEMATIC_TRACE=1`
-/// for multi-threaded drivers, where mutating the environment races.
+/// this process, regardless of [`RunConfig::trace`](crate::RunConfig::trace).
 pub fn set_forced(on: bool) {
     FORCED.store(on, Ordering::Relaxed);
 }

@@ -23,43 +23,30 @@ cargo build --release --offline --manifest-path perfbench/Cargo.toml
 GRIDDIR="$(mktemp -d)"
 trap 'rm -rf "$GRIDDIR"' EXIT
 
-echo "== soundcheck --quick --explain (release) =="
-# Static WAR-hazard sweep of Schematic + Ratchet over all 8 benchmarks;
-# exits nonzero if any inter-checkpoint region classifies as hazardous.
-# The per-region explanation appends a greppable region-class histogram
-# (`^hist ` lines) which must match the checked-in golden exactly —
-# any classification drift (a region changing class under the
-# index-sensitive analysis) fails CI until the golden is re-recorded:
-#   cargo run --release -p schematic-bench --bin soundcheck -- \
-#     --quick --explain | grep '^hist ' > tests/goldens/region_classes.txt
-cargo run --release --offline -p schematic-bench --bin soundcheck -- \
-  --quick --explain > "$GRIDDIR/soundcheck.txt"
-grep '^hist ' "$GRIDDIR/soundcheck.txt" > "$GRIDDIR/region_classes.txt"
-diff -u tests/goldens/region_classes.txt "$GRIDDIR/region_classes.txt"
-echo "region-class histogram matches tests/goldens/region_classes.txt"
+cargo build --release --offline -p schematic-bench --bin gridrun
+GRIDRUN=target/release/gridrun
+
+echo "== gridrun --report soundcheck --explain (release) =="
+# Static WAR-hazard sweep of Schematic + Ratchet over all 8 benchmarks
+# with per-region verdicts; exits 1 (failing this script) if any
+# inter-checkpoint region classifies as hazardous. The region-class
+# histogram it ends with is pinned against
+# tests/goldens/region_classes.txt by the grid_cache test.
+"$GRIDRUN" --quick --no-cache --report soundcheck --explain > "$GRIDDIR/soundcheck.txt"
+grep -q '^hist ' "$GRIDDIR/soundcheck.txt"
 
 echo "== gridrun shard/merge smoke (release) =="
 # Two-shard run of the quick experiment grid through the serialized
 # cell-artifact pipeline: compute both shards as separate invocations,
 # merge the JSONL artifacts, and require the merged render to be
-# byte-identical to the single-process render. Then the same through
-# --spawn, which evaluates the grid on two `gridrun --jobs` worker
-# processes (gridd's pull dispatch) and self-asserts parity.
-cargo build --release --offline -p schematic-bench --bin gridrun
-GRIDRUN=target/release/gridrun
+# byte-identical to the single-process render (which the grid_cache
+# test pins against tests/goldens/render_quick.txt).
 "$GRIDRUN" --quick --shard 0/2 -o "$GRIDDIR/shard_0.jsonl"
 "$GRIDRUN" --quick --shard 1/2 -o "$GRIDDIR/shard_1.jsonl"
 "$GRIDRUN" --quick --merge "$GRIDDIR"/shard_*.jsonl > "$GRIDDIR/merged.txt"
 "$GRIDRUN" --quick > "$GRIDDIR/direct.txt"
 diff -u "$GRIDDIR/direct.txt" "$GRIDDIR/merged.txt"
 echo "merged 2-shard render byte-identical to single-process render"
-# The render is also pinned against a checked-in golden, so a change
-# that shifts any reported figure fails here instead of only being
-# compared with another output of the same build. After a deliberate
-# change, re-record it with:
-#   target/release/gridrun --quick --no-cache > tests/goldens/render_quick.txt
-diff -u tests/goldens/render_quick.txt "$GRIDDIR/direct.txt"
-echo "single-process render matches tests/goldens/render_quick.txt"
 # Each paper report rendered alone must equal its section of that
 # render: the lines between its banner (plus the blank line after it)
 # and the blank line before the next banner.
@@ -74,7 +61,6 @@ for NAME in table1 table2 table3 fig6 fig7 fig8 ablations; do
   diff -u "$GRIDDIR/section_$NAME.txt" "$GRIDDIR/report_$NAME.txt"
 done
 echo "gridrun --report NAME matches its section of the render for all 7 reports"
-"$GRIDRUN" --quick --spawn 2 > /dev/null
 
 echo "== tracereport smoke (release) =="
 # Trace the quick grid, render the observability report, and require a
