@@ -12,11 +12,11 @@
 //! batch of job keys (content-addressed cache first, then either
 //! in-process compute or, with `--workers N`, N child `gridrun --jobs`
 //! line workers fed the misses by pull: each evaluates one job at a
-//! time and gets the next key as it answers), `status` reports
-//! tallies, `fetch` returns every accumulated cell, `stats` returns
+//! time and gets the next key as it answers), `fetch` returns every
+//! accumulated cell, `stats` returns the batch and cache tallies and
 //! the live service telemetry — worker registries merged with daemon
-//! spans, queue and utilization gauges, cache hit/miss/verify counters
-//! (render it with `gridrun --connect ADDR --stats [--format expo]`) —
+//! spans, queue gauges, cache hit/miss/verify counters (render it with
+//! `gridrun --connect ADDR --stats`, dump the registry with `-o F`) —
 //! and `shutdown` stops the daemon.
 //!
 //! What staying resident buys: the cell cache is loaded once and kept

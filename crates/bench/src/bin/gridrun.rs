@@ -23,12 +23,10 @@
 //!                               # telemetry) on stdout, flushed at once; exit at EOF
 //! gridrun --connect ADDR ...    # thin client for a running `gridd`:
 //!                               #   --submit SPEC   evaluate 'all' or shard 'i/N' remotely
-//!                               #   --status        print daemon tallies
 //!                               #   --fetch -o F    download accumulated cells as JSONL
-//!                               #   --stats [--format expo] [-o F]
-//!                               #                   print merged service telemetry (human or
-//!                               #                   Prometheus-style exposition); -o dumps the
-//!                               #                   registry for `tracereport --service`
+//!                               #   --stats [-o F]  print daemon tallies and merged service
+//!                               #                   telemetry; -o dumps the registry (codec
+//!                               #                   JSONL) for `tracereport --service`
 //!                               #   --shutdown      stop the daemon
 //! ```
 //!
@@ -129,9 +127,8 @@ enum Command {
 
 enum ClientAction {
     Submit { spec: String },
-    Status,
     Fetch { out: String },
-    Stats { expo: bool, out: Option<String> },
+    Stats { out: Option<String> },
     Shutdown,
 }
 
@@ -142,8 +139,8 @@ fn usage() -> ! {
          --report table1|table2|table3|fig6|fig7|fig8|ablations | \
          --report soundcheck [--explain] | \
          --report robust [--seeds N] | \
-         --connect ADDR (--submit all|i/N | --status | --fetch -o FILE | \
-         --stats [--format expo] [-o FILE] | --shutdown)]"
+         --connect ADDR (--submit all|i/N | --fetch -o FILE | \
+         --stats [-o FILE] | --shutdown)]"
     );
     std::process::exit(2);
 }
@@ -226,32 +223,15 @@ fn parse_args() -> Options {
                     Some("--submit") => ClientAction::Submit {
                         spec: it.next().unwrap_or_else(|| usage()),
                     },
-                    Some("--status") => ClientAction::Status,
                     Some("--fetch") => match (it.next().as_deref(), it.next()) {
                         (Some("-o"), Some(path)) => ClientAction::Fetch { out: path },
                         _ => usage(),
                     },
-                    Some("--stats") => {
-                        let mut expo = false;
-                        let mut out = None;
-                        while let Some(next) = it.peek().map(String::as_str) {
-                            match next {
-                                "--format" => {
-                                    it.next();
-                                    match it.next().as_deref() {
-                                        Some("expo") => expo = true,
-                                        _ => usage(),
-                                    }
-                                }
-                                "-o" => {
-                                    it.next();
-                                    out = Some(it.next().unwrap_or_else(|| usage()));
-                                }
-                                _ => usage(),
-                            }
-                        }
-                        ClientAction::Stats { expo, out }
-                    }
+                    Some("--stats") => match (it.next().as_deref(), it.next()) {
+                        (None, _) => ClientAction::Stats { out: None },
+                        (Some("-o"), Some(path)) => ClientAction::Stats { out: Some(path) },
+                        _ => usage(),
+                    },
                     Some("--shutdown") => ClientAction::Shutdown,
                     _ => usage(),
                 };
@@ -422,7 +402,6 @@ fn connect(spec: &GridSpec, addr: &str, action: &ClientAction) -> Result<(), Str
                 ),
             ])
         }
-        ClientAction::Status => obj(vec![("op", Json::Str("status".into()))]),
         ClientAction::Fetch { .. } => obj(vec![("op", Json::Str("fetch".into()))]),
         ClientAction::Stats { .. } => obj(vec![("op", Json::Str("stats".into()))]),
         ClientAction::Shutdown => obj(vec![("op", Json::Str("shutdown".into()))]),
@@ -448,7 +427,7 @@ fn connect(spec: &GridSpec, addr: &str, action: &ClientAction) -> Result<(), Str
             write_artifact(out, &artifact)?;
             eprintln!("gridrun: fetched {} cells from {addr}", cells.len());
         }
-        ClientAction::Stats { expo, out } => {
+        ClientAction::Stats { out } => {
             let snap =
                 service::StatsSnapshot::parse(&resp).map_err(|e| format!("daemon error: {e}"))?;
             if let Some(out) = out {
@@ -459,11 +438,7 @@ fn connect(spec: &GridSpec, addr: &str, action: &ClientAction) -> Result<(), Str
                 write_artifact(out, text)?;
                 eprintln!("gridrun: dumped service registry from {addr} to {out}");
             }
-            if *expo {
-                print!("{}", service::render_stats_expo(&snap));
-            } else {
-                print!("{}", service::render_stats(&snap));
-            }
+            print!("{}", service::render_stats(&snap));
         }
         _ => {
             // Print the response fields (minus the ok flag) as a flat
@@ -509,13 +484,18 @@ fn run(opts: &Options) -> Result<ExitCode, String> {
         Command::Direct => {
             let store = match &opts.trace {
                 None => compute(spec.jobs(), opts)?,
-                // A real file streams: overflow event chunks spill to
-                // disk during capture, so no event is ever dropped.
-                // Stdout ("-") keeps the buffered ring-capped path.
-                Some(path) if path != "-" => {
-                    let file = std::fs::File::create(Path::new(path))
-                        .map_err(|e| format!("{path}: {e}"))?;
-                    let writer = std::io::BufWriter::new(file);
+                // The artifact streams: overflow event chunks go out
+                // during capture, so no event is ever dropped.
+                Some(path) => {
+                    let sink: Box<dyn std::io::Write + Send> = if path == "-" {
+                        Box::new(std::io::stdout())
+                    } else {
+                        Box::new(
+                            std::fs::File::create(Path::new(path))
+                                .map_err(|e| format!("{path}: {e}"))?,
+                        )
+                    };
+                    let writer = std::io::BufWriter::new(sink);
                     let (store, traces) = trace::capture_grid_streaming(spec.jobs(), writer)
                         .map_err(|e| format!("{path}: {e}"))?;
                     eprintln!(
@@ -523,16 +503,6 @@ fn run(opts: &Options) -> Result<ExitCode, String> {
                         traces.len(),
                         traces.iter().map(|t| t.events.len()).sum::<usize>(),
                         traces.iter().map(|t| t.spilled_events).sum::<u64>()
-                    );
-                    store
-                }
-                Some(path) => {
-                    let (store, traces) = trace::capture_grid(spec.jobs());
-                    write_artifact(path, &trace::to_jsonl(&traces))?;
-                    eprintln!(
-                        "gridrun: wrote {} cell traces ({} events) to {path}",
-                        traces.len(),
-                        traces.iter().map(|t| t.events.len()).sum::<usize>()
                     );
                     store
                 }

@@ -54,7 +54,7 @@ pub enum JobKind {
     /// footprint).
     Bare,
     /// Tables III / Figures 6 & 8: one `(technique, benchmark, tbpf)`
-    /// intermittent run via [`crate::run_cell`].
+    /// intermittent run via [`crate::run_cell_scenario_traced`].
     Run,
     /// Figure 7: Schematic vs All-NVM computation split at the energy
     /// TBPF.
@@ -290,8 +290,8 @@ pub enum CellValue {
         /// `Module::data_bytes()` — Table I's footprint listing.
         data_bytes: u64,
     },
-    /// [`JobKind::Run`]: a [`crate::run_cell`] outcome (the payload of
-    /// [`Cell`], without the redundant key fields).
+    /// [`JobKind::Run`]: a [`crate::run_cell_scenario_traced`] outcome
+    /// (the payload of [`Cell`], without the redundant key fields).
     Run {
         /// `None` when the technique cannot even start.
         outcome: Option<CellOutcome>,
@@ -821,7 +821,7 @@ fn retentive_run_config(retentive: bool) -> RunConfig {
 fn shadow_run_config(tbpf: u64) -> RunConfig {
     RunConfig {
         shadow_war: true,
-        ..crate::intermittent_run_config(tbpf)
+        ..crate::intermittent_run_config_model(PowerModel::Periodic { tbpf })
     }
 }
 

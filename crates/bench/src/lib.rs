@@ -180,9 +180,9 @@ impl Cell {
 
 /// The `RunConfig` of one intermittent evaluation run under an
 /// arbitrary power model: VM limit lifted (fit is checked statically)
-/// and the grid's active-cycle cap. Shared by [`run_cell`] and the
-/// cache's key derivation so the two can never disagree about what a
-/// `run` cell executes.
+/// and the grid's active-cycle cap. Shared by
+/// [`run_cell_scenario_traced`] and the cache's key derivation so the
+/// two can never disagree about what a `run` cell executes.
 pub fn intermittent_run_config_model(power: PowerModel) -> RunConfig {
     RunConfig {
         power,
@@ -192,36 +192,10 @@ pub fn intermittent_run_config_model(power: PowerModel) -> RunConfig {
     }
 }
 
-/// [`intermittent_run_config_model`] at periodic power (the legacy
-/// axis).
-pub fn intermittent_run_config(tbpf: u64) -> RunConfig {
-    intermittent_run_config_model(PowerModel::Periodic { tbpf })
-}
-
-/// Runs one `(technique, benchmark, tbpf)` cell of the evaluation.
-pub fn run_cell(
-    technique: &str,
-    bench: &schematic_benchsuite::Benchmark,
-    table: &CostTable,
-    tbpf: u64,
-) -> Cell {
-    run_cell_traced(technique, bench, table, tbpf).0
-}
-
-/// Like [`run_cell`], additionally returning the stable digest of the
-/// compiled `InstrumentedModule` when compilation succeeded — the
-/// content-addressed identity the cell cache keys on.
-pub fn run_cell_traced(
-    technique: &str,
-    bench: &schematic_benchsuite::Benchmark,
-    table: &CostTable,
-    tbpf: u64,
-) -> (Cell, Option<schematic_ir::hash::Digest>) {
-    run_cell_scenario_traced(technique, bench, table, &Scenario::periodic(tbpf))
-}
-
-/// Runs one `(technique, benchmark, scenario)` cell — [`run_cell`]
-/// generalized over the power axis. Placement uses the budget from
+/// Runs one `(technique, benchmark, scenario)` cell of the evaluation,
+/// returning the cell and, when compilation succeeded, the stable
+/// digest of the compiled `InstrumentedModule` — the content-addressed
+/// identity the cell cache keys on. Placement uses the budget from
 /// [`eb_for_scenario`]; the run executes under the scenario's resolved
 /// [`PowerModel`].
 pub fn run_cell_scenario_traced(
@@ -396,7 +370,8 @@ mod tests {
         let table = CostTable::msp430fr5969();
         let bench = schematic_benchsuite::by_name("randmath").unwrap();
         for t in technique_names() {
-            let cell = run_cell(t, &bench, &table, 10_000);
+            let (cell, _) =
+                run_cell_scenario_traced(t, &bench, &table, &Scenario::periodic(10_000));
             assert!(cell.ok(), "{t}: {:?}", cell.outcome.map(|o| o.status));
         }
     }

@@ -7,8 +7,10 @@
 //! (`tests/goldens/render_quick.txt`, what `gridrun --quick` prints) and
 //! the region-class histogram of its `sound` cells
 //! (`tests/goldens/region_classes.txt`, the `^hist ` lines of `gridrun
-//! --quick --report soundcheck --explain`). After a deliberate change,
-//! re-record them with
+//! --quick --report soundcheck --explain`). Each report rendered from
+//! only its own slice of the grid (`gridrun --quick --report NAME`)
+//! must equal its section of the quick render. After a deliberate
+//! change, re-record the goldens with
 //!
 //! ```text
 //! target/release/gridrun --quick --no-cache > tests/goldens/render_quick.txt
@@ -17,8 +19,8 @@
 //! ```
 
 use schematic_bench::cache::{self, CellCache, SourceDigests};
-use schematic_bench::experiments::{render_all, render_region_classes};
-use schematic_bench::grid::{evaluate_traced, GridMode, GridSpec};
+use schematic_bench::experiments::{render, render_all, render_region_classes};
+use schematic_bench::grid::{evaluate_traced, CellStore, GridMode, GridSpec, Job, ALL_REPORTS};
 use schematic_energy::CostTable;
 use schematic_ir::hash::Digest;
 
@@ -45,6 +47,32 @@ fn warm_quick_grid_is_free_and_byte_identical() {
         include_str!("../../../tests/goldens/region_classes.txt"),
         "region-class histogram drifted from tests/goldens/region_classes.txt"
     );
+    // Each report alone, from a store of only its slice's cells (copied
+    // from the cold store, nothing recomputed), renders its section of
+    // the quick render: the text between its banner (plus the blank
+    // line after it) and the blank line before the next banner.
+    for id in ALL_REPORTS {
+        let mut slice = CellStore::new();
+        for job in GridSpec::for_report(id, GridMode::Quick).jobs() {
+            let value = cold_store
+                .get(job)
+                .expect("the full grid covers every slice");
+            slice.insert(job.clone(), value.clone()).unwrap();
+        }
+        let banner = format!("\n================ {} ================\n\n", id.name());
+        let start = cold_render
+            .find(&banner)
+            .expect("every report has a banner")
+            + banner.len();
+        let rest = &cold_render[start..];
+        let section = &rest[..rest.find("\n================ ").unwrap_or(rest.len())];
+        assert_eq!(
+            render(id, &slice, GridMode::Quick),
+            section,
+            "`--report {}` differs from its section of the quick render",
+            id.name()
+        );
+    }
 
     // Warm, from a fresh process's view of the file: zero computes,
     // byte-identical artifact and render.
@@ -71,4 +99,92 @@ fn warm_quick_grid_is_free_and_byte_identical() {
     assert_eq!(healed_store.to_jsonl(), cold_store.to_jsonl());
 
     let _ = std::fs::remove_file(&path);
+}
+
+/// One job of each [`schematic_bench::grid::JobKind`] and its
+/// `memo_key`/`cell_key` hex. The cell key is derived over fixed
+/// program digests, so the pin covers the key derivation (schema
+/// version, job fields, cost table, every compile and run
+/// configuration, and the benchmark's source digest in the memo key)
+/// and not the compiler's output.
+const PINNED_KEYS: [(&str, &str, &str); 8] = [
+    (
+        "support/Schematic/crc/0",
+        "3a450c6d924c19824cfb7bb3cb396505",
+        "bf32bf66cbaf192cf361728f1ca2b15e",
+    ),
+    (
+        "bare/-/crc/0",
+        "bbf540a06e2fcd6bfd7741fde009c024",
+        "9ca139f19623cde0e6d214dcc3f1129a",
+    ),
+    (
+        "run/Schematic/crc/10000",
+        "851d2bee8f801d021fc71af9998013f9",
+        "8768c9ac9eeb6a3687227b223e5f0830",
+    ),
+    (
+        "fig7/Schematic/crc/10000",
+        "a8288709290885c02f0748e0e8c7dac7",
+        "68bfe126fca8e796d75151cddec8ac1d",
+    ),
+    (
+        "ablation/full/crc/10000",
+        "636d3974d758a21cb190c24a33d70986",
+        "51f6be2e20ad5c5cf5792f0276e3670f",
+    ),
+    (
+        "retentive/-/crc/10000",
+        "500fe6dcdbad56d1efac05a563ce528c",
+        "a0e8eea8a4cf4161550addfeaee6b764",
+    ),
+    (
+        "sound/Schematic/crc/10000",
+        "cb43d0f310843a7bcccbb7025be33483",
+        "5406ef5cd9ff094397b3412806f4eb4b",
+    ),
+    (
+        "shadow/Schematic/crc/0",
+        "d3ab851e637bd8d1e1476755673406c9",
+        "fd25b8a66b098f76e28f2a4e1cf2234a",
+    ),
+];
+
+/// Cache keys are pinned: every record an existing cache file holds
+/// stays a hit only while these hex strings hold. A change that moves
+/// them invalidates every cache on disk, so it must be deliberate, and
+/// it must decide whether `cache::KEY_SCHEMA_VERSION` is bumped (a
+/// change in what a cell means) or not (a pure re-keying). To
+/// re-record, run this test and paste the `got` table it prints on a
+/// mismatch over [`PINNED_KEYS`].
+#[test]
+fn cache_keys_are_pinned() {
+    let table = CostTable::msp430fr5969();
+    let mut sources = SourceDigests::new();
+    let ims = [Digest { hi: 1, lo: 2 }, Digest { hi: 3, lo: 4 }];
+    let got: Vec<(String, String, String)> = PINNED_KEYS
+        .iter()
+        .map(|&(key, _, _)| {
+            let job = Job::parse(key).unwrap();
+            let source = sources.digest(&job.benchmark);
+            let memo = cache::memo_key(&job, &table, source).to_hex();
+            let cell = cache::cell_key(&job, &table, &ims).to_hex();
+            (key.to_string(), memo, cell)
+        })
+        .collect();
+    let kinds: std::collections::BTreeSet<_> = PINNED_KEYS
+        .iter()
+        .map(|&(key, _, _)| Job::parse(key).unwrap().kind.name())
+        .collect();
+    assert_eq!(kinds.len(), PINNED_KEYS.len(), "one job per kind");
+    let want: Vec<(String, String, String)> = PINNED_KEYS
+        .iter()
+        .map(|&(k, m, c)| (k.to_string(), m.to_string(), c.to_string()))
+        .collect();
+    if got != want {
+        for (key, memo, cell) in &got {
+            eprintln!("    (\"{key}\", \"{memo}\", \"{cell}\"),");
+        }
+        panic!("cache keys moved (got table above)");
+    }
 }

@@ -6,7 +6,7 @@
 
 use schematic_bench::experiments::{render_robust, robust_jobs};
 use schematic_bench::grid::{write_cell, CellStore, CellValue, Job};
-use schematic_bench::{run_cell_scenario_traced, run_cell_traced, Scenario};
+use schematic_bench::{run_cell_scenario_traced, Scenario};
 use schematic_energy::CostTable;
 
 /// A zero-jitter stochastic supply is the periodic supply: every cell
@@ -24,7 +24,8 @@ fn zero_jitter_stochastic_matches_periodic_cells() {
             .into_iter()
             .find(|b| b.name == bench_name)
             .expect("benchmark exists");
-        let (legacy, legacy_digest) = run_cell_traced(tech, &bench, &table, tbpf);
+        let (legacy, legacy_digest) =
+            run_cell_scenario_traced(tech, &bench, &table, &Scenario::periodic(tbpf));
         let scenario = Scenario::Stochastic {
             mean_tbpf: tbpf,
             jitter: 0,

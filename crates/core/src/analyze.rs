@@ -18,6 +18,9 @@ use schematic_energy::Energy;
 use schematic_ir::{AccessCount, BlockId, Edge, VarId, VarSet};
 use std::collections::{HashMap, VecDeque};
 
+/// Cap on structurally enumerated coverage paths per region.
+pub(crate) const MAX_STRUCTURAL_PATHS: usize = 256;
+
 /// Which region of a function is being analyzed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum RegionKind {
@@ -310,7 +313,7 @@ pub(crate) fn analyze_region(
     let blocks: Vec<BlockId> = (0..ctx.func().blocks.len())
         .map(BlockId::from_usize)
         .collect();
-    let mut budget = ctx.config.max_structural_paths;
+    let mut budget = MAX_STRUCTURAL_PATHS;
     for b in blocks {
         if !ctx.region_contains(kind, b) {
             continue;

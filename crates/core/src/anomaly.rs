@@ -270,17 +270,6 @@ impl AnomalyReport {
         self.hazardous() == 0
     }
 
-    /// The set of variables involved in any predicted WAR, across all
-    /// regions. The emulator's shadow recorder asserts that every WAR it
-    /// observes at runtime is on one of these variables.
-    pub fn predicted_war_vars(&self, n_vars: usize) -> VarSet {
-        let mut set = VarSet::new(n_vars);
-        for a in &self.anomalies {
-            set.insert(a.var);
-        }
-        set
-    }
-
     /// Per-element contract: is a runtime-observed WAR on word `elem` of
     /// `var` covered by some predicted anomaly footprint?
     pub fn predicts_element(&self, var: VarId, elem: u32) -> bool {
@@ -1027,27 +1016,6 @@ fn region_entry_reads(ctx: &AnalysisCtx<'_>, id: CheckpointId, site: Site) -> Re
     reads
 }
 
-/// The variables that could participate in a WAR under the *worst*
-/// allocation (the bare all-NVM wrapping), per the index-sensitive
-/// analysis — i.e. the vars whose shielding still earns its keep.
-/// Variables whose accesses are index-proven disjoint never appear. Used
-/// by the gain function's `war_shield_bias` mode; conservatively returns
-/// every variable for recursive modules (which no technique produces).
-pub fn potential_war_vars(module: &Module) -> VarSet {
-    let n_vars = module.vars.len();
-    let im = InstrumentedModule::bare(module.clone());
-    match check_anomalies(&im, false) {
-        Ok(report) => report.predicted_war_vars(n_vars),
-        Err(_) => {
-            let mut all = VarSet::new(n_vars);
-            for (v, _) in module.iter_vars() {
-                all.insert(v);
-            }
-            all
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1465,24 +1433,5 @@ mod tests {
         let report = check_anomalies_bounded(&im, true, &table, Energy::from_pj(1)).unwrap();
         assert!(report.regions[0].reexec_bound.is_none());
         assert!(!report.regions[0].over_budget);
-    }
-
-    #[test]
-    fn potential_war_vars_excludes_disjoint_accesses() {
-        // v has a true WAR; a's accesses are index-proven disjoint.
-        let mut mb = ModuleBuilder::new("pot");
-        let v = mb.var(Variable::scalar("v"));
-        let a = mb.var(Variable::array("a", 4));
-        let mut f = FunctionBuilder::new("main", 0);
-        let x = f.load_scalar(v);
-        f.store_scalar(v, x);
-        let r = f.load_idx(a, 0);
-        f.store_idx(a, 1, r);
-        f.ret(None);
-        let main = mb.func(f.finish());
-        let module = mb.finish(main);
-        let wars = potential_war_vars(&module);
-        assert!(wars.contains(v));
-        assert!(!wars.contains(a));
     }
 }

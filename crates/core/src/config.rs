@@ -2,7 +2,8 @@
 
 use schematic_energy::Energy;
 
-/// Tunables for one compilation (§II-B inputs plus engineering caps).
+/// Tunables for one compilation: the §II-B inputs `EB` and `SVM`, the
+/// profiling depth, and the two design choices the ablations toggle.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SchematicConfig {
     /// Usable capacitor energy `EB`: every inter-checkpoint interval's
@@ -21,16 +22,6 @@ pub struct SchematicConfig {
     /// candidates are ordered by raw gain — the naive ordering the
     /// ratio rule improves upon (ablation).
     pub ratio_ordering: bool,
-    /// Cap on structurally enumerated coverage paths per region.
-    pub max_structural_paths: usize,
-    /// Bias the gain function toward keeping *potential WAR* variables
-    /// in VM: variables the index-sensitive anomaly analysis
-    /// ([`crate::anomaly::potential_war_vars`]) says could form a WAR
-    /// under an all-NVM allocation earn an extra write-gain bonus, while
-    /// variables whose accesses are index-proven disjoint (downgraded
-    /// regions) earn nothing — their shielding is free to skip. Off by
-    /// default (paper-faithful Eq. 1).
-    pub war_shield_bias: bool,
 }
 
 impl SchematicConfig {
@@ -43,8 +34,6 @@ impl SchematicConfig {
             profile_runs: 16,
             liveness_opt: true,
             ratio_ordering: true,
-            max_structural_paths: 256,
-            war_shield_bias: false,
         }
     }
 
@@ -58,15 +47,17 @@ impl SchematicConfig {
     /// Feeds every field that can change a compilation's output into a
     /// stable hasher, for content-addressed caching of compiled
     /// programs: the energy budget, VM capacity, profiling depth and
-    /// both ablation toggles.
+    /// both ablation toggles. The structural-path cap and a `false`
+    /// follow, in the positions two former fields held, so that cache
+    /// keys written before those fields went stay valid.
     pub fn identity_into(&self, h: &mut schematic_ir::hash::StableHasher) {
         h.write_u64(self.eb.0);
         h.write_usize(self.svm_bytes);
         h.write_usize(self.profile_runs);
         h.write_bool(self.liveness_opt);
         h.write_bool(self.ratio_ordering);
-        h.write_usize(self.max_structural_paths);
-        h.write_bool(self.war_shield_bias);
+        h.write_usize(crate::analyze::MAX_STRUCTURAL_PATHS);
+        h.write_bool(false);
     }
 }
 

@@ -75,10 +75,6 @@ pub(crate) struct FuncCtx<'a> {
     /// Variables written anywhere in the module; read-only variables are
     /// never saved at checkpoints (their NVM home is always current).
     pub written: VarSet,
-    /// Variables that could form a WAR under an all-NVM allocation, per
-    /// the index-sensitive anomaly analysis. Empty unless
-    /// [`SchematicConfig::war_shield_bias`] is on.
-    pub war_vars: VarSet,
 }
 
 impl<'a> FuncCtx<'a> {
@@ -105,11 +101,6 @@ impl<'a> FuncCtx<'a> {
         let n = func.blocks.len();
         let n_loops = forest.len();
         let written = schematic_ir::module_written_vars(module);
-        let war_vars = if config.war_shield_bias {
-            crate::anomaly::potential_war_vars(module)
-        } else {
-            VarSet::empty()
-        };
         FuncCtx {
             module,
             table,
@@ -127,7 +118,6 @@ impl<'a> FuncCtx<'a> {
             e_left: vec![None; n],
             e_to_leave: vec![None; n],
             written,
-            war_vars,
         }
     }
 

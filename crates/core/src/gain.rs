@@ -43,15 +43,6 @@ pub(crate) fn gain_of(
     let write_gain = ctx.table.write_gain().as_pj() as i128;
     let mut gain = read_gain * counts.reads as i128 + write_gain * counts.writes as i128;
 
-    // `war_shield_bias`: a variable the index-sensitive analysis says
-    // could WAR in NVM earns an extra write-gain bonus — keeping it in
-    // VM shields the hazard. Variables whose footprints are index-proven
-    // disjoint (downgraded regions) get nothing: their shielding is safe
-    // to skip.
-    if ctx.config.war_shield_bias && ctx.war_vars.contains(var) {
-        gain += write_gain * counts.writes as i128;
-    }
-
     // Eq. 2: Esave/restore = Erestore × live(c1) + Esave × live(c2).
     let words = ctx.module.var(var).words;
     let is_array = words > 1;
@@ -195,14 +186,9 @@ mod tests {
         mb.finish(main)
     }
 
-    fn with_ctx<R>(
-        module: &Module,
-        tweak: impl FnOnce(&mut SchematicConfig),
-        run: impl FnOnce(&FuncCtx<'_>) -> R,
-    ) -> R {
+    fn with_ctx<R>(module: &Module, run: impl FnOnce(&FuncCtx<'_>) -> R) -> R {
         let table = CostTable::msp430fr5969();
-        let mut config = SchematicConfig::new(Energy::from_uj(4));
-        tweak(&mut config);
+        let config = SchematicConfig::new(Energy::from_uj(4));
         let effects = call_effects(module);
         let summaries = vec![FuncSummary::default(); module.funcs.len()];
         let ctx = FuncCtx::new(
@@ -219,147 +205,82 @@ mod tests {
     #[test]
     fn frequently_accessed_scalar_wins() {
         let m = hot_cold_module();
-        with_ctx(
-            &m,
-            |_| {},
-            |ctx| {
-                let counts = sorted_counts(ctx.access.block(BlockId(0)));
-                let bounds = IntervalBounds {
-                    resume_into: Some(BlockId(0)),
-                    save_edge: None,
-                };
-                let sel = select_allocation(ctx, &counts, &VarSet::empty(), bounds, 2048);
-                let hot = m.var_by_name("hot").unwrap();
-                let cold = m.var_by_name("cold").unwrap();
-                let pinned = m.var_by_name("pinned").unwrap();
-                assert!(sel.vm.contains(hot));
-                assert!(
-                    !sel.vm.contains(cold),
-                    "one access cannot repay a 256 B copy"
-                );
-                assert!(!sel.vm.contains(pinned));
-                assert!(sel.total_gain_pj > 0);
-            },
-        );
+        with_ctx(&m, |ctx| {
+            let counts = sorted_counts(ctx.access.block(BlockId(0)));
+            let bounds = IntervalBounds {
+                resume_into: Some(BlockId(0)),
+                save_edge: None,
+            };
+            let sel = select_allocation(ctx, &counts, &VarSet::empty(), bounds, 2048);
+            let hot = m.var_by_name("hot").unwrap();
+            let cold = m.var_by_name("cold").unwrap();
+            let pinned = m.var_by_name("pinned").unwrap();
+            assert!(sel.vm.contains(hot));
+            assert!(
+                !sel.vm.contains(cold),
+                "one access cannot repay a 256 B copy"
+            );
+            assert!(!sel.vm.contains(pinned));
+            assert!(sel.total_gain_pj > 0);
+        });
     }
 
     #[test]
     fn capacity_limits_selection() {
         let m = hot_cold_module();
-        with_ctx(
-            &m,
-            |_| {},
-            |ctx| {
-                let counts = sorted_counts(ctx.access.block(BlockId(0)));
-                let bounds = IntervalBounds {
-                    resume_into: None,
-                    save_edge: None,
-                };
-                let sel = select_allocation(ctx, &counts, &VarSet::empty(), bounds, 0);
-                assert!(sel.vm.is_empty());
-            },
-        );
+        with_ctx(&m, |ctx| {
+            let counts = sorted_counts(ctx.access.block(BlockId(0)));
+            let bounds = IntervalBounds {
+                resume_into: None,
+                save_edge: None,
+            };
+            let sel = select_allocation(ctx, &counts, &VarSet::empty(), bounds, 0);
+            assert!(sel.vm.is_empty());
+        });
     }
 
     #[test]
     fn mandatory_vars_always_included() {
         let m = hot_cold_module();
-        with_ctx(
-            &m,
-            |_| {},
-            |ctx| {
-                let cold = m.var_by_name("cold").unwrap();
-                let mut mandatory = VarSet::empty();
-                mandatory.insert(cold);
-                let sel = select_allocation(
-                    ctx,
-                    &[],
-                    &mandatory,
-                    IntervalBounds {
-                        resume_into: None,
-                        save_edge: None,
-                    },
-                    2048,
-                );
-                assert!(sel.vm.contains(cold));
-            },
-        );
+        with_ctx(&m, |ctx| {
+            let cold = m.var_by_name("cold").unwrap();
+            let mut mandatory = VarSet::empty();
+            mandatory.insert(cold);
+            let sel = select_allocation(
+                ctx,
+                &[],
+                &mandatory,
+                IntervalBounds {
+                    resume_into: None,
+                    save_edge: None,
+                },
+                2048,
+            );
+            assert!(sel.vm.contains(cold));
+        });
     }
 
     #[test]
     fn boundary_liveness_reduces_gain() {
         let m = hot_cold_module();
-        with_ctx(
-            &m,
-            |_| {},
-            |ctx| {
-                let hot = m.var_by_name("hot").unwrap();
-                let counts = AccessCount {
-                    reads: 2,
-                    writes: 0,
-                };
-                let open = IntervalBounds {
-                    resume_into: None,
-                    save_edge: None,
-                };
-                let closed = IntervalBounds {
-                    resume_into: Some(BlockId(0)),
-                    save_edge: None,
-                };
-                let g_open = gain_of(ctx, hot, counts, open);
-                let g_closed = gain_of(ctx, hot, counts, closed);
-                assert!(g_closed < g_open, "restore cost must reduce the gain");
-            },
-        );
-    }
-
-    #[test]
-    fn war_shield_bias_boosts_war_vars_only() {
-        // v: load-then-store (a real WAR candidate in NVM).
-        // a: read word 0, write word 1 — index-proven disjoint.
-        let mut mb = ModuleBuilder::new("m");
-        let v = mb.var(Variable::scalar("v"));
-        let a = mb.var(Variable::array("a", 4));
-        let mut f = FunctionBuilder::new("main", 0);
-        let x = f.load_scalar(v);
-        f.store_scalar(v, x);
-        let r = f.load_idx(a, 0);
-        f.store_idx(a, 1, r);
-        f.ret(None);
-        let main = mb.func(f.finish());
-        let m = mb.finish(main);
-        let counts = AccessCount {
-            reads: 1,
-            writes: 1,
-        };
-        let bounds = IntervalBounds {
-            resume_into: None,
-            save_edge: None,
-        };
-        let baseline = with_ctx(
-            &m,
-            |_| {},
-            |ctx| {
-                (
-                    gain_of(ctx, v, counts, bounds),
-                    gain_of(ctx, a, counts, bounds),
-                )
-            },
-        );
-        let biased = with_ctx(
-            &m,
-            |c| c.war_shield_bias = true,
-            |ctx| {
-                assert!(ctx.war_vars.contains(v));
-                assert!(!ctx.war_vars.contains(a), "disjoint accesses earn no bias");
-                (
-                    gain_of(ctx, v, counts, bounds),
-                    gain_of(ctx, a, counts, bounds),
-                )
-            },
-        );
-        assert!(biased.0 > baseline.0, "WAR var gain must grow under bias");
-        assert_eq!(biased.1, baseline.1, "disjoint var gain must not change");
+        with_ctx(&m, |ctx| {
+            let hot = m.var_by_name("hot").unwrap();
+            let counts = AccessCount {
+                reads: 2,
+                writes: 0,
+            };
+            let open = IntervalBounds {
+                resume_into: None,
+                save_edge: None,
+            };
+            let closed = IntervalBounds {
+                resume_into: Some(BlockId(0)),
+                save_edge: None,
+            };
+            let g_open = gain_of(ctx, hot, counts, open);
+            let g_closed = gain_of(ctx, hot, counts, closed);
+            assert!(g_closed < g_open, "restore cost must reduce the gain");
+        });
     }
 
     #[test]
@@ -375,35 +296,31 @@ mod tests {
         f.ret(Some(a.into()));
         let main = mb.func(f.finish());
         let m = mb.finish(main);
-        with_ctx(
-            &m,
-            |_| {},
-            |ctx| {
-                let counts = vec![
-                    (
-                        small,
-                        AccessCount {
-                            reads: 10,
-                            writes: 0,
-                        },
-                    ),
-                    (
-                        big,
-                        AccessCount {
-                            reads: 10,
-                            writes: 0,
-                        },
-                    ),
-                ];
-                let bounds = IntervalBounds {
-                    resume_into: None,
-                    save_edge: None,
-                };
-                // Capacity fits only the scalar.
-                let sel = select_allocation(ctx, &counts, &VarSet::empty(), bounds, 4);
-                assert!(sel.vm.contains(small));
-                assert!(!sel.vm.contains(big));
-            },
-        );
+        with_ctx(&m, |ctx| {
+            let counts = vec![
+                (
+                    small,
+                    AccessCount {
+                        reads: 10,
+                        writes: 0,
+                    },
+                ),
+                (
+                    big,
+                    AccessCount {
+                        reads: 10,
+                        writes: 0,
+                    },
+                ),
+            ];
+            let bounds = IntervalBounds {
+                resume_into: None,
+                save_edge: None,
+            };
+            // Capacity fits only the scalar.
+            let sel = select_allocation(ctx, &counts, &VarSet::empty(), bounds, 4);
+            assert!(sel.vm.contains(small));
+            assert!(!sel.vm.contains(big));
+        });
     }
 }

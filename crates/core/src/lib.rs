@@ -69,8 +69,8 @@ pub mod transform;
 
 pub use analyze::{check_all, SoundnessReport};
 pub use anomaly::{
-    check_anomalies, check_anomalies_bounded, potential_war_vars, Anomaly, AnomalyReport,
-    RegionAccess, RegionClass, RegionInfo, RegionStart,
+    check_anomalies, check_anomalies_bounded, Anomaly, AnomalyReport, RegionAccess, RegionClass,
+    RegionInfo, RegionStart,
 };
 pub use config::SchematicConfig;
 pub use error::{BackEdgeCheckpoint, EdgeDecision, PlacementError};

@@ -53,7 +53,19 @@ impl ExecTier {
     pub const Aot: ExecTier = ExecTier::Fused;
 }
 
-/// Limits and options for one run.
+/// Abort a run after this many power failures.
+pub const MAX_FAILURES: u64 = 1_000_000;
+/// Declare livelock after this many consecutive power failures with no
+/// new checkpoint committed — the forward-progress test of Table III.
+pub const LIVELOCK_THRESHOLD: u32 = 8;
+/// Maximum call-stack depth.
+pub const MAX_STACK: usize = 64;
+/// Cap on the block-sequence entries a profiling run records.
+pub const MAX_TRACE: usize = 4_000_000;
+
+/// Options for one run: the power model, the VM size, the active-cycle
+/// cap and the observation knobs. The fixed limits are the `MAX_*` and
+/// [`LIVELOCK_THRESHOLD`] constants.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunConfig {
     /// Power supply model.
@@ -63,26 +75,17 @@ pub struct RunConfig {
     pub svm_bytes: usize,
     /// Abort after this many active cycles (guards non-termination).
     pub max_active_cycles: u64,
-    /// Abort after this many power failures.
-    pub max_failures: u64,
-    /// Declare livelock after this many consecutive power failures with
-    /// no new checkpoint committed — the forward-progress test of
-    /// Table III.
-    pub livelock_threshold: u32,
-    /// Maximum call-stack depth.
-    pub max_stack: usize,
     /// Model a retentive low-power sleep mode (e.g. MSP430 LPM3 with
     /// SRAM retention): wait-mode checkpoints still *save* (a real
     /// outage may strike during standby) but volatile state survives
     /// the sleep, so nothing is restored on wake-up. This implements the
     /// paper's §VII future-work direction and quantifies its benefit.
     pub retentive_sleep: bool,
-    /// Record the sequence of executed blocks (for path profiling).
+    /// Record the sequence of executed blocks (for path profiling), up
+    /// to [`MAX_TRACE`] entries.
     /// Such a run is never lifecycle-traced: `trace` and
     /// [`crate::trace::set_forced`] are ignored for it.
     pub record_trace: bool,
-    /// Cap on recorded trace entries.
-    pub max_trace: usize,
     /// Record NVM first-access order per inter-checkpoint epoch and
     /// report observed WAR hazards ([`ShadowReport`]), cross-validating
     /// the static analysis in `schematic-core`. Disables the fused
@@ -112,12 +115,8 @@ impl Default for RunConfig {
             power: PowerModel::Continuous,
             svm_bytes: 2048,
             max_active_cycles: 2_000_000_000,
-            max_failures: 1_000_000,
-            livelock_threshold: 8,
-            max_stack: 64,
             retentive_sleep: false,
             record_trace: false,
-            max_trace: 4_000_000,
             shadow_war: false,
             trace: false,
             tier: ExecTier::Fused,
@@ -147,11 +146,14 @@ impl RunConfig {
     /// by content-addressed result caching.
     ///
     /// Deliberately excluded — observation knobs that are proven not to
-    /// affect outcomes: `record_trace`/`max_trace` (path recording),
+    /// affect outcomes: `record_trace` (path recording),
     /// `trace` (event emission), `tier` (bit-identical at both
     /// tiers, pinned by `tests/tier_parity.rs`). `shadow_war`
     /// is *included*: it fills [`RunOutcome::shadow`], which shadow
-    /// cells report on.
+    /// cells report on. The fixed limits ([`MAX_FAILURES`],
+    /// [`LIVELOCK_THRESHOLD`], [`MAX_STACK`]) are hashed in the
+    /// positions their former fields held, so that cache keys written
+    /// before they became constants stay valid.
     pub fn identity_into(&self, h: &mut schematic_ir::hash::StableHasher) {
         match self.power {
             PowerModel::Continuous => h.write_tag(0xE0),
@@ -183,9 +185,9 @@ impl RunConfig {
         }
         h.write_usize(self.svm_bytes);
         h.write_u64(self.max_active_cycles);
-        h.write_u64(self.max_failures);
-        h.write_u64(u64::from(self.livelock_threshold));
-        h.write_usize(self.max_stack);
+        h.write_u64(MAX_FAILURES);
+        h.write_u64(u64::from(LIVELOCK_THRESHOLD));
+        h.write_usize(MAX_STACK);
         h.write_bool(self.retentive_sleep);
         h.write_bool(self.shadow_war);
     }
@@ -471,7 +473,7 @@ impl<'a> Machine<'a> {
             if self.metrics.active_cycles > self.config.max_active_cycles {
                 return Ok(self.finish(RunStatus::CycleLimit, None));
             }
-            if self.metrics.power_failures > self.config.max_failures {
+            if self.metrics.power_failures > MAX_FAILURES {
                 return Ok(self.finish(RunStatus::FailureLimit, None));
             }
             match self.step()? {
@@ -612,7 +614,7 @@ impl<'a> Machine<'a> {
             self.consecutive_no_progress += 1;
         }
         self.committed_since_failure = false;
-        if self.consecutive_no_progress >= self.config.livelock_threshold {
+        if self.consecutive_no_progress >= LIVELOCK_THRESHOLD {
             return Ok(false);
         }
 
@@ -793,7 +795,7 @@ impl<'a> Machine<'a> {
     }
 
     fn record_block(&mut self, func: FuncId, block: BlockId) {
-        if self.config.record_trace && self.trace.len() < self.config.max_trace {
+        if self.config.record_trace && self.trace.len() < MAX_TRACE {
             self.trace.push((func, block));
         }
     }
@@ -1662,10 +1664,8 @@ fn op_call(m: &mut Machine<'_>, di: DInst, cost: Cost) -> Result<(), EmuError> {
         unreachable!("op_call dispatched on a non-Call instruction")
     };
     m.charge_exec_cpu(cost);
-    if m.frames.len() >= m.config.max_stack {
-        return Err(m.trap(TrapKind::StackOverflow {
-            limit: m.config.max_stack,
-        }));
+    if m.frames.len() >= MAX_STACK {
+        return Err(m.trap(TrapKind::StackOverflow { limit: MAX_STACK }));
     }
     let mut regs = m.reg_pool.pop().unwrap_or_default();
     regs.clear();
@@ -1896,25 +1896,16 @@ mod tests {
 
     #[test]
     fn stack_overflow_traps() {
-        // main -> f1 -> f2 -> ... deep chain via config limit 2.
+        // main calls itself unconditionally: the call chain outgrows
+        // MAX_STACK.
         let mut mb = ModuleBuilder::new("m");
-        let mut leaf = FunctionBuilder::new("leaf", 0);
-        leaf.ret(None);
-        let leaf = mb.func(leaf.finish());
-        let mut mid = FunctionBuilder::new("mid", 0);
-        mid.call_void(leaf, vec![]);
-        mid.ret(None);
-        let mid = mb.func(mid.finish());
+        let main = FuncId(0);
         let mut f = FunctionBuilder::new("main", 0);
-        f.call_void(mid, vec![]);
+        f.call_void(main, vec![]);
         f.ret(None);
-        let main = mb.func(f.finish());
+        assert_eq!(mb.func(f.finish()), main);
         let im = InstrumentedModule::bare(mb.finish(main));
-        let cfg = RunConfig {
-            max_stack: 2,
-            ..RunConfig::default()
-        };
-        let err = run(&im, cfg).unwrap_err();
+        let err = run(&im, RunConfig::default()).unwrap_err();
         assert!(matches!(
             err,
             EmuError::Trap {

@@ -21,7 +21,8 @@ echo "== perfbench build (release) =="
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
 GRIDDIR="$(mktemp -d)"
-trap 'rm -rf "$GRIDDIR"' EXIT
+# A failed assertion in the gridd smoke must not leave its daemon running.
+trap 'if [ -n "${GRIDD_PID:-}" ]; then kill "$GRIDD_PID" 2>/dev/null || true; fi; rm -rf "$GRIDDIR"' EXIT
 
 cargo build --release --offline -p schematic-bench --bin gridrun
 GRIDRUN=target/release/gridrun
@@ -40,27 +41,14 @@ echo "== gridrun shard/merge smoke (release) =="
 # cell-artifact pipeline: compute both shards as separate invocations,
 # merge the JSONL artifacts, and require the merged render to be
 # byte-identical to the single-process render (which the grid_cache
-# test pins against tests/goldens/render_quick.txt).
+# test pins against tests/goldens/render_quick.txt, together with each
+# report's `--report NAME` render against its section).
 "$GRIDRUN" --quick --shard 0/2 -o "$GRIDDIR/shard_0.jsonl"
 "$GRIDRUN" --quick --shard 1/2 -o "$GRIDDIR/shard_1.jsonl"
 "$GRIDRUN" --quick --merge "$GRIDDIR"/shard_*.jsonl > "$GRIDDIR/merged.txt"
 "$GRIDRUN" --quick > "$GRIDDIR/direct.txt"
 diff -u "$GRIDDIR/direct.txt" "$GRIDDIR/merged.txt"
 echo "merged 2-shard render byte-identical to single-process render"
-# Each paper report rendered alone must equal its section of that
-# render: the lines between its banner (plus the blank line after it)
-# and the blank line before the next banner.
-for NAME in table1 table2 table3 fig6 fig7 fig8 ablations; do
-  "$GRIDRUN" --quick --report "$NAME" > "$GRIDDIR/report_$NAME.txt"
-  awk -v name="$NAME" '
-    /^================ [a-z0-9]+ ================$/ { on = ($2 == name); skip = on; next }
-    skip { skip = 0; next }
-    on
-  ' "$GRIDDIR/direct.txt" | sed '$d' > "$GRIDDIR/section_$NAME.txt"
-  test -s "$GRIDDIR/section_$NAME.txt"
-  diff -u "$GRIDDIR/section_$NAME.txt" "$GRIDDIR/report_$NAME.txt"
-done
-echo "gridrun --report NAME matches its section of the render for all 7 reports"
 
 echo "== tracereport smoke (release) =="
 # Trace the quick grid, render the observability report, and require a
@@ -83,13 +71,6 @@ echo "tracereport rendered $(wc -l < "$GRIDDIR/tracereport.txt") lines"
   > "$GRIDDIR/tracediff.txt"
 grep -q "verdict: OK" "$GRIDDIR/tracediff.txt"
 echo "tracereport --diff self-comparison clean"
-# The checked-in golden artifact pins the trace wire format (one spill
-# chunk, a periodic and a stochastic cell, every escape class, fixed
-# wall times); its render must match the golden report exactly.
-"$TRACEREPORT" tests/goldens/trace_artifact.jsonl --cell run/Schematic/crc/10000 \
-  --top 5 > "$GRIDDIR/golden_trace_report.txt"
-diff -u tests/goldens/trace_report.txt "$GRIDDIR/golden_trace_report.txt"
-echo "golden trace artifact renders tests/goldens/trace_report.txt"
 
 echo "== gridrun cache + shard-artifact smoke (release) =="
 # Cold in-process run populates a fresh content-addressed cell cache
@@ -146,12 +127,14 @@ echo "robustness report deterministic; scenario cells replayed from cache (verif
 
 echo "== gridd daemon loopback smoke (release) =="
 # Start the evaluation daemon on an ephemeral loopback port with two
-# worker processes, drive one submit/status/stats/fetch/shutdown cycle
-# through the gridrun client, and require the fetched cells to render
+# worker processes, drive one submit/stats/fetch/shutdown cycle through
+# the gridrun client, and require the fetched cells to render
 # byte-identically to the direct in-process run. The stats op must
 # report merged worker telemetry whose cache hit/miss totals exactly
 # equal the submitted job count — all misses on the cold daemon, all
-# hits on a warm restart over the populated cache file.
+# hits on a warm restart over the populated cache file. The tallies are
+# read from the registry `--stats -o` dumps, the file `tracereport
+# --service` renders.
 cargo build --release --offline -p schematic-bench --bin gridd
 GRIDD=target/release/gridd
 JOBS="$("$GRIDRUN" --quick --list | wc -l | tr -d ' ')"
@@ -172,48 +155,42 @@ start_gridd() {
   test -n "$ADDR" || { echo "gridd never reported its address"; exit 1; }
 }
 
-# Every exposition line must match the stable grammar.
-check_expo() {
-  test -s "$1" || { echo "$1: empty exposition output"; exit 1; }
-  if grep -qvE '^[a-z_]+(\{[^}]*\})? [0-9]+$' "$1"; then
-    echo "$1: malformed exposition line(s):"
-    grep -vE '^[a-z_]+(\{[^}]*\})? [0-9]+$' "$1"
-    exit 1
-  fi
+# Prints a counter's value from a registry dump (0 when the counter
+# never fired).
+reg_counter() {
+  local v
+  v="$(sed -n "s|^{\"t\":\"counter\",\"name\":\"$2\",\"n\":\([0-9]*\)}\$|\1|p" "$1")"
+  echo "${v:-0}"
 }
 
-# Prints a gridd_counter_total value from an exposition dump (0 when
-# the counter never fired).
-expo_counter() {
+# Prints a span's call count from a registry dump (0 when it never ran).
+reg_span_calls() {
   local v
-  v="$(sed -n "s|^gridd_counter_total{name=\"$2\"} ||p" "$1")"
+  v="$(sed -n "s|^{\"t\":\"span\",\"name\":\"$2\",\"calls\":\([0-9]*\),.*|\1|p" "$1")"
   echo "${v:-0}"
 }
 
 start_gridd "$GRIDDIR/gridd.out"
 "$GRIDRUN" --quick --connect "$ADDR" --submit all
-"$GRIDRUN" --quick --connect "$ADDR" --status
-"$GRIDRUN" --quick --connect "$ADDR" --stats > "$GRIDDIR/stats_cold.txt"
+"$GRIDRUN" --quick --connect "$ADDR" --stats -o "$GRIDDIR/service_reg.txt" \
+  > "$GRIDDIR/stats_cold.txt"
 grep -q "^gridd stats:" "$GRIDDIR/stats_cold.txt"
 grep -q "service registry:" "$GRIDDIR/stats_cold.txt"
-"$GRIDRUN" --quick --connect "$ADDR" --stats --format expo \
-  -o "$GRIDDIR/service_reg.txt" > "$GRIDDIR/expo_cold.txt"
-check_expo "$GRIDDIR/expo_cold.txt"
-HITS="$(expo_counter "$GRIDDIR/expo_cold.txt" "cache/hit")"
-MISSES="$(expo_counter "$GRIDDIR/expo_cold.txt" "cache/miss")"
+HITS="$(reg_counter "$GRIDDIR/service_reg.txt" "cache/hit")"
+MISSES="$(reg_counter "$GRIDDIR/service_reg.txt" "cache/miss")"
 test "$((HITS + MISSES))" -eq "$JOBS" \
   || { echo "cold stats: hits($HITS)+misses($MISSES) != $JOBS jobs"; exit 1; }
 test "$MISSES" -eq "$JOBS" \
   || { echo "cold daemon should miss every cell, got $MISSES of $JOBS"; exit 1; }
 # Worker telemetry crossed the process boundary: one job_wall sample
-# and one dispatched job per submitted cell.
-grep -q '^gridd_span_calls_total{name="service/job_wall"} '"$JOBS"'$' \
-  "$GRIDDIR/expo_cold.txt"
-grep -q "^gridd_worker_jobs_total $JOBS\$" "$GRIDDIR/expo_cold.txt"
+# per dispatched job, one dispatched job per submitted cell.
+WALLS="$(reg_span_calls "$GRIDDIR/service_reg.txt" "service/job_wall")"
+test "$WALLS" -eq "$JOBS" \
+  || { echo "cold stats: $WALLS service/job_wall samples, want $JOBS"; exit 1; }
 # Pull dispatch spread the batch: each of the 2 workers answered at
 # least one job, and together they answered every job.
-W0="$(expo_counter "$GRIDDIR/expo_cold.txt" "worker/0/jobs")"
-W1="$(expo_counter "$GRIDDIR/expo_cold.txt" "worker/1/jobs")"
+W0="$(reg_counter "$GRIDDIR/service_reg.txt" "worker/0/jobs")"
+W1="$(reg_counter "$GRIDDIR/service_reg.txt" "worker/1/jobs")"
 test "$W0" -ge 1 && test "$W1" -ge 1 \
   || { echo "cold stats: a worker answered no jobs (worker 0: $W0, worker 1: $W1)"; exit 1; }
 test "$((W0 + W1))" -eq "$JOBS" \
@@ -221,14 +198,13 @@ test "$((W0 + W1))" -eq "$JOBS" \
 # Each worker profiles each distinct program once: the cold batch must
 # hit the profile memo, and every compile/profile span is exactly one
 # memo hit or one miss.
-PHITS="$(expo_counter "$GRIDDIR/expo_cold.txt" "compile/profile_hit")"
-PMISSES="$(expo_counter "$GRIDDIR/expo_cold.txt" "compile/profile_miss")"
-PCALLS="$(sed -n 's|^gridd_span_calls_total{name="compile/profile"} ||p' \
-  "$GRIDDIR/expo_cold.txt")"
+PHITS="$(reg_counter "$GRIDDIR/service_reg.txt" "compile/profile_hit")"
+PMISSES="$(reg_counter "$GRIDDIR/service_reg.txt" "compile/profile_miss")"
+PCALLS="$(reg_span_calls "$GRIDDIR/service_reg.txt" "compile/profile")"
 test "$PHITS" -gt 0 \
   || { echo "cold stats: the profile memo never hit"; exit 1; }
-test "$((PHITS + PMISSES))" -eq "${PCALLS:-0}" \
-  || { echo "cold stats: profile hits($PHITS)+misses($PMISSES) != ${PCALLS:-0} spans"; exit 1; }
+test "$((PHITS + PMISSES))" -eq "$PCALLS" \
+  || { echo "cold stats: profile hits($PHITS)+misses($PMISSES) != $PCALLS spans"; exit 1; }
 # The dumped registry renders offline.
 "$TRACEREPORT" --service "$GRIDDIR/service_reg.txt" --top 3 \
   > "$GRIDDIR/service_report.txt"
@@ -245,10 +221,10 @@ echo "cold daemon: $MISSES misses across $JOBS jobs, telemetry merged from 2 wor
 # cell from it — stats must show hits == jobs and zero misses.
 start_gridd "$GRIDDIR/gridd_warm.out"
 "$GRIDRUN" --quick --connect "$ADDR" --submit all
-"$GRIDRUN" --quick --connect "$ADDR" --stats --format expo > "$GRIDDIR/expo_warm.txt"
-check_expo "$GRIDDIR/expo_warm.txt"
-HITS="$(expo_counter "$GRIDDIR/expo_warm.txt" "cache/hit")"
-MISSES="$(expo_counter "$GRIDDIR/expo_warm.txt" "cache/miss")"
+"$GRIDRUN" --quick --connect "$ADDR" --stats -o "$GRIDDIR/service_reg_warm.txt" \
+  > "$GRIDDIR/stats_warm.txt"
+HITS="$(reg_counter "$GRIDDIR/service_reg_warm.txt" "cache/hit")"
+MISSES="$(reg_counter "$GRIDDIR/service_reg_warm.txt" "cache/miss")"
 test "$HITS" -eq "$JOBS" \
   || { echo "warm daemon should hit every cell, got $HITS of $JOBS"; exit 1; }
 test "$MISSES" -eq 0 \
@@ -256,7 +232,7 @@ test "$MISSES" -eq 0 \
 "$GRIDRUN" --quick --connect "$ADDR" --shutdown
 wait "$GRIDD_PID"
 echo "warm daemon: $HITS hits across $JOBS jobs, 0 misses"
-echo "daemon submit/status/stats/fetch/shutdown loopback clean"
+echo "daemon submit/stats/fetch/shutdown loopback clean"
 
 echo "== perf gate (release) =="
 # scripts/perfgate.sh compares traced perfbench runs with the
