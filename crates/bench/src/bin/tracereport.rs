@@ -9,6 +9,7 @@
 //! tracereport --diff BASE.jsonl CAND.jsonl [--threshold PCT]
 //!                                        # phase-by-phase comparison; flags cells
 //!                                        # whose wall time regressed > PCT % (25)
+//!                                        # and by at least 0.1 ms
 //! tracereport --service FILE [--top K]   # render a service registry dumped by
 //!                                        # `gridrun --connect ADDR --stats -o FILE`:
 //!                                        # top-K slowest jobs, cache hit rate per

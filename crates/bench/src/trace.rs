@@ -34,7 +34,7 @@
 
 use crate::grid::{evaluate, read_job, write_job, CellStore, GridError, Job};
 use crate::parallel::par_map;
-use crate::{render_table, uj};
+use crate::{render_table, uj, write_uj, Table};
 use schematic_emu::trace::SNAPSHOT_KEYS;
 use schematic_energy::{CostTable, Energy};
 use schematic_obs as obs;
@@ -575,25 +575,36 @@ pub fn render_hot_cells(traces: &[CellTrace], k: usize) -> String {
     render_table(&headers, &rows)
 }
 
-fn snapshot_of(ev: &obs::Event) -> [u64; 5] {
-    let mut s = [0u64; 5];
-    for (i, key) in SNAPSHOT_KEYS.iter().enumerate() {
-        s[i] = ev.u64_field(key).unwrap_or(0);
+/// Writes the event's non-snapshot fields into `out` as space-separated
+/// `key=value` words and returns its cumulative snapshot (the first
+/// occurrence of each [`SNAPSHOT_KEYS`] field; 0 when absent or not an
+/// integer), in one pass over the fields.
+fn write_detail(out: &mut String, ev: &obs::Event) -> [u64; 5] {
+    let mut snap = [0u64; 5];
+    let mut seen = [false; 5];
+    let mut first = true;
+    for (key, value) in &ev.fields {
+        if let Some(i) = SNAPSHOT_KEYS.iter().position(|k| *k == &**key) {
+            if !seen[i] {
+                seen[i] = true;
+                if let obs::Value::U64(n) = value {
+                    snap[i] = *n;
+                }
+            }
+            continue;
+        }
+        if !first {
+            out.push(' ');
+        }
+        first = false;
+        out.push_str(key);
+        out.push('=');
+        match value {
+            obs::Value::U64(n) => write_u64(out, *n),
+            obs::Value::Str(s) => out.push_str(s),
+        }
     }
-    s
-}
-
-fn detail_of(ev: &obs::Event) -> String {
-    let parts: Vec<String> = ev
-        .fields
-        .iter()
-        .filter(|(k, _)| !SNAPSHOT_KEYS.contains(&&**k))
-        .map(|(k, v)| match v {
-            obs::Value::U64(n) => format!("{k}={n}"),
-            obs::Value::Str(s) => format!("{k}={s}"),
-        })
-        .collect();
-    parts.join(" ")
+    snap
 }
 
 /// Renders the epoch timeline of one traced cell: every lifecycle
@@ -632,40 +643,36 @@ pub fn render_timeline(trace: &CellTrace) -> String {
             trace.dropped_events
         ));
     }
-    let headers = vec![
-        "event".to_string(),
-        "detail".to_string(),
-        "d-comp uJ".to_string(),
-        "d-save uJ".to_string(),
-        "d-restore uJ".to_string(),
-        "d-reexec uJ".to_string(),
-        "cycles".to_string(),
-    ];
+    let mut table = Table::new(&[
+        "event",
+        "detail",
+        "d-comp uJ",
+        "d-save uJ",
+        "d-restore uJ",
+        "d-reexec uJ",
+        "cycles",
+    ]);
     let mut prev = [0u64; 5];
-    let mut rows = Vec::with_capacity(segment.len());
     for ev in segment {
-        let snap = snapshot_of(ev);
-        rows.push(vec![
-            ev.kind.to_string(),
-            detail_of(ev),
-            uj(Energy::from_pj(snap[0].saturating_sub(prev[0]))),
-            uj(Energy::from_pj(snap[1].saturating_sub(prev[1]))),
-            uj(Energy::from_pj(snap[2].saturating_sub(prev[2]))),
-            uj(Energy::from_pj(snap[3].saturating_sub(prev[3]))),
-            snap[4].to_string(),
-        ]);
+        let mut snap = [0; 5];
+        table.cell(&ev.kind);
+        table.cell_with(|t| snap = write_detail(t, ev));
+        for (now, before) in snap.iter().zip(prev).take(4) {
+            table.cell_with(|t| write_uj(t, Energy::from_pj(now.saturating_sub(before))));
+        }
+        table.cell_with(|t| write_u64(t, snap[4]));
         prev = snap;
     }
-    out.push_str(&render_table(&headers, &rows));
+    table.render_into(&mut out);
     match segment.last() {
         Some(end) if end.kind == "run_end" => {
-            let s = snapshot_of(end);
+            // `prev` is the closing event's snapshot.
             out.push_str(&format!(
                 "Fig. 6 split: computation {} uJ | save {} uJ | restore {} uJ | re-execution {} uJ\n",
-                uj(Energy::from_pj(s[0])),
-                uj(Energy::from_pj(s[1])),
-                uj(Energy::from_pj(s[2])),
-                uj(Energy::from_pj(s[3])),
+                uj(Energy::from_pj(prev[0])),
+                uj(Energy::from_pj(prev[1])),
+                uj(Energy::from_pj(prev[2])),
+                uj(Energy::from_pj(prev[3])),
             ));
         }
         _ => out.push_str("run did not reach run_end (event stream truncated?)\n"),
@@ -709,28 +716,34 @@ pub fn render_trace_report(traces: &[CellTrace], cell: Option<&Job>, top_k: usiz
     out
 }
 
+/// The least wall-time growth, in nanoseconds, that can flag a cell in
+/// [`render_trace_diff`]: sub-millisecond cells jitter by tens of
+/// percent between runs of identical code.
+pub const DIFF_FLOOR_NANOS: u64 = 100_000;
+
 /// Compares two trace artifacts phase-by-phase and cell-by-cell:
 /// `tracereport --diff BASELINE CANDIDATE`. Wall-clock times are
 /// compared per cell (matched by grid key) and per aggregated phase;
 /// a cell whose wall time grew by more than `threshold` (a fraction,
-/// e.g. `0.25` for +25 %) is *flagged* as regressed. Returns the
-/// rendered report and whether any cell was flagged, so the binary
-/// can exit nonzero for CI gating.
+/// e.g. `0.25` for +25 %) *and* by at least [`DIFF_FLOOR_NANOS`] is
+/// *flagged* as regressed. Returns the rendered report and whether any
+/// cell was flagged, so the binary can exit nonzero for CI gating.
 ///
-/// Timings are wall-clock and host-sensitive — the threshold exists
-/// precisely so jitter does not flag; compare artifacts captured on
-/// the same host, and treat single-cell flags as a prompt to re-run,
-/// not a verdict.
+/// Timings are wall-clock and host-sensitive — the threshold and the
+/// floor exist precisely so jitter does not flag; compare artifacts
+/// captured on the same host, and treat single-cell flags as a prompt
+/// to re-run, not a verdict.
 pub fn render_trace_diff(
     baseline: &[CellTrace],
     candidate: &[CellTrace],
     threshold: f64,
 ) -> (String, bool) {
     let mut out = format!(
-        "Trace diff: {} baseline cell(s) vs {} candidate cell(s), flagging > +{:.0} %\n",
+        "Trace diff: {} baseline cell(s) vs {} candidate cell(s), flagging > +{:.0} % and >= +{} ms\n",
         baseline.len(),
         candidate.len(),
-        threshold * 100.0
+        threshold * 100.0,
+        ms(DIFF_FLOOR_NANOS)
     );
 
     // Phase-by-phase: aggregate each side like the phase table does.
@@ -795,7 +808,7 @@ pub fn render_trace_diff(
                 } else {
                     grew / base.wall_nanos as f64
                 };
-                if frac > threshold {
+                if frac > threshold && grew >= DIFF_FLOOR_NANOS as f64 {
                     regressed.push((t.job.to_string(), base.wall_nanos, t.wall_nanos, frac));
                 }
             }
@@ -812,8 +825,9 @@ pub fn render_trace_diff(
     out.push_str("\n== Regressed cells ==\n");
     if regressed.is_empty() {
         out.push_str(&format!(
-            "none (no common cell grew by more than +{:.0} %)\n",
-            threshold * 100.0
+            "none (no common cell grew by more than +{:.0} % and {} ms)\n",
+            threshold * 100.0,
+            ms(DIFF_FLOOR_NANOS)
         ));
     } else {
         let headers = vec![
@@ -1125,10 +1139,37 @@ mod tests {
         let (report, flagged) = render_trace_diff(&[], &cand, 0.25);
         assert!(!flagged);
         assert!(report.contains("0 baseline cell(s) vs 2 candidate cell(s)"));
-        let (_, flagged) = render_trace_diff(&[cell("crc", 0, 0)], &[cell("crc", 1, 1)], 0.25);
+        let (_, flagged) = render_trace_diff(
+            &[cell("crc", 0, 0)],
+            &[cell("crc", DIFF_FLOOR_NANOS, 1)],
+            0.25,
+        );
         assert!(
             flagged,
             "growth from a zero-wall baseline counts as regressed"
         );
+    }
+
+    #[test]
+    fn diff_ignores_growth_below_the_floor() {
+        // Jitter on a sub-millisecond cell: +24 %, but only 5 us.
+        let base = vec![cell("aes", 21_000, 20_000)];
+        let cand = vec![cell("aes", 26_000, 25_000)];
+        let (report, flagged) = render_trace_diff(&base, &cand, 0.10);
+        assert!(!flagged, "{report}");
+        assert!(report.contains("OK — no cell exceeded the threshold"));
+        assert!(report.contains("flagging > +10 % and >= +0.100 ms"));
+
+        // The same growth ratio past the floor flags.
+        let base = vec![cell("aes", 21_000_000, 20_000_000)];
+        let cand = vec![cell("aes", 26_000_000, 25_000_000)];
+        assert!(render_trace_diff(&base, &cand, 0.10).1);
+        // Growth of exactly the floor counts.
+        let (_, flagged) = render_trace_diff(
+            &[cell("aes", DIFF_FLOOR_NANOS, 1)],
+            &[cell("aes", 2 * DIFF_FLOOR_NANOS, 1)],
+            0.25,
+        );
+        assert!(flagged);
     }
 }

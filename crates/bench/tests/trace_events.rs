@@ -136,6 +136,26 @@ fn golden_crc_epoch_timeline() {
     assert!(timeline.contains(&format!("re-execution {} uJ", uj(metrics.reexecution))));
 }
 
+const TIMELINE_GOLDEN: &str =
+    include_str!("../../../tests/goldens/timeline_run_Mementos_randmath_1000.txt");
+
+/// The epoch timeline of one quick-grid cell, byte for byte: 256 rows
+/// of skipped, torn and committed checkpoints, power failures and
+/// restores, with string and integer details and the closing Fig. 6
+/// split. The golden was rendered from a `gridrun --quick --trace`
+/// artifact; a fresh capture of the one cell renders the same text.
+#[test]
+fn golden_quick_grid_timeline() {
+    let _gate = OBS_GATE.lock().unwrap_or_else(PoisonError::into_inner);
+    let job = Job::run("Mementos", "randmath", 1_000);
+    let (_, traces) = trace::capture_grid(std::slice::from_ref(&job));
+    let timeline = trace::render_timeline(&traces[0]);
+    for kind in ["checkpoint_commit", "power_failure", "restore"] {
+        assert!(timeline.contains(kind), "the golden shows {kind} rows");
+    }
+    assert_eq!(timeline, TIMELINE_GOLDEN);
+}
+
 fn counter(t: &trace::CellTrace, name: &str) -> u64 {
     t.counters
         .iter()

@@ -230,13 +230,33 @@ impl RunOutcome {
     }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Frame {
     func: FuncId,
     block: BlockId,
     ip: usize,
     regs: Vec<i32>,
     ret_dst: Option<Reg>,
+}
+
+impl Clone for Frame {
+    fn clone(&self) -> Frame {
+        Frame {
+            regs: self.regs.clone(),
+            ..*self
+        }
+    }
+
+    /// Reuses `regs`' buffer (`derive(Clone)` would reallocate it), so
+    /// snapshotting the frame stack into a checkpoint image and back
+    /// allocates nothing once the image is warm.
+    fn clone_from(&mut self, source: &Frame) {
+        self.func = source.func;
+        self.block = source.block;
+        self.ip = source.ip;
+        self.regs.clone_from(&source.regs);
+        self.ret_dst = source.ret_dst;
+    }
 }
 
 impl Frame {
@@ -851,12 +871,24 @@ impl<'a> Machine<'a> {
         for &v in &spec.save_vars {
             self.mem.flush_to_nvm(v);
         }
-        self.image = Some(Image {
-            frames: self.frames.clone(),
-            restore_vars: spec.restore_vars.clone(),
-            restore_words: spec.restore_words(&self.im.module),
-            cp_id: Some(id),
-        });
+        // Overwrite the previous image in place: its buffers are reused.
+        let restore_words = spec.restore_words(&self.im.module);
+        match &mut self.image {
+            Some(image) => {
+                image.frames.clone_from(&self.frames);
+                image.restore_vars.clone_from(&spec.restore_vars);
+                image.restore_words = restore_words;
+                image.cp_id = Some(id);
+            }
+            None => {
+                self.image = Some(Image {
+                    frames: self.frames.clone(),
+                    restore_vars: spec.restore_vars.clone(),
+                    restore_words,
+                    cp_id: Some(id),
+                });
+            }
+        }
         self.metrics.checkpoints_committed += 1;
         if self.tracing {
             self.emit(

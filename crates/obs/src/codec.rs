@@ -95,7 +95,11 @@ pub fn read_fields(
 ) -> Result<Vec<(Name, Value)>, JsonError> {
     scratch.clear();
     r.array(|r| {
-        scratch.push(r.pair("event field", |r| Ok(crate::name(&r.str()?)), read_value)?);
+        let field = match r.compact_str_u64_pair() {
+            Some((name, n)) => (crate::name(name), Value::U64(n)),
+            None => r.pair("event field", |r| Ok(crate::name(&r.str()?)), read_value)?,
+        };
+        scratch.push(field);
         Ok(())
     })?;
     let mut exact = Vec::with_capacity(scratch.len());
@@ -592,6 +596,26 @@ mod tests {
         for tag in ["reg", "span", "counter", "event"] {
             assert!(GOLDEN.contains(&format!("{{\"t\":\"{tag}\"")), "{tag}");
         }
+    }
+
+    /// Compact integer fields take the reader's fast path, every other
+    /// spelling the generic pair; both decode into one field list.
+    #[test]
+    fn read_fields_mixes_compact_and_generic_spellings() {
+        let text = r#"[["cp",3],[ "words" , 12 ],["epoch","cp1"],["q\"",4],["cycles",5]]"#;
+        let mut r = Reader::new(text);
+        let fields = read_fields(&mut r, &mut Vec::new()).unwrap();
+        r.finish().unwrap();
+        let want: Vec<(Name, Value)> = vec![
+            ("cp".into(), Value::U64(3)),
+            ("words".into(), Value::U64(12)),
+            ("epoch".into(), Value::Str("cp1".into())),
+            ("q\"".into(), Value::U64(4)),
+            ("cycles".into(), Value::U64(5)),
+        ];
+        assert_eq!(fields, want);
+        let e = read_fields(&mut Reader::new(r#"[["cp",-3]]"#), &mut Vec::new()).unwrap_err();
+        assert!(e.message.contains("integer or string"), "{e}");
     }
 
     #[test]

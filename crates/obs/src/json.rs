@@ -316,6 +316,44 @@ impl<'a> Reader<'a> {
         }
     }
 
+    /// Reads a pair spelled exactly `["name",N]` — no whitespace, no
+    /// escape in the name, `N` of at most 19 digits followed by `]` —
+    /// in one scan, returning `None` with the position unchanged for
+    /// any other spelling, which the caller then reads with
+    /// [`Reader::pair`]. The writers emit every integer-valued field in
+    /// this form, so the generic path (and its error text) only ever
+    /// sees other spellings.
+    #[inline]
+    pub fn compact_str_u64_pair(&mut self) -> Option<(&'a str, u64)> {
+        let text = self.text;
+        let rest = text.as_bytes().get(self.pos..)?;
+        if self.depth == MAX_DEPTH || !rest.starts_with(b"[\"") {
+            return None;
+        }
+        let name_len = rest[2..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\' || b < 0x20)?;
+        let after = 2 + name_len;
+        if rest.get(after..after + 2) != Some(b"\",") {
+            return None;
+        }
+        let digits = &rest[after + 2..];
+        let n_digits = digits
+            .iter()
+            .take(20)
+            .take_while(|b| b.is_ascii_digit())
+            .count();
+        if n_digits == 0 || n_digits == 20 || digits.get(n_digits) != Some(&b']') {
+            return None;
+        }
+        let n = digits[..n_digits]
+            .iter()
+            .fold(0u64, |n, &d| n * 10 + u64::from(d - b'0'));
+        let name = &text[self.pos + 2..self.pos + after];
+        self.pos += after + 2 + n_digits + 1;
+        Some((name, n))
+    }
+
     /// Reads a string. Borrows from the input when the literal has no
     /// escapes; decodes `\uXXXX` escapes including surrogate pairs.
     ///
@@ -630,6 +668,121 @@ mod tests {
         ] {
             assert!(Reader::new(bad).skip().is_err(), "{bad}");
         }
+    }
+
+    type Pair<'a> = Result<(Cow<'a, str>, u64), JsonError>;
+
+    fn generic_pair<'a>(r: &mut Reader<'a>) -> Pair<'a> {
+        r.pair("field", Reader::str, Reader::u64)
+    }
+
+    /// `text` has no compact spelling: the fast path declines without
+    /// moving, so the generic read that follows it sees exactly what a
+    /// fresh reader does — the same value, or the same error at the
+    /// same offset.
+    fn assert_falls_back(text: &str, depth: usize) {
+        let mut r = Reader::new(text);
+        r.depth = depth;
+        assert_eq!(r.compact_str_u64_pair(), None, "{text}");
+        assert_eq!(r.pos, 0, "{text}");
+        let mut fresh = Reader::new(text);
+        fresh.depth = depth;
+        assert_eq!(generic_pair(&mut r), generic_pair(&mut fresh), "{text}");
+    }
+
+    #[test]
+    fn compact_pairs_read_in_one_scan() {
+        for (text, name, n) in [
+            ("[\"comp_pj\",123]", "comp_pj", 123),
+            ("[\"\",0]", "", 0),
+            ("[\"dagger †\",7]", "dagger †", 7),
+            (
+                "[\"x\",9999999999999999999]",
+                "x",
+                9_999_999_999_999_999_999,
+            ),
+            ("[\"x\",007]", "x", 7),
+        ] {
+            let mut r = Reader::new(text);
+            assert_eq!(r.compact_str_u64_pair(), Some((name, n)), "{text}");
+            assert_eq!(r.pos, text.len());
+            assert_eq!(
+                generic_pair(&mut Reader::new(text)).unwrap(),
+                (name.into(), n)
+            );
+        }
+    }
+
+    #[test]
+    fn compact_pair_falls_back_on_whitespace() {
+        for text in [
+            " [\"a\",1]",
+            "[ \"a\",1]",
+            "[\"a\" ,1]",
+            "[\"a\", 1]",
+            "[\"a\",1 ]",
+        ] {
+            assert_falls_back(text, 0);
+        }
+    }
+
+    #[test]
+    fn compact_pair_falls_back_on_escaped_names() {
+        for text in ["[\"a\\\"b\",1]", "[\"\\u0041\",1]", "[\"a\\nb\",2]"] {
+            assert_falls_back(text, 0);
+        }
+    }
+
+    #[test]
+    fn compact_pair_falls_back_on_string_values() {
+        for text in ["[\"a\",\"b\"]", "[\"a\",\"1\"]", "[\"a\",null]"] {
+            assert_falls_back(text, 0);
+        }
+    }
+
+    #[test]
+    fn compact_pair_falls_back_on_numbers_of_twenty_digits() {
+        for text in [
+            "[\"a\",18446744073709551615]",
+            "[\"a\",18446744073709551616]",
+            "[\"a\",00000000000000000001]",
+            "[\"a\",123456789012345678901234]",
+        ] {
+            assert_falls_back(text, 0);
+        }
+    }
+
+    #[test]
+    fn compact_pair_falls_back_on_signs_fractions_and_exponents() {
+        for text in ["[\"a\",-1]", "[\"a\",1.5]", "[\"a\",1e3]", "[\"a\",1E3]"] {
+            assert_falls_back(text, 0);
+        }
+    }
+
+    #[test]
+    fn compact_pair_falls_back_on_malformed_pairs() {
+        for text in [
+            "[\"a\",1",
+            "[\"a\",1,2]",
+            "[\"a\"]",
+            "[\"a",
+            "[1,2]",
+            "\"a\"",
+            "",
+        ] {
+            assert_falls_back(text, 0);
+        }
+    }
+
+    #[test]
+    fn compact_pair_falls_back_at_the_depth_cap() {
+        assert_falls_back("[\"a\",1]", MAX_DEPTH);
+        let e = generic_pair(&mut Reader {
+            depth: MAX_DEPTH,
+            ..Reader::new("[\"a\",1]")
+        })
+        .unwrap_err();
+        assert!(e.message.contains("nesting"), "{e}");
     }
 
     #[test]
