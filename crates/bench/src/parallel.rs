@@ -50,22 +50,59 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
+    map_claimed(items, jobs, |k| k, f)
+}
+
+/// [`par_map_jobs`] that hands items out largest first by `size` (the
+/// longest-processing-time rule); results still come back in input
+/// order. When a few items outweigh the rest, this keeps a worker from
+/// picking up a large one just as the others run out of work.
+pub fn par_map_largest_first<T, R, F>(
+    items: &[T],
+    jobs: usize,
+    size: impl Fn(&T) -> usize,
+    f: F,
+) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    let mut order: Vec<usize> = (0..items.len()).collect();
+    order.sort_by_key(|&i| std::cmp::Reverse(size(&items[i])));
+    map_claimed(items, jobs, |k| order[k], f)
+}
+
+/// The `k`-th claim takes item `claim(k)`; `claim` must be a
+/// permutation of the indices.
+fn map_claimed<T, R, F>(
+    items: &[T],
+    jobs: usize,
+    claim: impl Fn(usize) -> usize + Sync,
+    f: F,
+) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
     let n = items.len();
     if jobs <= 1 || n <= 1 {
         return items.iter().map(f).collect();
     }
     let next = AtomicUsize::new(0);
-    let f = &f;
+    let (f, claim) = (&f, &claim);
     let collected: Vec<(usize, R)> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..jobs.min(n))
             .map(|_| {
                 s.spawn(|| {
                     let mut local = Vec::new();
                     loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
+                        let k = next.fetch_add(1, Ordering::Relaxed);
+                        if k >= n {
                             break;
                         }
+                        let i = claim(k);
                         local.push((i, f(&items[i])));
                     }
                     local
@@ -105,6 +142,18 @@ mod tests {
         let empty: Vec<u32> = Vec::new();
         assert!(par_map_jobs(&empty, 4, |&x| x).is_empty());
         assert_eq!(par_map_jobs(&[7], 4, |&x| x + 1), vec![8]);
+    }
+
+    #[test]
+    fn largest_first_returns_input_order() {
+        let items: Vec<usize> = (0..100).map(|x| (x * 37) % 101).collect();
+        let expect: Vec<usize> = items.iter().map(|&x| x + 1).collect();
+        for jobs in [1, 2, 8] {
+            assert_eq!(
+                par_map_largest_first(&items, jobs, |&x| x, |&x| x + 1),
+                expect
+            );
+        }
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //! stays bounded at the cap.
 
 use crate::grid::{evaluate, read_job, write_job, CellStore, GridError, Job};
-use crate::parallel::par_map;
+use crate::parallel::{self, par_map, par_map_largest_first};
 use crate::{render_table, uj, write_uj, Table};
 use schematic_emu::trace::SNAPSHOT_KEYS;
 use schematic_energy::{CostTable, Energy};
@@ -193,11 +193,12 @@ pub fn capture_grid_streaming(
     let sink: SharedSink = Arc::new(Mutex::new(Box::new(writer)));
     let (store, traces) = capture_grid_with_sink(jobs, Some(&sink));
     let mut w = sink.lock().expect("no worker holds the sink any more");
-    let mut line = String::new();
-    for t in &traces {
-        line.clear();
-        write_trace_line(&mut line, t);
-        w.write_all(line.as_bytes())?;
+    // One line per worker at a time, so the encoded text held at once
+    // is a line per worker, not the whole artifact.
+    for window in traces.chunks(parallel::jobs()) {
+        for line in encode_lines(window) {
+            w.write_all(line.as_bytes())?;
+        }
     }
     w.flush()?;
     Ok((store, traces))
@@ -222,6 +223,13 @@ pub fn capture_grid_streaming(
 // and a spill chunk line `{"spill":{"job":KEY,"seq":N,"events":[EVENT…]}}`,
 // where EVENT is `{"kind":K,"fields":[[name,N|"str"]…]}`. Readers take
 // keys in any order and skip unknown ones.
+//
+// Every line is encoded and decoded on its own, with no state shared
+// between lines, so `to_jsonl`, the streaming writer's trace lines and
+// `from_jsonl` fan the lines out over `parallel` workers and put the
+// results back in file order: the bytes and the decoded values do not
+// depend on the worker count. Only spill reassembly, which joins lines,
+// runs after the fan-out.
 
 fn write_events(out: &mut String, events: &[obs::Event]) {
     out.push('[');
@@ -417,11 +425,29 @@ fn read_line(text: &str) -> Result<Line, JsonError> {
     }))
 }
 
+/// Encodes each trace as its own artifact line on the parallel workers,
+/// longest event stream first; the lines come back in the given order.
+fn encode_lines(traces: &[CellTrace]) -> Vec<String> {
+    par_map_largest_first(
+        traces,
+        parallel::jobs(),
+        |t| t.events.len(),
+        |t| {
+            let mut line = String::new();
+            write_trace_line(&mut line, t);
+            line
+        },
+    )
+}
+
 /// Serializes traces, one JSON object per line, in the given order.
 pub fn to_jsonl(traces: &[CellTrace]) -> String {
-    let mut out = String::new();
-    for t in traces {
-        write_trace_line(&mut out, t);
+    let lines = encode_lines(traces);
+    let mut out = String::with_capacity(lines.iter().map(String::len).sum());
+    // Each line is freed once it is copied, so the lines and the joined
+    // text are not both whole at once.
+    for line in lines {
+        out.push_str(&line);
     }
     out
 }
@@ -438,13 +464,29 @@ pub fn to_jsonl(traces: &[CellTrace]) -> String {
 /// A [`GridError`] naming the offending line, a chunk whose cell has
 /// no trace line, or a missing chunk in a cell's sequence.
 pub fn from_jsonl(text: &str) -> Result<Vec<CellTrace>, GridError> {
+    decode_artifact(text, parallel::jobs())
+}
+
+/// [`from_jsonl`] with an explicit worker count. Every non-blank line
+/// is decoded on `workers` threads, longest first; the results are then
+/// walked in file order, so the first failing line names the error
+/// whatever the count.
+fn decode_artifact(text: &str, workers: usize) -> Result<Vec<CellTrace>, GridError> {
+    let lines: Vec<(usize, &str)> = text
+        .lines()
+        .enumerate()
+        .filter(|(_, line)| !line.trim().is_empty())
+        .collect();
+    let decoded = par_map_largest_first(
+        &lines,
+        workers,
+        |(_, line)| line.len(),
+        |(_, line)| read_line(line),
+    );
     let mut traces: Vec<CellTrace> = Vec::new();
     let mut chunks: BTreeMap<String, Vec<(u64, Vec<obs::Event>)>> = BTreeMap::new();
-    for (lineno, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        match read_line(line).map_err(|e| GridError(format!("line {}: {e}", lineno + 1)))? {
+    for ((lineno, _), line) in lines.iter().zip(decoded) {
+        match line.map_err(|e| GridError(format!("line {}: {e}", lineno + 1)))? {
             Line::Trace(t) => traces.push(t),
             Line::Spill { job, seq, events } => chunks.entry(job).or_default().push((seq, events)),
         }
@@ -1039,6 +1081,35 @@ mod tests {
                 e.starts_with(&format!("line 1: missing field '{field}'")),
                 "got: {e}"
             );
+        }
+    }
+
+    #[test]
+    fn the_first_damaged_line_names_the_error_at_every_worker_count() {
+        let names = [
+            "aes", "crc", "fft", "rc4", "bitcount", "dijkstra", "randmath", "sha",
+        ];
+        let traces: Vec<CellTrace> = names.iter().map(|n| cell(n, 1_000, 900)).collect();
+        let text = to_jsonl(&traces);
+        let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+        // Line 3 loses a field; line 7, whose error differs, is cut.
+        lines[2] = lines[2].replace("\"wall_nanos\"", "\"wall\"");
+        let half = lines[6].len() / 2;
+        lines[6].truncate(half);
+        let damaged = lines.join("\n");
+        let errors: Vec<String> = [1, 4]
+            .into_iter()
+            .map(|workers| decode_artifact(&damaged, workers).unwrap_err().to_string())
+            .collect();
+        assert!(
+            errors[0].starts_with("line 3: missing field 'wall_nanos'"),
+            "got: {}",
+            errors[0]
+        );
+        assert_eq!(errors[0], errors[1]);
+        // Undamaged, both counts decode the same traces.
+        for workers in [1, 4] {
+            assert_eq!(decode_artifact(&text, workers).unwrap(), traces);
         }
     }
 

@@ -5,7 +5,8 @@
 //! (`schematic_obs::name`), so neither recording an event nor decoding
 //! one from a trace artifact allocates a string per name. These tests
 //! pin that: decoding an artifact of N integer-valued vocabulary
-//! events allocates at most N + O(cells) times, and recording one
+//! events allocates at most N + O(cells) times, counted on the calling
+//! thread and on the line decoder's worker threads, and recording one
 //! event with static names allocates at most once. Span guards and
 //! counters are cheaper still: once a name has been recorded, more
 //! records under it allocate nothing, which is what keeps the
@@ -22,21 +23,36 @@ use schematic_energy::CostTable;
 use schematic_obs as obs;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Counts allocations (including reallocations) made by threads that
 /// have switched counting on, per thread: the test harness runs tests
 /// on several threads, and only the measuring one should be charged.
+/// A measurement may also charge the threads its code spawns.
 struct Counting;
+
+/// Set while a measurement charges the threads its code spawns.
+static CHARGE_SPAWNED: AtomicBool = AtomicBool::new(false);
+
+/// Allocations of the threads spawned while [`CHARGE_SPAWNED`] is set.
+static SPAWNED_ALLOCS: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     static COUNTING: Cell<bool> = const { Cell::new(false) };
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Fixed at the thread's first allocation: set for a thread that
+    /// first allocates while spawned threads are charged, that is, one
+    /// the measured code spawned.
+    static SPAWNED: Cell<bool> = Cell::new(CHARGE_SPAWNED.load(Ordering::SeqCst));
 }
 
 fn note() {
+    let spawned = SPAWNED.with(Cell::get);
     if COUNTING.with(Cell::get) {
         ALLOCS.with(|n| n.set(n.get() + 1));
+    } else if spawned && CHARGE_SPAWNED.load(Ordering::SeqCst) {
+        SPAWNED_ALLOCS.fetch_add(1, Ordering::SeqCst);
     }
 }
 
@@ -64,7 +80,8 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Serializes the tests that flip the process-global collection flag.
+/// Serializes the tests that flip the process-global collection flag or
+/// charge spawned threads.
 static GATE: Mutex<()> = Mutex::new(());
 
 /// Runs `f` and returns its result with the allocations it made on
@@ -76,6 +93,17 @@ fn allocations<R>(f: impl FnOnce() -> R) -> (R, u64) {
     let n = ALLOCS.with(Cell::get) - before;
     COUNTING.with(|c| c.set(false));
     (result, n)
+}
+
+/// [`allocations`], also charging the threads `f` spawns (the line
+/// decoder's workers).
+fn allocations_with_spawned<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    CHARGE_SPAWNED.store(true, Ordering::SeqCst);
+    let before = SPAWNED_ALLOCS.load(Ordering::SeqCst);
+    let (result, own) = allocations(f);
+    let spawned = SPAWNED_ALLOCS.load(Ordering::SeqCst) - before;
+    CHARGE_SPAWNED.store(false, Ordering::SeqCst);
+    (result, own + spawned)
 }
 
 /// An emulator-shaped event: vocabulary kind, kind-specific fields and
@@ -110,7 +138,11 @@ fn decoding_vocabulary_events_allocates_once_per_event() {
         .collect();
     let text = trace::to_jsonl(&traces);
 
-    let (parsed, n) = allocations(|| trace::from_jsonl(&text).expect("artifact decodes"));
+    // Held so that no other measurement runs while spawned threads are
+    // charged.
+    let _gate = GATE.lock().unwrap();
+    let (parsed, n) =
+        allocations_with_spawned(|| trace::from_jsonl(&text).expect("artifact decodes"));
     assert_eq!(parsed, traces);
     let events = CELLS * EVENTS_PER_CELL;
     // Per cell: the job's strings, the counter name, the line's vectors

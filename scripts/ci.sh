@@ -65,6 +65,12 @@ test -s "$GRIDDIR/tracereport.txt"
 grep -q "Phase times across the grid" "$GRIDDIR/tracereport.txt"
 grep -q "Fig. 6 split" "$GRIDDIR/tracereport.txt"
 echo "tracereport rendered $(wc -l < "$GRIDDIR/tracereport.txt") lines"
+# The artifact's lines are decoded on parallel workers; the render must
+# not depend on how many.
+SCHEMATIC_JOBS=1 "$TRACEREPORT" "$GRIDDIR/trace.jsonl" --cell run/Schematic/crc/10000 --top 5 \
+  > "$GRIDDIR/tracereport_1.txt"
+diff -u "$GRIDDIR/tracereport.txt" "$GRIDDIR/tracereport_1.txt"
+echo "tracereport render identical with one worker and the default"
 # A trace diffed against itself must report zero regressed cells and
 # exit 0 (exit 1 is the flagged-regression signal for CI gating).
 "$TRACEREPORT" --diff "$GRIDDIR/trace.jsonl" "$GRIDDIR/trace.jsonl" \
