@@ -1,26 +1,30 @@
 //! Content-addressed cell cache: skip re-evaluating grid cells whose
 //! inputs have not changed.
 //!
-//! A cell's value is a pure function of four things: the job key, the
-//! platform cost table, the configurations the kernel compiles and runs
-//! with, and the compiled programs themselves. The cache files each
-//! cell under **two** content-addressed keys, so the warm path can skip
-//! the compile too:
+//! A cell's value is a pure function of its data — the job key, its
+//! power scenario, the platform cost table and the programs — and of the
+//! code that computes it. The cache files each cell under **two**
+//! content-addressed keys over the data, so the warm path can skip the
+//! compile too:
 //!
-//! * the **memo key** hashes the *compile inputs* — job, cost table,
-//!   configs, and the stable digest of the benchmark's *source* module
+//! * the **memo key** hashes the *compile inputs* — job, cost table and
+//!   the stable digest of the benchmark's *source* module
 //!   ([`memo_key`]). Building a source module and hashing it costs
 //!   microseconds; compiling and placing checkpoints does not.
-//! * the **cell key** hashes the *evaluation inputs* — job, cost table,
-//!   configs, and the digests of every `InstrumentedModule` the kernel
-//!   compiled ([`cell_key`]).
+//! * the **cell key** hashes the *evaluation inputs* — job, cost table
+//!   and the digests of every `InstrumentedModule` the kernel compiled
+//!   ([`cell_key`]).
 //!
 //! A lookup finds the record under the memo key and requires the cell
-//! key re-derived from its program digests to match. An edited
-//! benchmark or perturbed platform constant misses the memo key and
-//! recomputes — no staleness by construction. Both keys fold in
-//! [`KEY_SCHEMA_VERSION`]; bump it whenever the *kernel code* changes
-//! what a cell means (the one input content addressing cannot see).
+//! key re-derived from its program digests to match, so an edited
+//! benchmark or platform constant recomputes. The code is
+//! [`CODE_IDENTITY`], a build-time digest of every source file that can
+//! change a cell value (compiler, emulator, baselines, benchmarks, the
+//! grid kernels and their configs; `code_identity.rs` names the render,
+//! trace and service files it leaves out). It is every record's
+//! `schema`: after an edit to that code each record is dead and its cell
+//! recomputes once, an edit to a render-only file keeps every hit, and
+//! there is no version to bump by hand.
 //!
 //! The store is an append-only file of keyed cell lines ([`CellLine`]:
 //! the cell, its program digests and both keys), the lines `gridrun
@@ -35,9 +39,7 @@
 //! shard and worker processes never open the cache, and in daemon mode
 //! `gridd` is the sole writer.
 
-use crate::grid::{
-    evaluate_traced, write_job_identity, CellKeys, CellLine, CellStore, CellValue, GridError, Job,
-};
+use crate::grid::{evaluate_traced, CellKeys, CellLine, CellStore, CellValue, GridError, Job};
 use crate::parallel::par_map;
 use schematic_energy::CostTable;
 use schematic_ir::hash::{hash_module, Digest, StableHasher};
@@ -46,38 +48,19 @@ use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-/// Version of the key derivation *and* of the meaning of the kernels
-/// behind it. Bump on any change to what a cell computes that the
-/// content-addressed inputs cannot express (kernel edits, metric
-/// semantics); every old record then misses and the grid recomputes.
-///
-/// v2: index-sensitive WAR analysis (per-element footprints, region
-/// downgrades, re-execution bounds) changed soundness verdicts.
-///
-/// v3: the pluggable power-scenario layer replaced the raw `tbpf` job
-/// field with a [`crate::Scenario`] (periodic / stochastic / recorded
-/// trace) in keys and artifact lines.
-pub const KEY_SCHEMA_VERSION: u64 = 3;
+/// The digest of the source files that can change a cell value, from
+/// the build script (`code_identity.rs`): every record's `schema`.
+pub const CODE_IDENTITY: u64 = include!(concat!(env!("OUT_DIR"), "/code_identity"));
 
-/// Identity of the static soundness analysis the cells' verdicts come
-/// from, folded into every key: cells computed under the
-/// index-insensitive analysis invalidate by construction instead of
-/// replaying stale region classifications.
-pub const ANALYSIS_VERSION: &str = "anomaly/index-sensitive-v1";
-
-/// Shared prefix of both keys: schema version, analysis tag, domain
-/// separator, the full job key, the platform identity, and every
-/// configuration the job's kernel will compile or run with.
+/// Shared prefix of both keys: the domain separator, the full job key
+/// and the platform identity.
 fn write_key_prefix(h: &mut StableHasher, domain: &str, job: &Job, table: &CostTable) {
-    h.write_u64(KEY_SCHEMA_VERSION);
-    h.write_str(ANALYSIS_VERSION);
     h.write_str(domain);
     h.write_str(job.kind.name());
     h.write_str(&job.technique);
     h.write_str(&job.benchmark);
     job.scenario.identity_into(h);
     table.identity_into(h);
-    write_job_identity(job, table, h);
 }
 
 /// The compile-memo key: everything that determines *which instrumented
@@ -146,8 +129,8 @@ pub struct CellCache {
     /// verbatim by [`CellCache::compact`].
     kept: Vec<String>,
     /// Lines in the backing file that are neither live records nor kept
-    /// (superseded duplicates, other schemas, torn or non-UTF-8 lines) —
-    /// the compaction trigger.
+    /// (superseded duplicates, records of other code, torn or non-UTF-8
+    /// lines) — the compaction trigger.
     dead: usize,
 }
 
@@ -181,7 +164,7 @@ impl CellCache {
     fn load_line(&mut self, text: &str) {
         match CellLine::parse(text) {
             Ok(line) => match line.keys {
-                Some(keys) if keys.schema == KEY_SCHEMA_VERSION => {
+                Some(keys) if keys.schema == CODE_IDENTITY => {
                     if self.records.insert(keys.memo, line).is_some() {
                         self.dead += 1; // superseded duplicate
                     }
@@ -295,7 +278,7 @@ pub fn keyed_line(
     sources: &mut SourceDigests,
 ) -> CellLine {
     let keys = CellKeys {
-        schema: KEY_SCHEMA_VERSION,
+        schema: CODE_IDENTITY,
         memo: memo_key(&job, table, sources.digest(&job.benchmark)),
         cell: cell_key(&job, table, &ims),
     };
@@ -376,9 +359,11 @@ pub struct CacheStats {
 /// exactly [`CellStore::compute`].
 ///
 /// With `verify` set, cache hits are additionally recomputed and
-/// compared — the paranoia mode `gridrun --cache-verify` exposes; any
-/// divergence (a stale or corrupt cache that content addressing should
-/// have made impossible) is a hard error naming the cells.
+/// compared — the paranoia mode `gridrun --cache-verify` exposes. A
+/// divergence is a hard error naming the cells: a corrupt record, or an
+/// input the keys and [`CODE_IDENTITY`] do not cover (a hashed-out
+/// file that does change cell values, or a build whose identity is
+/// stale).
 ///
 /// # Errors
 ///
@@ -581,6 +566,37 @@ mod tests {
         // One keyed line per record.
         assert_eq!(text.lines().count(), live);
         assert_eq!(CellCache::open(&path).len(), live);
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn records_of_other_code_are_dead() {
+        // The records this code would write for two jobs, one as if an
+        // edit had changed the code identity and one in the layout of a
+        // cache that predates it (a fixed `"schema":3`).
+        let jobs = &quick_jobs()[..2];
+        let table = CostTable::msp430fr5969();
+        let mut text = String::new();
+        let lines = evaluate_keyed(jobs, &table, &mut SourceDigests::new());
+        for (mut line, schema) in lines.into_iter().zip([CODE_IDENTITY ^ 1, 3]) {
+            line.keys.as_mut().unwrap().schema = schema;
+            line.write(&mut text);
+            text.push('\n');
+        }
+        let path = tmp("other-code.jsonl");
+        let _ = fs::remove_file(&path);
+        let mut cache = CellCache::open(&path);
+        for line in text.lines() {
+            cache.load_line(line);
+        }
+        assert_eq!((cache.len(), cache.dead), (0, 2));
+        // From disk: nothing loads, and the open compacts both away.
+        fs::write(&path, &text).unwrap();
+        let mut cache = CellCache::open(&path);
+        assert!(cache.is_empty());
+        assert_eq!(fs::read_to_string(&path).unwrap(), "");
+        let (_, stats) = compute_cached(jobs, Some(&mut cache), false).unwrap();
+        assert_eq!((stats.hits, stats.computed), (0, jobs.len()));
         let _ = fs::remove_file(&path);
     }
 

@@ -245,6 +245,40 @@ impl Job {
             scenario,
         })
     }
+
+    /// Checks that the job names what the kernels can compute: a known
+    /// benchmark, a technique (or variant) of its kind, a positive TBPF
+    /// for a periodic run and a trace file that loads. [`Job::parse`]
+    /// checks only the key's shape; the kernels panic on the rest.
+    ///
+    /// # Errors
+    ///
+    /// A reason string naming the key and the field.
+    pub(crate) fn check(&self) -> Result<(), String> {
+        let techniques = match self.kind {
+            JobKind::Support | JobKind::Run | JobKind::Sound | JobKind::Shadow => technique_names(),
+            JobKind::Bare | JobKind::Retentive => vec!["-"],
+            JobKind::Fig7 => FIG7_VARIANTS.to_vec(),
+            JobKind::Ablation => ABLATION_VARIANTS.to_vec(),
+        };
+        let problem = if schematic_benchsuite::by_name(&self.benchmark).is_none() {
+            format!("unknown benchmark {:?}", self.benchmark)
+        } else if !techniques.contains(&self.technique.as_str()) {
+            let kind = self.kind.name();
+            format!(
+                "{kind} takes one of {}, not {:?}",
+                techniques.join(", "),
+                self.technique
+            )
+        } else if self.kind == JobKind::Run && self.scenario == Scenario::periodic(0) {
+            "a run needs a positive TBPF".into()
+        } else if let Err(e) = self.scenario.power_model() {
+            e
+        } else {
+            return Ok(());
+        };
+        Err(format!("job key \"{self}\": {problem}"))
+    }
 }
 
 impl fmt::Display for Job {
@@ -739,9 +773,9 @@ pub fn evaluate(job: &Job, table: &CostTable) -> CellValue {
 /// Like [`evaluate`], additionally returning the stable digests of
 /// every `InstrumentedModule` the kernel compiled (empty when nothing
 /// compiled, e.g. unsupported or placement-rejected cells). The digest
-/// list is the content-addressed part of the cell cache key: a cell's
-/// value is a pure function of (job, cost table, compiled programs,
-/// run configs), and the last two are captured by
+/// list is the content-addressed part of the cell cache key: given the
+/// code ([`crate::cache::CODE_IDENTITY`]), a cell's value is a pure
+/// function of (job, cost table, compiled programs), all captured by
 /// [`crate::cache::cell_key`].
 pub fn evaluate_traced(job: &Job, table: &CostTable) -> (CellValue, Vec<Digest>) {
     match job.kind {
@@ -756,9 +790,12 @@ pub fn evaluate_traced(job: &Job, table: &CostTable) -> (CellValue, Vec<Digest>)
             let data_bytes = module.data_bytes() as u64;
             let im = InstrumentedModule::bare_all_vm(module);
             let digest = im.stable_digest();
-            let run = Machine::new(&im, table, bare_run_config())
-                .run()
-                .expect("no traps");
+            // Table II ignores the VM limit.
+            let config = RunConfig {
+                svm_bytes: usize::MAX / 2,
+                ..RunConfig::default()
+            };
+            let run = Machine::new(&im, table, config).run().expect("no traps");
             assert!(run.completed());
             assert_eq!(run.result, Some((b.oracle)(SEED)), "{}", b.name);
             let value = CellValue::Bare {
@@ -789,130 +826,28 @@ fn bench(name: &str) -> schematic_benchsuite::Benchmark {
     schematic_benchsuite::by_name(name).unwrap_or_else(|| panic!("unknown benchmark '{name}'"))
 }
 
-// The `RunConfig` constructors are shared between the kernels below
-// and [`write_job_identity`], so the cache key can never drift from
-// what the kernels actually execute.
-
-/// Table II's continuous-power config (VM limit lifted).
-fn bare_run_config() -> RunConfig {
-    RunConfig {
-        svm_bytes: usize::MAX / 2, // Table II ignores the VM limit
-        ..RunConfig::default()
-    }
-}
-
-/// The energy studies' periodic-power config (fig7 / ablations).
-fn periodic_run_config(tbpf: u64) -> RunConfig {
-    RunConfig {
-        power: PowerModel::Periodic { tbpf },
-        ..RunConfig::default()
-    }
-}
-
-/// The retentive-sleep comparison config.
-fn retentive_run_config(retentive: bool) -> RunConfig {
-    RunConfig {
-        retentive_sleep: retentive,
-        ..periodic_run_config(ENERGY_TBPF)
-    }
-}
-
-/// The shadow cross-validation config (WAR recorder on).
-fn shadow_run_config(tbpf: u64) -> RunConfig {
-    RunConfig {
-        shadow_war: true,
-        ..crate::intermittent_run_config_model(PowerModel::Periodic { tbpf })
-    }
-}
-
-/// The compile configuration a job uses, when its kind compiles with
-/// an explicit [`SchematicConfig`] (fig7 variants and ablations); the
-/// `compile_technique` kinds use the technique-default configuration
-/// keyed separately by [`write_job_identity`].
-fn job_compile_config(job: &Job, table: &CostTable) -> Option<SchematicConfig> {
-    let eb = eb_for_tbpf(table, ENERGY_TBPF);
-    match job.kind {
-        JobKind::Fig7 => {
-            let mut config = SchematicConfig::new(eb);
-            config.svm_bytes = if job.technique == "All-NVM" {
-                0
-            } else {
-                SVM_BYTES
-            };
-            Some(config)
+/// The compile configuration of a fig7, ablation or retentive job: the
+/// energy TBPF's budget, `SVM_BYTES` of VM, and the job's variant.
+fn energy_compile_config(job: &Job, table: &CostTable) -> SchematicConfig {
+    let mut config = SchematicConfig::new(eb_for_tbpf(table, ENERGY_TBPF));
+    config.svm_bytes = SVM_BYTES;
+    match (job.kind, job.technique.as_str()) {
+        (JobKind::Fig7, "All-NVM") => config.svm_bytes = 0,
+        (JobKind::Ablation, "no-liveness") => config.liveness_opt = false,
+        (JobKind::Ablation, "no-ratio") => config.ratio_ordering = false,
+        (JobKind::Ablation, other) if other != "full" => {
+            panic!("unknown ablation variant '{other}'")
         }
-        JobKind::Ablation => {
-            let (liveness, ratio) = match job.technique.as_str() {
-                "full" => (true, true),
-                "no-liveness" => (false, true),
-                "no-ratio" => (true, false),
-                other => panic!("unknown ablation variant '{other}'"),
-            };
-            let mut config = SchematicConfig::new(eb);
-            config.svm_bytes = SVM_BYTES;
-            config.liveness_opt = liveness;
-            config.ratio_ordering = ratio;
-            Some(config)
-        }
-        JobKind::Retentive => {
-            let mut config = SchematicConfig::new(eb);
-            config.svm_bytes = SVM_BYTES;
-            Some(config)
-        }
-        _ => None,
+        _ => {}
     }
-}
-
-/// Feeds every configuration input that shapes a job's outcome — the
-/// compile configuration and each `RunConfig` its kernel executes, in
-/// kernel order — into a stable hasher. Together with the job key
-/// fields, the cost-table identity and the compiled-program digests,
-/// this pins down everything a cell's value is a function of.
-pub(crate) fn write_job_identity(
-    job: &Job,
-    table: &CostTable,
-    h: &mut schematic_ir::hash::StableHasher,
-) {
-    h.write_usize(SVM_BYTES);
-    h.write_u64(SEED);
-    if let Some(config) = job_compile_config(job, table) {
-        config.identity_into(h);
-    }
-    match job.kind {
-        JobKind::Support => {}
-        JobKind::Bare => bare_run_config().identity_into(h),
-        JobKind::Run => {
-            // Resolving the scenario loads (and hashes the contents of)
-            // a recorded trace, so editing a trace file invalidates its
-            // cached cells; a missing trace file is a hard error here
-            // because a key must never silently fall back.
-            let power = job
-                .scenario
-                .power_model()
-                .unwrap_or_else(|e| panic!("cell {job}: {e}"));
-            h.write_u64(eb_for_tbpf(table, power.min_window_cycles()).as_pj());
-            crate::intermittent_run_config_model(power).identity_into(h);
-        }
-        JobKind::Fig7 | JobKind::Ablation => periodic_run_config(ENERGY_TBPF).identity_into(h),
-        JobKind::Retentive => {
-            retentive_run_config(false).identity_into(h);
-            retentive_run_config(true).identity_into(h);
-        }
-        JobKind::Sound => h.write_u64(eb_for_tbpf(table, ENERGY_TBPF).as_pj()),
-        JobKind::Shadow => {
-            h.write_u64(eb_for_tbpf(table, ENERGY_TBPF).as_pj());
-            for tbpf in TBPFS {
-                shadow_run_config(tbpf).identity_into(h);
-            }
-        }
-    }
+    config
 }
 
 fn evaluate_fig7(job: &Job, table: &CostTable) -> (CellValue, Vec<Digest>) {
     let b = bench(&job.benchmark);
     let eb = eb_for_tbpf(table, ENERGY_TBPF);
     let m = (b.build)(SEED);
-    let config = job_compile_config(job, table).expect("fig7 compiles explicitly");
+    let config = energy_compile_config(job, table);
     let compiled = match compile(&m, table, &config) {
         Ok(c) => c,
         Err(e) => {
@@ -939,7 +874,7 @@ fn evaluate_fig7(job: &Job, table: &CostTable) -> (CellValue, Vec<Digest>) {
     let run = Machine::new(
         &compiled.instrumented,
         table,
-        periodic_run_config(ENERGY_TBPF),
+        RunConfig::periodic(ENERGY_TBPF),
     )
     .run()
     .expect("no traps");
@@ -955,7 +890,7 @@ fn evaluate_fig7(job: &Job, table: &CostTable) -> (CellValue, Vec<Digest>) {
 fn evaluate_ablation(job: &Job, table: &CostTable) -> (CellValue, Vec<Digest>) {
     let b = bench(&job.benchmark);
     let m = (b.build)(SEED);
-    let config = job_compile_config(job, table).expect("ablation compiles explicitly");
+    let config = energy_compile_config(job, table);
     let compiled = match compile(&m, table, &config) {
         Ok(c) => c,
         Err(e) => {
@@ -970,7 +905,7 @@ fn evaluate_ablation(job: &Job, table: &CostTable) -> (CellValue, Vec<Digest>) {
     let run = Machine::new(
         &compiled.instrumented,
         table,
-        periodic_run_config(ENERGY_TBPF),
+        RunConfig::periodic(ENERGY_TBPF),
     )
     .run()
     .expect("no traps");
@@ -992,7 +927,7 @@ fn evaluate_ablation(job: &Job, table: &CostTable) -> (CellValue, Vec<Digest>) {
 fn evaluate_retentive(job: &Job, table: &CostTable) -> (CellValue, Vec<Digest>) {
     let b = bench(&job.benchmark);
     let m = (b.build)(SEED);
-    let config = job_compile_config(job, table).expect("retentive compiles explicitly");
+    let config = energy_compile_config(job, table);
     let compiled = compile(&m, table, &config).expect("compiles");
     let digests = vec![compiled.instrumented.stable_digest()];
     let mut total = [0u64; 2];
@@ -1000,7 +935,10 @@ fn evaluate_retentive(job: &Job, table: &CostTable) -> (CellValue, Vec<Digest>) 
         let run = Machine::new(
             &compiled.instrumented,
             table,
-            retentive_run_config(retentive),
+            RunConfig {
+                retentive_sleep: retentive,
+                ..RunConfig::periodic(ENERGY_TBPF)
+            },
         )
         .run()
         .expect("no traps");
@@ -1075,7 +1013,11 @@ fn evaluate_shadow(job: &Job, table: &CostTable) -> (CellValue, Vec<Digest>) {
     // covered by a statically predicted anomaly footprint.
     let mut observed: Vec<(schematic_ir::VarId, u32)> = Vec::new();
     for tbpf in TBPFS {
-        if let Ok(run) = Machine::new(&im, table, shadow_run_config(tbpf)).run() {
+        let config = RunConfig {
+            shadow_war: true,
+            ..crate::intermittent_run_config_model(PowerModel::Periodic { tbpf })
+        };
+        if let Ok(run) = Machine::new(&im, table, config).run() {
             observed.extend(run.shadow.expect("shadow requested").war_elems());
         }
     }
@@ -1116,7 +1058,11 @@ fn evaluate_shadow(job: &Job, table: &CostTable) -> (CellValue, Vec<Digest>) {
 /// The cache keys a keyed line is filed under (see [`crate::cache`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CellKeys {
-    /// The [`crate::cache::KEY_SCHEMA_VERSION`] they were derived under.
+    /// The [`crate::cache::CODE_IDENTITY`] of the code that computed the
+    /// cell: a build-time digest of every source file that can change a
+    /// cell value. A cache treats a record of another `schema` as dead,
+    /// so any edit to that code recomputes the cell once; render-only
+    /// edits keep it a hit. There is no version to bump by hand.
     pub schema: u64,
     /// [`crate::cache::memo_key`]: the compile inputs.
     pub memo: Digest,
@@ -1778,7 +1724,8 @@ mod tests {
         let full = CellLine {
             ims: Some(vec![digest(5), digest(7)]),
             keys: Some(CellKeys {
-                schema: 3,
+                // Above 2^53: a code identity uses all 64 bits.
+                schema: 0xFEDC_BA98_7654_3210,
                 memo: digest(1),
                 cell: digest(2),
             }),

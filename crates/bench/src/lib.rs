@@ -181,9 +181,8 @@ impl Cell {
 
 /// The `RunConfig` of one intermittent evaluation run under an
 /// arbitrary power model: VM limit lifted (fit is checked statically)
-/// and the grid's active-cycle cap. Shared by
-/// [`run_cell_scenario_traced`] and the cache's key derivation so the
-/// two can never disagree about what a `run` cell executes.
+/// and the grid's active-cycle cap: what [`run_cell_scenario_traced`]
+/// executes.
 pub fn intermittent_run_config_model(power: PowerModel) -> RunConfig {
     RunConfig {
         power,

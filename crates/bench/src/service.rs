@@ -304,7 +304,9 @@ impl Daemon {
             let Some(key) = item.as_str() else {
                 return error_response(format!("non-string job key {}", item.encode()));
             };
-            match Job::parse(key) {
+            // A key that names nothing would panic in the kernels or the
+            // cache keys and take every accumulated cell down with it.
+            match Job::parse(key).and_then(|job| job.check().map(|()| job)) {
                 Ok(job) => jobs.push(job),
                 Err(e) => return error_response(e),
             }
@@ -1282,18 +1284,40 @@ mod tests {
             Json::Null,
             obj(vec![("op", Json::Str("explode".into()))]),
             obj(vec![("op", Json::Str("submit".into()))]),
-            obj(vec![
-                ("op", Json::Str("submit".into())),
-                ("jobs", Json::Arr(vec![Json::Str("not-a-job".into())])),
-            ]),
         ] {
             let (resp, stop) = handle(&mut d, &bad);
             assert_eq!(resp.get("ok"), Some(&Json::Bool(false)), "{}", bad.encode());
             assert!(!stop);
         }
-        // Still alive and serving.
+        // Keys of the right shape that name nothing: each is refused by
+        // name, before anything is computed or keyed.
+        let submit = |key: &str| {
+            obj(vec![
+                ("op", Json::Str("submit".into())),
+                ("jobs", Json::Arr(vec![Json::Str(key.into())])),
+            ])
+        };
+        for key in [
+            "not-a-job",
+            "support/Schematic/nosuchbench/0",
+            "support/NoSuchTech/crc/0",
+            "ablation/bogus/crc/0",
+            "run/Schematic/crc/trace:nosuch",
+            "fig7/Bogus/crc/0",
+            "run/Ratchet/crc/0",
+        ] {
+            let (resp, stop) = handle(&mut d, &submit(key));
+            assert_eq!(resp.get("ok"), Some(&Json::Bool(false)), "{key}");
+            let error = resp.get("error").and_then(Json::as_str).unwrap_or("");
+            assert!(error.contains(key), "{key}: {error}");
+            assert!(!stop);
+        }
+        // Still alive and serving, with nothing computed.
         let (stats, _) = handle(&mut d, &obj(vec![("op", Json::Str("stats".into()))]));
         assert_eq!(stats.get("ok"), Some(&Json::Bool(true)));
+        let (resp, _) = handle(&mut d, &submit("support/Schematic/crc/0"));
+        assert_eq!(resp.get("ok"), Some(&Json::Bool(true)));
+        assert_eq!(resp.get("cells"), Some(&Json::UInt(1)));
     }
 
     #[test]

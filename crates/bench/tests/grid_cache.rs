@@ -103,60 +103,61 @@ fn warm_quick_grid_is_free_and_byte_identical() {
 
 /// One job of each [`schematic_bench::grid::JobKind`] and its
 /// `memo_key`/`cell_key` hex. The cell key is derived over fixed
-/// program digests, so the pin covers the key derivation (schema
-/// version, job fields, cost table, every compile and run
-/// configuration, and the benchmark's source digest in the memo key)
-/// and not the compiler's output.
+/// program digests, so the pin covers the key derivation (job fields,
+/// scenario, cost table, and the benchmark's source digest in the memo
+/// key) and not the compiler's output.
 const PINNED_KEYS: [(&str, &str, &str); 8] = [
     (
         "support/Schematic/crc/0",
-        "3a450c6d924c19824cfb7bb3cb396505",
-        "bf32bf66cbaf192cf361728f1ca2b15e",
+        "3c8071cec33bbc9b05a7c19f658bcfae",
+        "fbdfb5f0db317bbb9a12e3b2a25204ee",
     ),
     (
         "bare/-/crc/0",
-        "bbf540a06e2fcd6bfd7741fde009c024",
-        "9ca139f19623cde0e6d214dcc3f1129a",
+        "3b4ebafaf5e3655bd2c5319861fef6d7",
+        "bae2d9a74faaa5eb7f0af8013882c4df",
     ),
     (
         "run/Schematic/crc/10000",
-        "851d2bee8f801d021fc71af9998013f9",
-        "8768c9ac9eeb6a3687227b223e5f0830",
+        "989d36767d89a8f955c8dc97e7053222",
+        "bc511228ba49a6037b29818d49f91bf8",
     ),
     (
         "fig7/Schematic/crc/10000",
-        "a8288709290885c02f0748e0e8c7dac7",
-        "68bfe126fca8e796d75151cddec8ac1d",
+        "43ea6ce5e89d0f2b8b63614901c84451",
+        "10c749136a83113fe50b804f71222fc8",
     ),
     (
         "ablation/full/crc/10000",
-        "636d3974d758a21cb190c24a33d70986",
-        "51f6be2e20ad5c5cf5792f0276e3670f",
+        "8c70287e6e9362b7cee6da47cbd5d33c",
+        "7c61b74333080f531598a7aa5f7308ca",
     ),
     (
         "retentive/-/crc/10000",
-        "500fe6dcdbad56d1efac05a563ce528c",
-        "a0e8eea8a4cf4161550addfeaee6b764",
+        "f2a1c4044368d3be44d8f6cc8e3b1ba7",
+        "b6d83e59e47bdc40e5a170919fa6300a",
     ),
     (
         "sound/Schematic/crc/10000",
-        "cb43d0f310843a7bcccbb7025be33483",
-        "5406ef5cd9ff094397b3412806f4eb4b",
+        "b7b5eacb13b9e0c9a8fabf99ec56d6e8",
+        "83c3f4efb52d308ea6361bb91ea7e25b",
     ),
     (
         "shadow/Schematic/crc/0",
-        "d3ab851e637bd8d1e1476755673406c9",
-        "fd25b8a66b098f76e28f2a4e1cf2234a",
+        "1ab3c3f18a64953e7c82c04d1f916896",
+        "df08d98c31577a1e97a359f934083de0",
     ),
 ];
 
-/// Cache keys are pinned: every record an existing cache file holds
-/// stays a hit only while these hex strings hold. A change that moves
-/// them invalidates every cache on disk, so it must be deliberate, and
-/// it must decide whether `cache::KEY_SCHEMA_VERSION` is bumped (a
-/// change in what a cell means) or not (a pure re-keying). To
-/// re-record, run this test and paste the `got` table it prints on a
-/// mismatch over [`PINNED_KEYS`].
+/// Cache keys are pinned. The keys hash only data (job, scenario, cost
+/// table, program digests), never the build: the code is covered by
+/// `cache::CODE_IDENTITY`, every record's `schema`, which changes with
+/// any edit to the code that computes cells (render-only files aside)
+/// and needs no manual bump. So these hex strings stay put across code
+/// edits, and moving them is a deliberate change to the key derivation
+/// that makes every record on disk miss. To re-record, run this test
+/// and paste the `got` table it prints on a mismatch over
+/// [`PINNED_KEYS`].
 #[test]
 fn cache_keys_are_pinned() {
     let table = CostTable::msp430fr5969();

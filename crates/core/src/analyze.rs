@@ -19,7 +19,7 @@ use schematic_ir::{AccessCount, BlockId, Edge, VarId, VarSet};
 use std::collections::{HashMap, VecDeque};
 
 /// Cap on structurally enumerated coverage paths per region.
-pub(crate) const MAX_STRUCTURAL_PATHS: usize = 256;
+const MAX_STRUCTURAL_PATHS: usize = 256;
 
 /// Which region of a function is being analyzed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

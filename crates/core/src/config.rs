@@ -43,22 +43,6 @@ impl SchematicConfig {
         self.svm_bytes = 0;
         self
     }
-
-    /// Feeds every field that can change a compilation's output into a
-    /// stable hasher, for content-addressed caching of compiled
-    /// programs: the energy budget, VM capacity, profiling depth and
-    /// both ablation toggles. The structural-path cap and a `false`
-    /// follow, in the positions two former fields held, so that cache
-    /// keys written before those fields went stay valid.
-    pub fn identity_into(&self, h: &mut schematic_ir::hash::StableHasher) {
-        h.write_u64(self.eb.0);
-        h.write_usize(self.svm_bytes);
-        h.write_usize(self.profile_runs);
-        h.write_bool(self.liveness_opt);
-        h.write_bool(self.ratio_ordering);
-        h.write_usize(crate::analyze::MAX_STRUCTURAL_PATHS);
-        h.write_bool(false);
-    }
 }
 
 #[cfg(test)]

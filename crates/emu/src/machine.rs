@@ -140,57 +140,6 @@ impl RunConfig {
             ..RunConfig::default()
         }
     }
-
-    /// Feeds the *outcome identity* of this config into a stable hasher:
-    /// every field that can change a run's [`Metrics`] or status. Used
-    /// by content-addressed result caching.
-    ///
-    /// Deliberately excluded — observation knobs that are proven not to
-    /// affect outcomes: `record_trace` (path recording),
-    /// `trace` (event emission), `tier` (bit-identical at both
-    /// tiers, pinned by `tests/tier_parity.rs`). `shadow_war`
-    /// is *included*: it fills [`RunOutcome::shadow`], which shadow
-    /// cells report on. The fixed limits ([`MAX_FAILURES`],
-    /// [`LIVELOCK_THRESHOLD`], [`MAX_STACK`]) are hashed in the
-    /// positions their former fields held, so that cache keys written
-    /// before they became constants stay valid.
-    pub fn identity_into(&self, h: &mut schematic_ir::hash::StableHasher) {
-        match self.power {
-            PowerModel::Continuous => h.write_tag(0xE0),
-            PowerModel::Periodic { tbpf } => {
-                h.write_tag(0xE1);
-                h.write_u64(tbpf);
-            }
-            PowerModel::Stochastic {
-                mean_tbpf,
-                jitter,
-                seed,
-            } => {
-                h.write_tag(0xE2);
-                h.write_u64(mean_tbpf);
-                h.write_u64(jitter);
-                h.write_u64(seed);
-            }
-            // Hash the window *contents*, not the intern index: ids are
-            // assigned in first-intern order, which parallel drivers do
-            // not fix.
-            PowerModel::Trace { id } => {
-                h.write_tag(0xE3);
-                let windows = crate::power::trace_windows(id);
-                h.write_usize(windows.len());
-                for &w in windows {
-                    h.write_u64(w);
-                }
-            }
-        }
-        h.write_usize(self.svm_bytes);
-        h.write_u64(self.max_active_cycles);
-        h.write_u64(MAX_FAILURES);
-        h.write_u64(u64::from(LIVELOCK_THRESHOLD));
-        h.write_usize(MAX_STACK);
-        h.write_bool(self.retentive_sleep);
-        h.write_bool(self.shadow_war);
-    }
 }
 
 /// Why a run ended.

@@ -95,6 +95,18 @@ grep -q ", 0 computed (hits verified)" "$GRIDDIR/warm.log"
 diff -u "$GRIDDIR/direct.txt" "$GRIDDIR/warm.txt"
 echo "warm rerun served every cell from cache (verified), render byte-identical"
 CELLS="$("$GRIDRUN" --quick --list | wc -l | tr -d ' ')"
+# Records of other code are dead: every record's `schema` is the code
+# identity of the build that wrote it. With each one rewritten, the
+# cache must answer nothing, recompute every cell, and compact the dead
+# records away, leaving one line per cell.
+sed -E 's/"schema":[0-9]+/"schema":0/' "$CACHE" > "$CACHE.other"
+mv "$CACHE.other" "$CACHE"
+"$GRIDRUN" --quick --cache "$CACHE" > "$GRIDDIR/other.txt" 2> "$GRIDDIR/other.log"
+grep -q ": 0 hits, $CELLS computed$" "$GRIDDIR/other.log"
+diff -u "$GRIDDIR/direct.txt" "$GRIDDIR/other.txt"
+test "$(wc -l < "$CACHE" | tr -d ' ')" -eq "$CELLS" \
+  || { echo "cache of other code: $(wc -l < "$CACHE") lines after recompute, want $CELLS"; exit 1; }
+echo "records of other code missed: $CELLS recomputed, render byte-identical, stale lines compacted"
 "$GRIDRUN" --quick --shard 0/1 -o "$GRIDDIR/full.jsonl"
 "$GRIDRUN" --quick --cache "$GRIDDIR/full.jsonl" \
   > "$GRIDDIR/full_cache.txt" 2> "$GRIDDIR/full_cache.log"
