@@ -36,7 +36,7 @@ use schematic_core::{compile, SchematicConfig};
 use schematic_emu::{InstrumentedModule, Machine, Metrics, PowerModel, RunConfig, RunStatus};
 use schematic_energy::CostTable;
 use schematic_ir::hash::Digest;
-use schematic_obs::json::{write_str, write_u64, JsonError, Reader};
+use schematic_obs::json::{write_str, write_u64, JsonError, Reader, Sink};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -123,25 +123,43 @@ pub struct Job {
     pub scenario: Scenario,
 }
 
+impl JobKind {
+    /// The one TBPF a kind whose power model is fixed is keyed under:
+    /// 0 for support, bare and shadow (no power model, or a sweep of
+    /// every TBPF), [`ENERGY_TBPF`] for fig7, ablation, retentive and
+    /// sound. `None` for `run`, whose scenario is the cell's axis.
+    pub fn fixed_tbpf(self) -> Option<u64> {
+        match self {
+            JobKind::Support | JobKind::Bare | JobKind::Shadow => Some(0),
+            JobKind::Fig7 | JobKind::Ablation | JobKind::Retentive | JobKind::Sound => {
+                Some(ENERGY_TBPF)
+            }
+            JobKind::Run => None,
+        }
+    }
+}
+
 impl Job {
-    /// A Table I support-check job.
-    pub fn support(technique: &str, benchmark: &str) -> Job {
+    /// A job of a kind whose power model is fixed, under its one
+    /// scenario ([`JobKind::fixed_tbpf`]).
+    fn fixed(kind: JobKind, technique: &str, benchmark: &str) -> Job {
+        let tbpf = kind.fixed_tbpf().expect("a kind with a fixed power model");
         Job {
-            kind: JobKind::Support,
+            kind,
             technique: technique.into(),
             benchmark: benchmark.into(),
-            scenario: Scenario::periodic(0),
+            scenario: Scenario::periodic(tbpf),
         }
+    }
+
+    /// A Table I support-check job.
+    pub fn support(technique: &str, benchmark: &str) -> Job {
+        Job::fixed(JobKind::Support, technique, benchmark)
     }
 
     /// A Table II continuous-power job.
     pub fn bare(benchmark: &str) -> Job {
-        Job {
-            kind: JobKind::Bare,
-            technique: "-".into(),
-            benchmark: benchmark.into(),
-            scenario: Scenario::periodic(0),
-        }
+        Job::fixed(JobKind::Bare, "-", benchmark)
     }
 
     /// An intermittent-run job (Table III and, at [`ENERGY_TBPF`],
@@ -163,53 +181,28 @@ impl Job {
 
     /// A Figure 7 job; `variant` is `"Schematic"` or `"All-NVM"`.
     pub fn fig7(variant: &str, benchmark: &str) -> Job {
-        Job {
-            kind: JobKind::Fig7,
-            technique: variant.into(),
-            benchmark: benchmark.into(),
-            scenario: Scenario::periodic(ENERGY_TBPF),
-        }
+        Job::fixed(JobKind::Fig7, variant, benchmark)
     }
 
     /// An ablation job; `variant` is `"full"`, `"no-liveness"` or
     /// `"no-ratio"`.
     pub fn ablation(variant: &str, benchmark: &str) -> Job {
-        Job {
-            kind: JobKind::Ablation,
-            technique: variant.into(),
-            benchmark: benchmark.into(),
-            scenario: Scenario::periodic(ENERGY_TBPF),
-        }
+        Job::fixed(JobKind::Ablation, variant, benchmark)
     }
 
     /// A retentive-sleep comparison job.
     pub fn retentive(benchmark: &str) -> Job {
-        Job {
-            kind: JobKind::Retentive,
-            technique: "-".into(),
-            benchmark: benchmark.into(),
-            scenario: Scenario::periodic(ENERGY_TBPF),
-        }
+        Job::fixed(JobKind::Retentive, "-", benchmark)
     }
 
     /// A static soundness-classification job.
     pub fn sound(technique: &str, benchmark: &str) -> Job {
-        Job {
-            kind: JobKind::Sound,
-            technique: technique.into(),
-            benchmark: benchmark.into(),
-            scenario: Scenario::periodic(ENERGY_TBPF),
-        }
+        Job::fixed(JobKind::Sound, technique, benchmark)
     }
 
     /// A shadow cross-validation job (sweeps every TBPF internally).
     pub fn shadow(technique: &str, benchmark: &str) -> Job {
-        Job {
-            kind: JobKind::Shadow,
-            technique: technique.into(),
-            benchmark: benchmark.into(),
-            scenario: Scenario::periodic(0),
-        }
+        Job::fixed(JobKind::Shadow, technique, benchmark)
     }
 
     /// The raw TBPF when the job's scenario is periodic (every legacy
@@ -247,9 +240,11 @@ impl Job {
     }
 
     /// Checks that the job names what the kernels can compute: a known
-    /// benchmark, a technique (or variant) of its kind, a positive TBPF
-    /// for a periodic run and a trace file that loads. [`Job::parse`]
-    /// checks only the key's shape; the kernels panic on the rest.
+    /// benchmark, a technique (or variant) of its kind, its kind's one
+    /// scenario when the power model is fixed ([`JobKind::fixed_tbpf`]),
+    /// a positive TBPF for a periodic run and a trace file that loads.
+    /// [`Job::parse`] checks only the key's shape; the kernels panic on
+    /// the rest, or compute a fixed-power cell under a second key.
     ///
     /// # Errors
     ///
@@ -269,6 +264,16 @@ impl Job {
                 "{kind} takes one of {}, not {:?}",
                 techniques.join(", "),
                 self.technique
+            )
+        } else if let Some(tbpf) = self
+            .kind
+            .fixed_tbpf()
+            .filter(|&tbpf| self.scenario != Scenario::periodic(tbpf))
+        {
+            format!(
+                "{} takes scenario {tbpf}, not {}",
+                self.kind.name(),
+                self.scenario
             )
         } else if self.kind == JobKind::Run && self.scenario == Scenario::periodic(0) {
             "a run needs a positive TBPF".into()
@@ -1169,7 +1174,7 @@ pub fn cell_from_json(json: &Json) -> Result<(Job, CellValue), GridError> {
 /// then `"tbpf"` (periodic) or `"scenario"` — with no braces around
 /// them: a cell line holds them at its top level, a trace line in its
 /// `job` object.
-pub(crate) fn write_job(out: &mut String, job: &Job) {
+pub(crate) fn write_job<S: Sink + ?Sized>(out: &mut S, job: &Job) {
     put_str(out, "\"kind\":", job.kind.name());
     put_str(out, ",\"technique\":", &job.technique);
     put_str(out, ",\"benchmark\":", &job.benchmark);
@@ -1252,12 +1257,12 @@ fn write_cell_members(out: &mut String, job: &Job, value: &CellValue) {
     out.push('}');
 }
 
-fn put_u64(out: &mut String, prefix: &str, n: u64) {
+fn put_u64<S: Sink + ?Sized>(out: &mut S, prefix: &str, n: u64) {
     out.push_str(prefix);
     write_u64(out, n);
 }
 
-fn put_str(out: &mut String, prefix: &str, s: &str) {
+fn put_str<S: Sink + ?Sized>(out: &mut S, prefix: &str, s: &str) {
     out.push_str(prefix);
     write_str(out, s);
 }
@@ -1591,6 +1596,68 @@ fn pj(n: u64) -> schematic_energy::Energy {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Each fixed-power kind accepts its constructor's scenario only,
+    /// and the error names the one it takes.
+    fn check_fixed_scenario(job: Job, tbpf: u64) {
+        assert_eq!(job.kind.fixed_tbpf(), Some(tbpf));
+        assert_eq!(job.scenario, Scenario::periodic(tbpf));
+        job.check().unwrap_or_else(|e| panic!("{job}: {e}"));
+        for other in ["7", "stoch:10000:2000:3"] {
+            let moved = Job {
+                scenario: Scenario::parse(other).unwrap(),
+                ..job.clone()
+            };
+            let e = moved.check().unwrap_err();
+            let want = format!("{} takes scenario {tbpf}, not {other}", job.kind.name());
+            assert!(e.contains(&want), "{moved}: {e}");
+            assert!(e.contains(&moved.to_string()), "{moved}: {e}");
+        }
+    }
+
+    #[test]
+    fn support_jobs_take_only_scenario_zero() {
+        check_fixed_scenario(Job::support("Schematic", "crc"), 0);
+    }
+
+    #[test]
+    fn bare_jobs_take_only_scenario_zero() {
+        check_fixed_scenario(Job::bare("crc"), 0);
+    }
+
+    #[test]
+    fn shadow_jobs_take_only_scenario_zero() {
+        check_fixed_scenario(Job::shadow("Mementos", "crc"), 0);
+    }
+
+    #[test]
+    fn fig7_jobs_take_only_the_energy_tbpf() {
+        check_fixed_scenario(Job::fig7(FIG7_VARIANTS[0], "crc"), ENERGY_TBPF);
+    }
+
+    #[test]
+    fn ablation_jobs_take_only_the_energy_tbpf() {
+        check_fixed_scenario(Job::ablation(ABLATION_VARIANTS[0], "crc"), ENERGY_TBPF);
+    }
+
+    #[test]
+    fn retentive_jobs_take_only_the_energy_tbpf() {
+        check_fixed_scenario(Job::retentive("crc"), ENERGY_TBPF);
+    }
+
+    #[test]
+    fn sound_jobs_take_only_the_energy_tbpf() {
+        check_fixed_scenario(Job::sound("Mementos", "crc"), ENERGY_TBPF);
+    }
+
+    #[test]
+    fn run_jobs_take_any_scenario_with_power() {
+        assert_eq!(JobKind::Run.fixed_tbpf(), None);
+        for scenario in ["7", "10000", "stoch:10000:2000:3"] {
+            let job = Job::run_scenario("Schematic", "crc", Scenario::parse(scenario).unwrap());
+            job.check().unwrap_or_else(|e| panic!("{job}: {e}"));
+        }
+    }
 
     #[test]
     fn grid_order_is_stable_and_deduped() {

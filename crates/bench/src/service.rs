@@ -1305,6 +1305,8 @@ mod tests {
             "run/Schematic/crc/trace:nosuch",
             "fig7/Bogus/crc/0",
             "run/Ratchet/crc/0",
+            "sound/Mementos/crc/7",
+            "support/Schematic/crc/10000",
         ] {
             let (resp, stop) = handle(&mut d, &submit(key));
             assert_eq!(resp.get("ok"), Some(&Json::Bool(false)), "{key}");
@@ -1318,6 +1320,34 @@ mod tests {
         let (resp, _) = handle(&mut d, &submit("support/Schematic/crc/0"));
         assert_eq!(resp.get("ok"), Some(&Json::Bool(true)));
         assert_eq!(resp.get("cells"), Some(&Json::UInt(1)));
+    }
+
+    /// A fixed-power kind under another scenario would be a second key
+    /// for the same cell: refused, and nothing is stored.
+    #[test]
+    fn fixed_power_jobs_under_another_scenario_store_nothing() {
+        let mut d = Daemon::new(GridMode::Quick, None, 0);
+        let submit = |key: &str| {
+            obj(vec![
+                ("op", Json::Str("submit".into())),
+                ("jobs", Json::Arr(vec![Json::Str(key.into())])),
+            ])
+        };
+        let cells = |d: &mut Daemon| {
+            let (stats, _) = handle(d, &obj(vec![("op", Json::Str("stats".into()))]));
+            StatsSnapshot::parse(&stats).unwrap().cells
+        };
+        let (resp, _) = handle(&mut d, &submit("sound/Mementos/crc/10000"));
+        assert_eq!(resp.get("ok"), Some(&Json::Bool(true)));
+        assert_eq!(cells(&mut d), 1);
+        let key = "sound/Mementos/crc/7";
+        let (resp, stop) = handle(&mut d, &submit(key));
+        assert!(!stop);
+        assert_eq!(resp.get("ok"), Some(&Json::Bool(false)));
+        let error = resp.get("error").and_then(Json::as_str).unwrap_or("");
+        assert!(error.contains(key), "{error}");
+        assert!(error.contains("takes scenario 10000, not 7"), "{error}");
+        assert_eq!(cells(&mut d), 1);
     }
 
     #[test]

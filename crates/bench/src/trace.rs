@@ -38,8 +38,8 @@ use crate::{render_table, uj, write_uj, Table};
 use schematic_emu::trace::SNAPSHOT_KEYS;
 use schematic_energy::{CostTable, Energy};
 use schematic_obs as obs;
-use schematic_obs::codec::{read_fields, write_fields};
-use schematic_obs::json::{write_str, write_u64, JsonError, Reader};
+use schematic_obs::codec::{read_events, write_events};
+use schematic_obs::json::{write_str, write_u64, Count, JsonError, Reader, Sink, SliceSink};
 use std::collections::{BTreeMap, HashMap};
 use std::io::Write;
 use std::sync::{Arc, Mutex};
@@ -73,7 +73,7 @@ pub struct CellTrace {
     pub counters: Vec<(String, u64)>,
     /// Structured events in emission order (compiler decision log +
     /// emulator lifecycle stream), capped at [`obs::MAX_EVENTS`].
-    pub events: Vec<obs::Event>,
+    pub events: obs::EventLog,
     /// Events discarded past the cap.
     pub dropped_events: u64,
     /// Events streamed to the artifact as spill chunks instead of
@@ -100,11 +100,18 @@ impl CellTrace {
             wall_nanos,
             phases,
             counters: reg.counters.into_iter().collect(),
-            events: reg.events.into(),
+            events: exact(reg.events),
             dropped_events: reg.dropped_events,
             spilled_events: reg.spilled_events,
         }
     }
+}
+
+/// `log` holding exactly its events: the ring's retired prefix and the
+/// growth slack go, so a trace held for encoding costs what it stores.
+fn exact(mut log: obs::EventLog) -> obs::EventLog {
+    log.shrink_to_fit();
+    log
 }
 
 /// The shared artifact writer streaming captures spill into: worker
@@ -121,9 +128,9 @@ fn capture_cell<T>(job: &Job, sink: Option<&SharedSink>, f: impl FnOnce() -> T) 
         let sink = Arc::clone(sink);
         let job = job.clone();
         let mut seq = 0u64;
-        obs::set_spill(Some(Box::new(move |events: Vec<obs::Event>| {
+        obs::set_spill(Some(Box::new(move |events: obs::Events<'_>| {
             let mut line = String::new();
-            write_spill_line(&mut line, &job, seq, &events);
+            write_spill_line(&mut line, &job, seq, events);
             seq += 1;
             if let Ok(mut w) = sink.lock() {
                 let _ = w.write_all(line.as_bytes());
@@ -196,9 +203,7 @@ pub fn capture_grid_streaming(
     // One line per worker at a time, so the encoded text held at once
     // is a line per worker, not the whole artifact.
     for window in traces.chunks(parallel::jobs()) {
-        for line in encode_lines(window) {
-            w.write_all(line.as_bytes())?;
-        }
+        w.write_all(to_jsonl(window).as_bytes())?;
     }
     w.flush()?;
     Ok((store, traces))
@@ -209,10 +214,11 @@ pub fn capture_grid_streaming(
 // ---------------------------------------------------------------------
 //
 // Lines are written and read directly, with no `Json` tree in between:
-// `write_*` append to a `String` through the dialect's writer, and
-// `read_*` pull from its `Reader` (both `schematic_obs::json`). An
-// event's fields go through `schematic_obs::codec`'s field codec, the
-// one the telemetry registry uses. A trace line is
+// `write_*` append to a `Sink` through the dialect's writer, and
+// `read_*` pull from its `Reader` (both `schematic_obs::json`). Event
+// arrays go through `schematic_obs::codec`'s event codec, whose field
+// format the telemetry registry shares; it reads events straight into
+// the trace's `EventLog`. A trace line is
 //
 //   {"job":{"kind","technique","benchmark","tbpf"|"scenario"} (the cell
 //    line's job members, `grid::write_job`),
@@ -231,23 +237,8 @@ pub fn capture_grid_streaming(
 // depend on the worker count. Only spill reassembly, which joins lines,
 // runs after the fan-out.
 
-fn write_events(out: &mut String, events: &[obs::Event]) {
-    out.push('[');
-    for (i, ev) in events.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"kind\":");
-        write_str(out, &ev.kind);
-        out.push_str(",\"fields\":");
-        write_fields(out, &ev.fields);
-        out.push('}');
-    }
-    out.push(']');
-}
-
 /// Appends one trace as an artifact line, newline included.
-fn write_trace_line(out: &mut String, t: &CellTrace) {
+fn write_trace_line<S: Sink + ?Sized>(out: &mut S, t: &CellTrace) {
     // The job object holds the cell line's job members.
     out.push_str("{\"job\":{");
     write_job(out, &t.job);
@@ -255,37 +246,29 @@ fn write_trace_line(out: &mut String, t: &CellTrace) {
     write_u64(out, t.wall_nanos);
     out.push_str(",\"phases\":[");
     for (i, p) in t.phases.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"name\":");
+        out.push_str(if i > 0 { ",{\"name\":" } else { "{\"name\":" });
         write_str(out, &p.name);
         for (key, n) in [
-            ("calls", p.calls),
-            ("total_nanos", p.total_nanos),
-            ("p50_nanos", p.p50_nanos),
-            ("p95_nanos", p.p95_nanos),
+            (",\"calls\":", p.calls),
+            (",\"total_nanos\":", p.total_nanos),
+            (",\"p50_nanos\":", p.p50_nanos),
+            (",\"p95_nanos\":", p.p95_nanos),
         ] {
-            out.push(',');
-            write_str(out, key);
-            out.push(':');
+            out.push_str(key);
             write_u64(out, n);
         }
-        out.push('}');
+        out.push_str("}");
     }
     out.push_str("],\"counters\":[");
     for (i, (name, n)) in t.counters.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('[');
+        out.push_str(if i > 0 { ",[" } else { "[" });
         write_str(out, name);
-        out.push(',');
+        out.push_str(",");
         write_u64(out, *n);
-        out.push(']');
+        out.push_str("]");
     }
     out.push_str("],\"events\":");
-    write_events(out, &t.events);
+    write_events(out, t.events.iter());
     out.push_str(",\"dropped_events\":");
     write_u64(out, t.dropped_events);
     out.push_str(",\"spilled_events\":");
@@ -295,7 +278,7 @@ fn write_trace_line(out: &mut String, t: &CellTrace) {
 
 /// Appends one spill chunk (a streamed-out slice of a cell's event
 /// buffer) as an artifact line, newline included.
-fn write_spill_line(out: &mut String, job: &Job, seq: u64, events: &[obs::Event]) {
+fn write_spill_line(out: &mut String, job: &Job, seq: u64, events: obs::Events<'_>) {
     out.push_str("{\"spill\":{\"job\":");
     write_str(out, &job.to_string());
     out.push_str(",\"seq\":");
@@ -311,30 +294,15 @@ enum Line {
     Spill {
         job: String,
         seq: u64,
-        events: Vec<obs::Event>,
+        events: obs::EventLog,
     },
 }
 
-/// Reads an event array, sharing one fields scratch vector across the
-/// whole array ([`read_fields`]).
-fn read_events(r: &mut Reader) -> Result<Vec<obs::Event>, JsonError> {
-    let mut scratch = Vec::new();
-    r.vec(|r| {
-        let mut kind = None;
-        let mut fields = None;
-        r.object(|r, key| {
-            match &*key {
-                "kind" => kind = Some(obs::name(&r.str()?)),
-                "fields" => fields = Some(read_fields(r, &mut scratch)?),
-                _ => r.skip()?,
-            }
-            Ok(())
-        })?;
-        Ok(obs::Event {
-            kind: r.need(kind, "kind")?,
-            fields: r.need(fields, "fields")?,
-        })
-    })
+/// Reads an event array into a log of its own, held at exact size.
+fn read_event_log(r: &mut Reader) -> Result<obs::EventLog, JsonError> {
+    let mut log = obs::EventLog::new();
+    read_events(r, &mut log)?;
+    Ok(exact(log))
 }
 
 fn read_phase(r: &mut Reader) -> Result<PhaseLine, JsonError> {
@@ -368,7 +336,7 @@ fn read_spill(r: &mut Reader) -> Result<Line, JsonError> {
         match &*key {
             "job" => job = Some(r.str()?.into_owned()),
             "seq" => seq = Some(r.u64()?),
-            "events" => events = Some(read_events(r)?),
+            "events" => events = Some(read_event_log(r)?),
             _ => r.skip()?,
         }
         Ok(())
@@ -402,7 +370,7 @@ fn read_line(text: &str) -> Result<Line, JsonError> {
                 counters =
                     Some(r.vec(|r| r.pair("counter", |r| Ok(r.str()?.into_owned()), Reader::u64))?)
             }
-            "events" => events = Some(read_events(r)?),
+            "events" => events = Some(read_event_log(r)?),
             "dropped_events" => dropped_events = Some(r.u64()?),
             "spilled_events" => spilled_events = Some(r.u64()?),
             _ => r.skip()?,
@@ -425,31 +393,39 @@ fn read_line(text: &str) -> Result<Line, JsonError> {
     }))
 }
 
-/// Encodes each trace as its own artifact line on the parallel workers,
-/// longest event stream first; the lines come back in the given order.
-fn encode_lines(traces: &[CellTrace]) -> Vec<String> {
-    par_map_largest_first(
-        traces,
-        parallel::jobs(),
-        |t| t.events.len(),
-        |t| {
-            let mut line = String::new();
-            write_trace_line(&mut line, t);
-            line
-        },
-    )
-}
-
 /// Serializes traces, one JSON object per line, in the given order.
+///
+/// Every line is sized first, by running its writer into a [`Count`],
+/// so the text is allocated once at its exact length. The parallel
+/// workers then encode the lines straight into their own slices of it,
+/// longest event stream first.
 pub fn to_jsonl(traces: &[CellTrace]) -> String {
-    let lines = encode_lines(traces);
-    let mut out = String::with_capacity(lines.iter().map(String::len).sum());
-    // Each line is freed once it is copied, so the lines and the joined
-    // text are not both whole at once.
-    for line in lines {
-        out.push_str(&line);
+    let sizes = par_map(traces, |t| {
+        let mut n = Count::default();
+        write_trace_line(&mut n, t);
+        n.0
+    });
+    let mut bytes = vec![0u8; sizes.iter().sum()];
+    let mut rest = bytes.as_mut_slice();
+    let mut lines = Vec::with_capacity(traces.len());
+    for (t, &size) in traces.iter().zip(&sizes) {
+        let (line, tail) = std::mem::take(&mut rest).split_at_mut(size);
+        lines.push((t, Mutex::new(line)));
+        rest = tail;
     }
-    out
+    par_map_largest_first(
+        &lines,
+        parallel::jobs(),
+        |(t, _)| t.events.len(),
+        |(t, line)| {
+            let mut line = line.lock().expect("one worker per line");
+            let mut out = SliceSink::new(&mut line);
+            write_trace_line(&mut out, t);
+            out.finish();
+        },
+    );
+    drop(lines);
+    String::from_utf8(bytes).expect("the writers emit UTF-8")
 }
 
 /// Parses a trace artifact produced by [`to_jsonl`] or
@@ -484,7 +460,7 @@ fn decode_artifact(text: &str, workers: usize) -> Result<Vec<CellTrace>, GridErr
         |(_, line)| read_line(line),
     );
     let mut traces: Vec<CellTrace> = Vec::new();
-    let mut chunks: BTreeMap<String, Vec<(u64, Vec<obs::Event>)>> = BTreeMap::new();
+    let mut chunks: BTreeMap<String, Vec<(u64, obs::EventLog)>> = BTreeMap::new();
     for ((lineno, _), line) in lines.iter().zip(decoded) {
         match line.map_err(|e| GridError(format!("line {}: {e}", lineno + 1)))? {
             Line::Trace(t) => traces.push(t),
@@ -505,17 +481,23 @@ fn decode_artifact(text: &str, workers: usize) -> Result<Vec<CellTrace>, GridErr
             .ok_or_else(|| GridError(format!("spill chunks for '{job}' have no trace line")))?;
         let trace = &mut traces[i];
         cell_chunks.sort_by_key(|(seq, _)| *seq);
-        let mut events = Vec::new();
-        for (i, (seq, chunk)) in cell_chunks.into_iter().enumerate() {
-            if seq != i as u64 {
-                return Err(GridError(format!(
-                    "spill chunk {i} for '{job}' missing (next has seq {seq})"
-                )));
-            }
-            events.extend(chunk);
+        if let Some((i, (seq, _))) = cell_chunks
+            .iter()
+            .enumerate()
+            .find(|(i, (seq, _))| *seq != *i as u64)
+        {
+            return Err(GridError(format!(
+                "spill chunk {i} for '{job}' missing (next has seq {seq})"
+            )));
         }
-        events.append(&mut trace.events);
-        trace.events = events;
+        // The first chunk's log takes the rest of the stream in order.
+        let mut logs = cell_chunks.into_iter().map(|(_, log)| log);
+        let mut events = logs.next().expect("a cell with chunks has a first one");
+        for chunk in logs {
+            events.append(&chunk);
+        }
+        events.append(&trace.events);
+        trace.events = exact(events);
     }
     Ok(traces)
 }
@@ -621,16 +603,16 @@ pub fn render_hot_cells(traces: &[CellTrace], k: usize) -> String {
 /// `key=value` words and returns its cumulative snapshot (the first
 /// occurrence of each [`SNAPSHOT_KEYS`] field; 0 when absent or not an
 /// integer), in one pass over the fields.
-fn write_detail(out: &mut String, ev: &obs::Event) -> [u64; 5] {
+fn write_detail(out: &mut String, ev: obs::Event) -> [u64; 5] {
     let mut snap = [0u64; 5];
     let mut seen = [false; 5];
     let mut first = true;
-    for (key, value) in &ev.fields {
-        if let Some(i) = SNAPSHOT_KEYS.iter().position(|k| *k == &**key) {
+    for (key, value) in ev.fields() {
+        if let Some(i) = SNAPSHOT_KEYS.iter().position(|k| *k == key) {
             if !seen[i] {
                 seen[i] = true;
-                if let obs::Value::U64(n) = value {
-                    snap[i] = *n;
+                if let obs::ValueRef::U64(n) = value {
+                    snap[i] = n;
                 }
             }
             continue;
@@ -642,8 +624,8 @@ fn write_detail(out: &mut String, ev: &obs::Event) -> [u64; 5] {
         out.push_str(key);
         out.push('=');
         match value {
-            obs::Value::U64(n) => write_u64(out, *n),
-            obs::Value::Str(s) => out.push_str(s),
+            obs::ValueRef::U64(n) => write_u64(out, n),
+            obs::ValueRef::Str(s) => out.push_str(s),
         }
     }
     snap
@@ -658,26 +640,22 @@ fn write_detail(out: &mut String, ev: &obs::Event) -> [u64; 5] {
 /// "Fig. 6 split" line reproduces the cell's energy breakdown from
 /// the event stream alone.
 pub fn render_timeline(trace: &CellTrace) -> String {
-    let events: Vec<&obs::Event> = trace
-        .events
-        .iter()
-        .filter(|e| EMU_EVENT_KINDS.contains(&&*e.kind))
-        .collect();
+    let log = &trace.events;
     let mut out = format!("Timeline for {}\n", trace.job);
-    if events.is_empty() {
+    let is_start = |e: &obs::Event| e.kind() == "run_start";
+    let last_start = log.iter().rposition(|e| is_start(&e)).unwrap_or(0);
+    let segment = log
+        .range(last_start..log.len())
+        .filter(|e| EMU_EVENT_KINDS.contains(&e.kind()));
+    let shown = segment.clone().count();
+    if shown == 0 {
         out.push_str("no emulator events recorded\n");
         return out;
     }
-    let runs = events.iter().filter(|e| e.kind == "run_start").count();
-    let last_start = events
-        .iter()
-        .rposition(|e| e.kind == "run_start")
-        .unwrap_or(0);
-    let segment = &events[last_start..];
+    let runs = log.iter().filter(is_start).count();
     out.push_str(&format!(
-        "{} emulator run(s) in this cell; showing the last ({} events)\n",
+        "{} emulator run(s) in this cell; showing the last ({shown} events)\n",
         runs.max(1),
-        segment.len()
     ));
     if trace.dropped_events > 0 {
         out.push_str(&format!(
@@ -695,9 +673,11 @@ pub fn render_timeline(trace: &CellTrace) -> String {
         "cycles",
     ]);
     let mut prev = [0u64; 5];
+    let mut last_kind = "";
     for ev in segment {
         let mut snap = [0; 5];
-        table.cell(&ev.kind);
+        last_kind = ev.kind();
+        table.cell(last_kind);
         table.cell_with(|t| snap = write_detail(t, ev));
         for (now, before) in snap.iter().zip(prev).take(4) {
             table.cell_with(|t| write_uj(t, Energy::from_pj(now.saturating_sub(before))));
@@ -706,18 +686,17 @@ pub fn render_timeline(trace: &CellTrace) -> String {
         prev = snap;
     }
     table.render_into(&mut out);
-    match segment.last() {
-        Some(end) if end.kind == "run_end" => {
-            // `prev` is the closing event's snapshot.
-            out.push_str(&format!(
-                "Fig. 6 split: computation {} uJ | save {} uJ | restore {} uJ | re-execution {} uJ\n",
-                uj(Energy::from_pj(prev[0])),
-                uj(Energy::from_pj(prev[1])),
-                uj(Energy::from_pj(prev[2])),
-                uj(Energy::from_pj(prev[3])),
-            ));
-        }
-        _ => out.push_str("run did not reach run_end (event stream truncated?)\n"),
+    if last_kind == "run_end" {
+        // `prev` is the closing event's snapshot.
+        out.push_str(&format!(
+            "Fig. 6 split: computation {} uJ | save {} uJ | restore {} uJ | re-execution {} uJ\n",
+            uj(Energy::from_pj(prev[0])),
+            uj(Energy::from_pj(prev[1])),
+            uj(Energy::from_pj(prev[2])),
+            uj(Energy::from_pj(prev[3])),
+        ));
+    } else {
+        out.push_str("run did not reach run_end (event stream truncated?)\n");
     }
     out
 }
@@ -968,34 +947,39 @@ mod tests {
         }
     }
 
-    fn spill_line(job: &Job, seq: u64, events: &[obs::Event]) -> String {
+    fn spill_line(job: &Job, seq: u64, events: &obs::EventLog) -> String {
         let mut line = String::new();
-        write_spill_line(&mut line, job, seq, events);
+        write_spill_line(&mut line, job, seq, events.iter());
         line
+    }
+
+    /// Ticks numbered by an `i` field.
+    fn ticks(range: std::ops::Range<u64>) -> obs::EventLog {
+        let mut log = obs::EventLog::new();
+        for i in range {
+            log.push("tick", [("i", obs::Value::U64(i))]);
+        }
+        log
     }
 
     #[test]
     fn spill_chunks_reassemble_by_seq_regardless_of_line_order() {
-        let ev = |i: u64| obs::Event {
-            kind: "tick".into(),
-            fields: vec![("i".into(), obs::Value::U64(i))],
-        };
         let job = Job::bare("crc");
         let trace = CellTrace {
             job: job.clone(),
             wall_nanos: 1,
             phases: Vec::new(),
             counters: Vec::new(),
-            events: vec![ev(4), ev(5)],
+            events: ticks(4..6),
             dropped_events: 0,
             spilled_events: 4,
         };
         // Chunks written out of order (seq 1 before seq 0) still
         // splice back in sequence, ahead of the resident tail.
         let text = [
-            spill_line(&job, 1, &[ev(2), ev(3)]),
+            spill_line(&job, 1, &ticks(2..4)),
             to_jsonl(std::slice::from_ref(&trace)),
-            spill_line(&job, 0, &[ev(0), ev(1)]),
+            spill_line(&job, 0, &ticks(0..2)),
         ]
         .concat();
         let back = from_jsonl(&text).unwrap();
@@ -1008,13 +992,13 @@ mod tests {
         assert_eq!(got, vec![0, 1, 2, 3, 4, 5]);
 
         // An orphan chunk (no trace line for its cell) is an error…
-        let orphan = spill_line(&Job::bare("fft"), 0, &[ev(0)]);
+        let orphan = spill_line(&Job::bare("fft"), 0, &ticks(0..1));
         let e = from_jsonl(&orphan).unwrap_err();
         assert!(e.to_string().contains("no trace line"), "got: {e}");
 
         // …and so is a gap in the sequence.
         let gap = [
-            spill_line(&job, 1, &[ev(2)]),
+            spill_line(&job, 1, &ticks(2..3)),
             to_jsonl(std::slice::from_ref(&trace)),
         ]
         .concat();
@@ -1039,8 +1023,8 @@ mod tests {
         for t in &mut resident {
             let spilled = t.spilled_events as usize;
             if spilled > 0 {
-                write_spill_line(&mut text, &t.job, 0, &t.events[..spilled]);
-                t.events.drain(..spilled);
+                write_spill_line(&mut text, &t.job, 0, t.events.range(0..spilled));
+                t.events.remove_front(spilled);
             }
         }
         text.push_str(&to_jsonl(&resident));
@@ -1131,7 +1115,7 @@ mod tests {
             wall_nanos: 42,
             phases: Vec::new(),
             counters: Vec::new(),
-            events: Vec::new(),
+            events: obs::EventLog::new(),
             dropped_events: 0,
             spilled_events: 0,
         };
@@ -1147,7 +1131,7 @@ mod tests {
             wall_nanos: 1,
             phases: Vec::new(),
             counters: Vec::new(),
-            events: Vec::new(),
+            events: obs::EventLog::new(),
             dropped_events: 0,
             spilled_events: 0,
         };
@@ -1168,7 +1152,7 @@ mod tests {
                 p95_nanos: phase_nanos,
             }],
             counters: Vec::new(),
-            events: Vec::new(),
+            events: obs::EventLog::new(),
             dropped_events: 0,
             spilled_events: 0,
         }

@@ -1,14 +1,14 @@
-//! Allocation budgets for the event hot paths, measured with a
-//! counting global allocator.
+//! Allocation and byte budgets for the event hot paths, measured with
+//! a counting global allocator.
 //!
-//! Event kinds and field names from the fixed vocabulary are interned
-//! (`schematic_obs::name`), so neither recording an event nor decoding
-//! one from a trace artifact allocates a string per name. These tests
-//! pin that: decoding an artifact of N integer-valued vocabulary
-//! events allocates at most N + O(cells) times, counted on the calling
-//! thread and on the line decoder's worker threads, and recording one
-//! event with static names allocates at most once. Span guards and
-//! counters are cheaper still: once a name has been recorded, more
+//! Events live in one flat `EventLog` per registry and per trace: 8
+//! bytes per event and 16 per field, names as fixed vocabulary ids,
+//! storage grown by doubling. These tests pin that: recording 10,000
+//! seven-field lifecycle events, or decoding them from a trace
+//! artifact (counted on the calling thread and on the line decoder's
+//! worker threads), makes only the log's amortised growth allocations,
+//! and the log then holds at most 128 heap bytes per event. Span guards
+//! and counters are cheaper still: once a name has been recorded, more
 //! records under it allocate nothing, which is what keeps the
 //! telemetry `gridd` workers always capture within its budget. An
 //! emulator checkpoint commit reuses the previous image's buffers, so
@@ -23,13 +23,14 @@ use schematic_energy::CostTable;
 use schematic_obs as obs;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// Counts allocations (including reallocations) made by threads that
-/// have switched counting on, per thread: the test harness runs tests
-/// on several threads, and only the measuring one should be charged.
-/// A measurement may also charge the threads its code spawns.
+/// Counts allocations (including reallocations) and net heap bytes
+/// made by threads that have switched counting on, per thread: the
+/// test harness runs tests on several threads, and only the measuring
+/// one should be charged. A measurement may also charge the threads
+/// its code spawns.
 struct Counting;
 
 /// Set while a measurement charges the threads its code spawns.
@@ -38,41 +39,54 @@ static CHARGE_SPAWNED: AtomicBool = AtomicBool::new(false);
 /// Allocations of the threads spawned while [`CHARGE_SPAWNED`] is set.
 static SPAWNED_ALLOCS: AtomicU64 = AtomicU64::new(0);
 
+/// Net heap bytes (allocated minus freed) of those threads.
+static SPAWNED_BYTES: AtomicI64 = AtomicI64::new(0);
+
 thread_local! {
     static COUNTING: Cell<bool> = const { Cell::new(false) };
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<i64> = const { Cell::new(0) };
     /// Fixed at the thread's first allocation: set for a thread that
     /// first allocates while spawned threads are charged, that is, one
     /// the measured code spawned.
     static SPAWNED: Cell<bool> = Cell::new(CHARGE_SPAWNED.load(Ordering::SeqCst));
 }
 
-fn note() {
+/// Charges `allocs` allocations and `bytes` net heap bytes to the
+/// counting thread, or to the spawned threads' tally.
+fn note(allocs: u64, bytes: i64) {
     let spawned = SPAWNED.with(Cell::get);
     if COUNTING.with(Cell::get) {
-        ALLOCS.with(|n| n.set(n.get() + 1));
+        ALLOCS.with(|n| n.set(n.get() + allocs));
+        BYTES.with(|n| n.set(n.get() + bytes));
     } else if spawned && CHARGE_SPAWNED.load(Ordering::SeqCst) {
-        SPAWNED_ALLOCS.fetch_add(1, Ordering::SeqCst);
+        SPAWNED_ALLOCS.fetch_add(allocs, Ordering::SeqCst);
+        SPAWNED_BYTES.fetch_add(bytes, Ordering::SeqCst);
     }
+}
+
+fn size(bytes: usize) -> i64 {
+    i64::try_from(bytes).expect("an allocation fits i64")
 }
 
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note();
+        note(1, size(layout.size()));
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note();
+        note(1, size(layout.size()));
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note();
+        note(1, size(new_size) - size(layout.size()));
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        note(0, -size(layout.size()));
         unsafe { System.dealloc(ptr, layout) }
     }
 }
@@ -84,101 +98,140 @@ static GLOBAL: Counting = Counting;
 /// charge spawned threads.
 static GATE: Mutex<()> = Mutex::new(());
 
-/// Runs `f` and returns its result with the allocations it made on
-/// this thread.
-fn allocations<R>(f: impl FnOnce() -> R) -> (R, u64) {
+/// Holds [`GATE`]; a test that failed while holding it does not fail
+/// the others.
+fn gate() -> MutexGuard<'static, ()> {
+    GATE.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// What a measured closure cost: allocations (reallocations included)
+/// and net heap bytes, that is, the bytes its result still holds.
+#[derive(Debug, Clone, Copy)]
+struct Cost {
+    allocs: u64,
+    bytes: i64,
+}
+
+/// Runs `f` and returns its result with what it cost on this thread.
+fn allocations<R>(f: impl FnOnce() -> R) -> (R, Cost) {
     COUNTING.with(|c| c.set(true));
-    let before = ALLOCS.with(Cell::get);
+    let (allocs, bytes) = (ALLOCS.with(Cell::get), BYTES.with(Cell::get));
     let result = f();
-    let n = ALLOCS.with(Cell::get) - before;
+    let cost = Cost {
+        allocs: ALLOCS.with(Cell::get) - allocs,
+        bytes: BYTES.with(Cell::get) - bytes,
+    };
     COUNTING.with(|c| c.set(false));
-    (result, n)
+    (result, cost)
 }
 
 /// [`allocations`], also charging the threads `f` spawns (the line
 /// decoder's workers).
-fn allocations_with_spawned<R>(f: impl FnOnce() -> R) -> (R, u64) {
+fn allocations_with_spawned<R>(f: impl FnOnce() -> R) -> (R, Cost) {
     CHARGE_SPAWNED.store(true, Ordering::SeqCst);
-    let before = SPAWNED_ALLOCS.load(Ordering::SeqCst);
+    let allocs = SPAWNED_ALLOCS.load(Ordering::SeqCst);
+    let bytes = SPAWNED_BYTES.load(Ordering::SeqCst);
     let (result, own) = allocations(f);
-    let spawned = SPAWNED_ALLOCS.load(Ordering::SeqCst) - before;
+    let cost = Cost {
+        allocs: own.allocs + SPAWNED_ALLOCS.load(Ordering::SeqCst) - allocs,
+        bytes: own.bytes + SPAWNED_BYTES.load(Ordering::SeqCst) - bytes,
+    };
     CHARGE_SPAWNED.store(false, Ordering::SeqCst);
-    (result, own + spawned)
+    (result, cost)
 }
 
-/// An emulator-shaped event: vocabulary kind, kind-specific fields and
-/// the five snapshot fields, all integer-valued.
-fn lifecycle_event(i: u64) -> obs::Event {
+/// Lifecycle events per measurement.
+const EVENTS: u64 = 10_000;
+
+/// The most allocations recording or decoding [`EVENTS`] events may
+/// make: the doubling growth of the log's two arrays, plus a handful
+/// for the registry or the trace line around them.
+const GROWTH_ALLOCS: u64 = 64;
+
+/// The most heap bytes a seven-field lifecycle event may take once its
+/// log is held at exact size: an 8-byte head and seven 16-byte fields
+/// are 120.
+const EVENT_BYTES: i64 = 128;
+
+/// Records an emulator-shaped event as the emulator does: vocabulary
+/// kind, kind-specific fields and the five snapshot fields, all
+/// integer-valued.
+fn record_lifecycle_event(i: u64) {
     let kind = ["checkpoint_commit", "power_failure", "sleep", "migrate"][i as usize % 4];
     let keys = ["cp", "words"].into_iter().chain(SNAPSHOT_KEYS);
     let fields = keys
         .enumerate()
-        .map(|(j, key)| (obs::name(key), obs::Value::U64(i * 31 + j as u64)))
-        .collect();
-    obs::Event {
-        kind: obs::name(kind),
-        fields,
-    }
+        .map(|(j, key)| (key, obs::Value::U64(i * 31 + j as u64)));
+    obs::event(kind, fields);
+}
+
+/// Records [`EVENTS`] lifecycle events in a fresh capture.
+fn recorded_events() -> obs::Registry {
+    let ((), reg) = obs::capture(|| (0..EVENTS).for_each(record_lifecycle_event));
+    reg
 }
 
 #[test]
-fn decoding_vocabulary_events_allocates_once_per_event() {
-    const CELLS: u64 = 6;
-    const EVENTS_PER_CELL: u64 = 1500;
-    let traces: Vec<CellTrace> = (0..CELLS)
-        .map(|c| CellTrace {
-            job: Job::run("Schematic", "crc", 1000 * (c + 1)),
-            wall_nanos: 1_000 + c,
-            phases: Vec::new(),
-            counters: vec![("alloc/picks".to_string(), c)],
-            events: (0..EVENTS_PER_CELL).map(lifecycle_event).collect(),
-            dropped_events: 0,
-            spilled_events: 0,
-        })
-        .collect();
-    let text = trace::to_jsonl(&traces);
-
-    // Held so that no other measurement runs while spawned threads are
-    // charged.
-    let _gate = GATE.lock().unwrap();
-    let (parsed, n) =
-        allocations_with_spawned(|| trace::from_jsonl(&text).expect("artifact decodes"));
-    assert_eq!(parsed, traces);
-    let events = CELLS * EVENTS_PER_CELL;
-    // Per cell: the job's strings, the counter name, the line's vectors
-    // and the doubling growth of its event vector.
-    let budget = events + 48 * CELLS;
+fn recording_events_allocates_only_amortised_growth() {
+    let _gate = gate();
+    obs::set_enabled(true);
+    let (reg, cost) = allocations(|| {
+        let mut reg = recorded_events();
+        reg.events.shrink_to_fit();
+        reg
+    });
+    obs::set_enabled(false);
+    assert_eq!(reg.events.len() as u64, EVENTS);
+    let ev = reg.events.last().expect("event recorded");
+    assert_eq!(ev.kind(), "migrate");
+    assert_eq!(ev.fields().len(), 7);
+    assert_eq!(reg.events.interned_names(), 0, "every name has a fixed id");
     assert!(
-        n <= budget,
-        "decoding {events} events in {CELLS} cells made {n} allocations (budget {budget})"
+        cost.allocs <= GROWTH_ALLOCS,
+        "recording {EVENTS} events made {} allocations (budget {GROWTH_ALLOCS})",
+        cost.allocs
+    );
+    let budget = EVENT_BYTES * EVENTS as i64;
+    assert!(
+        cost.bytes <= budget,
+        "{EVENTS} recorded events hold {} bytes (budget {budget})",
+        cost.bytes
     );
 }
 
 #[test]
-fn recording_an_event_with_static_names_allocates_once() {
-    let _gate = GATE.lock().unwrap();
+fn decoding_events_allocates_only_amortised_growth() {
+    let _gate = gate();
     obs::set_enabled(true);
-    let ((), reg) = obs::capture(|| {
-        // Warm up: the registry's event buffer allocates on first use.
-        obs::event("boot", [("words", obs::Value::U64(1))]);
-        let ((), n) = allocations(|| {
-            let snapshot = [
-                ("comp_pj", obs::Value::U64(10)),
-                ("save_pj", obs::Value::U64(2)),
-                ("restore_pj", obs::Value::U64(3)),
-                ("reexec_pj", obs::Value::U64(0)),
-                ("cycles", obs::Value::U64(99)),
-            ];
-            let fields = [("cp", obs::Value::U64(4)), ("words", obs::Value::U64(12))];
-            obs::event("checkpoint_commit", fields.into_iter().chain(snapshot));
-        });
-        assert!(n <= 1, "one event made {n} allocations");
-    });
+    let reg = recorded_events();
     obs::set_enabled(false);
-    let ev = reg.events.back().expect("event recorded");
-    assert_eq!(ev.kind, "checkpoint_commit");
-    assert_eq!(ev.fields.len(), 7);
-    assert_eq!(ev.fields.capacity(), 7);
+    let trace = CellTrace {
+        job: Job::run("Schematic", "crc", 1000),
+        wall_nanos: 1_000,
+        phases: Vec::new(),
+        counters: vec![("alloc/picks".to_string(), 3)],
+        events: reg.events,
+        dropped_events: 0,
+        spilled_events: 0,
+    };
+    let text = trace::to_jsonl(std::slice::from_ref(&trace));
+
+    let (parsed, cost) =
+        allocations_with_spawned(|| trace::from_jsonl(&text).expect("artifact decodes"));
+    assert_eq!(parsed, vec![trace]);
+    assert!(
+        cost.allocs <= GROWTH_ALLOCS,
+        "decoding {EVENTS} events made {} allocations (budget {GROWTH_ALLOCS})",
+        cost.allocs
+    );
+    // The decoded trace is held at exact size; its job, counter and
+    // vectors take a few hundred bytes besides the log.
+    let budget = EVENT_BYTES * EVENTS as i64 + 1024;
+    assert!(
+        cost.bytes <= budget,
+        "the decoded trace holds {} bytes (budget {budget})",
+        cost.bytes
+    );
 }
 
 /// A checkpoint commit overwrites the previous image in place (frames,
@@ -196,29 +249,31 @@ fn checkpoint_commits_reuse_the_image() {
     let cfg = intermittent_run_config_model(PowerModel::Periodic { tbpf: TBPF });
     // Hold the gate: a test that enables collection would charge its
     // records to this run.
-    let _gate = GATE.lock().unwrap();
-    let (out, n) = allocations(|| Machine::new(&im, &table, cfg).run().expect("no trap"));
+    let _gate = gate();
+    let (out, cost) = allocations(|| Machine::new(&im, &table, cfg).run().expect("no trap"));
     let commits = out.metrics.checkpoints_committed;
     assert!(commits > 10_000, "only {commits} commits");
+    let n = cost.allocs;
     assert!(n * 10 < commits, "{commits} commits made {n} allocations");
 }
 
 #[test]
 fn spans_and_counts_under_recorded_names_allocate_nothing() {
     const N: u64 = 10_000;
-    let _gate = GATE.lock().unwrap();
+    let _gate = gate();
     obs::set_enabled(true);
     let ((), reg) = obs::capture(|| {
         // The first record of a name allocates its map entry.
         drop(obs::span("compile/place"));
         obs::count("alloc/picks", 1);
-        let ((), n) = allocations(|| {
+        let ((), cost) = allocations(|| {
             for _ in 0..N {
                 let _guard = obs::span("compile/place");
                 obs::count("alloc/picks", 1);
             }
         });
-        assert_eq!(n, 0, "{N} spans and counts made {n} allocations");
+        assert_eq!(cost.allocs, 0, "{N} spans and counts: {cost:?}");
+        assert_eq!(cost.bytes, 0, "{N} spans and counts: {cost:?}");
     });
     obs::set_enabled(false);
     assert_eq!(reg.spans["compile/place"].calls, N + 1);

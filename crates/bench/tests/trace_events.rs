@@ -18,7 +18,7 @@ use schematic_energy::CostTable;
 use schematic_obs as obs;
 use std::sync::{Mutex, PoisonError};
 
-fn traced_crc_run() -> (RunStatus, Metrics, Vec<obs::Event>) {
+fn traced_crc_run() -> (RunStatus, Metrics, obs::EventLog) {
     let table = CostTable::msp430fr5969();
     let b = schematic_benchsuite::by_name("crc").expect("crc exists");
     let module = (b.build)(SEED);
@@ -32,11 +32,11 @@ fn traced_crc_run() -> (RunStatus, Metrics, Vec<obs::Event>) {
         ..RunConfig::default()
     };
     let (out, reg) = obs::capture(|| Machine::new(&im, &table, cfg).run().expect("no traps"));
-    (out.status, out.metrics, reg.events.into())
+    (out.status, out.metrics, reg.events)
 }
 
-fn count_kind(events: &[obs::Event], kind: &str) -> u64 {
-    events.iter().filter(|e| e.kind == kind).count() as u64
+fn count_kind(events: &obs::EventLog, kind: &str) -> u64 {
+    events.iter().filter(|e| e.kind() == kind).count() as u64
 }
 
 /// Serializes the tests that flip the process-global obs and trace
@@ -65,8 +65,8 @@ fn golden_crc_epoch_timeline() {
     // The stream is bracketed by exactly one run_start / run_end.
     assert_eq!(count_kind(&events, "run_start"), 1);
     assert_eq!(count_kind(&events, "run_end"), 1);
-    assert_eq!(events.first().unwrap().kind, "run_start");
-    assert_eq!(events.last().unwrap().kind, "run_end");
+    assert_eq!(events.first().unwrap().kind(), "run_start");
+    assert_eq!(events.last().unwrap().kind(), "run_end");
     assert_eq!(events.first().unwrap().u64_field("tbpf"), Some(ENERGY_TBPF));
     // The scenario label tells a timeline reader which supply (and
     // seed/trace) produced it.
@@ -97,14 +97,11 @@ fn golden_crc_epoch_timeline() {
         Some(metrics.reexecution.as_pj())
     );
     assert_eq!(end.u64_field("cycles"), Some(metrics.active_cycles));
-    assert_eq!(
-        end.field("status"),
-        Some(&obs::Value::Str("completed".into()))
-    );
+    assert_eq!(end.field("status"), Some(obs::ValueRef::Str("completed")));
 
     // Snapshots are cumulative: every Fig. 6 component is monotone.
     let mut prev = [0u64; 4];
-    for ev in &events {
+    for ev in events.iter() {
         let snap = [
             ev.u64_field("comp_pj").unwrap(),
             ev.u64_field("save_pj").unwrap(),
@@ -112,7 +109,7 @@ fn golden_crc_epoch_timeline() {
             ev.u64_field("reexec_pj").unwrap(),
         ];
         for (p, s) in prev.iter().zip(snap) {
-            assert!(s >= *p, "snapshot went backwards in {}", ev.kind);
+            assert!(s >= *p, "snapshot went backwards in {}", ev.kind());
         }
         prev = snap;
     }
@@ -227,13 +224,13 @@ fn random_text(rng: &mut SplitMix64, plain: &str) -> String {
     s
 }
 
-/// An event kind or field name: `plain` as [`obs::name`] interns it
-/// (borrowed when it is in the vocabulary), or a noisy owned variant.
-fn random_name(rng: &mut SplitMix64, plain: &str) -> obs::Name {
+/// An event kind or field name: `plain` (a vocabulary name when the
+/// caller passes one) or a noisy variant the log interns.
+fn random_name(rng: &mut SplitMix64, plain: &str) -> String {
     if rng.next_u64().is_multiple_of(3) {
-        obs::name(plain)
+        plain.to_string()
     } else {
-        random_text(rng, plain).into()
+        random_text(rng, plain)
     }
 }
 
@@ -257,21 +254,19 @@ fn random_value(rng: &mut SplitMix64) -> obs::Value {
 fn random_trace(rng: &mut SplitMix64) -> trace::CellTrace {
     let kinds = ["run_start", "checkpoint_commit", "alloc_pick", "custom"];
     let n_events = (rng.next_u64() % 20) as usize;
-    let events = (0..n_events)
-        .map(|_| {
-            let n_fields = (rng.next_u64() % 5) as usize;
-            let kind = kinds[(rng.next_u64() % kinds.len() as u64) as usize];
-            obs::Event {
-                kind: random_name(rng, kind),
-                fields: (0..n_fields)
-                    .map(|i| {
-                        let key = ["cp", "words", "comp_pj", "f"][i % 4];
-                        (random_name(rng, key), random_value(rng))
-                    })
-                    .collect(),
-            }
-        })
-        .collect();
+    let mut events = obs::EventLog::new();
+    for _ in 0..n_events {
+        let n_fields = (rng.next_u64() % 5) as usize;
+        let kind = kinds[(rng.next_u64() % kinds.len() as u64) as usize];
+        let kind = random_name(rng, kind);
+        let fields: Vec<(String, obs::Value)> = (0..n_fields)
+            .map(|i| {
+                let key = ["cp", "words", "comp_pj", "f"][i % 4];
+                (random_name(rng, key), random_value(rng))
+            })
+            .collect();
+        events.push(&kind, fields.iter().map(|(k, v)| (k.as_str(), v.clone())));
+    }
     let n_phases = (rng.next_u64() % 4) as usize;
     let phases = (0..n_phases)
         .map(|i| trace::PhaseLine {

@@ -96,7 +96,7 @@ fn traced_quick_grid_is_byte_identical_and_roundtrips() {
         .iter()
         .find(|t| t.job == crc)
         .expect("crc cell traced");
-    assert!(t.events.iter().any(|e| e.kind == "run_end"));
+    assert!(t.events.iter().any(|e| e.kind() == "run_end"));
     let timeline = trace::render_timeline(t);
     assert!(timeline.contains("Fig. 6 split"));
 
@@ -133,7 +133,7 @@ fn traced_quick_grid_is_byte_identical_and_roundtrips() {
             .checked_sub(t.events.len())
             .expect("the decoded stream holds the resident tail");
         assert_eq!(spilled as u64, t.spilled_events, "{}: spilled count", t.job);
-        d.events.drain(..spilled);
+        d.events.remove_front(spilled);
         assert_eq!(
             &d, t,
             "{}: decoded trace differs from the returned one",

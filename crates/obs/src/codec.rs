@@ -17,7 +17,9 @@
 //! written in a fixed order so encoding is deterministic, and strings
 //! escape quotes, backslashes and control characters. An event's
 //! `fields` array has one codec, [`write_fields`] / [`read_fields`],
-//! which the trace artifact shares.
+//! which the trace artifact's event arrays ([`write_events`] /
+//! [`read_events`]) share. Both read straight into an [`EventLog`], and
+//! write vocabulary names from pre-quoted text.
 //!
 //! One record per line, tagged by `"t"`:
 //!
@@ -32,8 +34,9 @@
 //! buckets), which both keeps worker lines small and makes the
 //! round-trip exact — see [`crate::Histogram::from_parts`].
 
-use crate::json::{write_str, write_u64, JsonError, Reader};
-use crate::{Event, Histogram, Name, PhaseStats, Registry, Value};
+use crate::json::{write_str, write_u64, JsonError, Reader, Sink};
+use crate::log::{EVENT_OPEN, FIELD_OPEN, QUOTED};
+use crate::{Event, EventLog, Events, Histogram, PhaseStats, Registry, ValueRef};
 use std::borrow::Cow;
 use std::fmt;
 
@@ -58,61 +61,132 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-/// Appends an event's fields as `[[name, N|"str"]…]`: the field format
-/// of both the registry's `event` record and the trace artifact's
-/// events.
-pub fn write_fields(out: &mut String, fields: &[(Name, Value)]) {
-    out.push('[');
-    for (i, (name, value)) in fields.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('[');
-        write_str(out, name);
-        out.push(',');
-        match value {
-            Value::U64(n) => write_u64(out, *n),
-            Value::Str(s) => write_str(out, s),
-        }
-        out.push(']');
+/// Appends the name with id `id` of `log` as a string literal.
+fn write_name<S: Sink + ?Sized>(out: &mut S, log: &EventLog, id: u32) {
+    match QUOTED.get(id as usize) {
+        Some(quoted) => out.push_str(quoted),
+        None => write_str(out, log.name(id)),
     }
-    out.push(']');
 }
 
-/// Reads a fields array written by [`write_fields`]. Names are
-/// interned ([`crate::name`]), and the fields are decoded into
-/// `scratch` — one vector the caller shares across many events — then
-/// copied out at exact size, so an event whose names are in the
-/// vocabulary and whose values are integers costs a single allocation.
+/// Appends an event's fields as `[[name, N|"str"]…]`: the field format
+/// of both the registry's `event` record and the trace artifact's
+/// events. Vocabulary names are written from pre-quoted text.
+pub fn write_fields<S: Sink + ?Sized>(out: &mut S, ev: Event<'_>) {
+    let log = ev.log();
+    out.push_str("[");
+    for (i, &f) in ev.fields.iter().enumerate() {
+        if i > 0 {
+            out.push_str(",");
+        }
+        match FIELD_OPEN.get(f.name as usize) {
+            Some(open) => out.push_str(open),
+            None => {
+                out.push_str("[");
+                write_str(out, log.name(f.name));
+                out.push_str(",");
+            }
+        }
+        match log.value(f) {
+            ValueRef::U64(n) => out.push_u64(n),
+            ValueRef::Str(s) => write_str(out, s),
+        }
+        out.push_str("]");
+    }
+    out.push_str("]");
+}
+
+/// Appends events as the trace artifact's event array,
+/// `[{"kind":K,"fields":[…]}…]`.
+pub fn write_events<S: Sink + ?Sized>(out: &mut S, events: Events<'_>) {
+    out.push_str("[");
+    for (i, ev) in events.enumerate() {
+        if i > 0 {
+            out.push_str(",");
+        }
+        match EVENT_OPEN.get(ev.kind as usize) {
+            Some(open) => out.push_str(open),
+            None => {
+                out.push_str("{\"kind\":");
+                write_str(out, ev.kind());
+                out.push_str(",\"fields\":");
+            }
+        }
+        write_fields(out, ev);
+        out.push_str("}");
+    }
+    out.push_str("]");
+}
+
+/// Reads a fields array written by [`write_fields`] straight into
+/// `log`, as the fields of the event under construction: the caller
+/// closes them into an event. Names are interned by the log, so a
+/// decoded event allocates nothing of its own.
 ///
 /// # Errors
 ///
 /// Malformed input, an entry that is not a `[name, value]` pair, or a
 /// value that is neither an unsigned integer nor a string.
-pub fn read_fields(
-    r: &mut Reader,
-    scratch: &mut Vec<(Name, Value)>,
-) -> Result<Vec<(Name, Value)>, JsonError> {
-    scratch.clear();
+pub fn read_fields(r: &mut Reader, log: &mut EventLog) -> Result<(), JsonError> {
     r.array(|r| {
-        let field = match r.compact_str_u64_pair() {
-            Some((name, n)) => (crate::name(name), Value::U64(n)),
-            None => r.pair("event field", |r| Ok(crate::name(&r.str()?)), read_value)?,
-        };
-        scratch.push(field);
+        if let Some((name, n)) = r.compact_str_u64_pair() {
+            let name = log.intern(name);
+            log.push_u64(name, n);
+            return Ok(());
+        }
+        let (name, value) = r.pair("event field", |r| Ok(log.intern(&r.str()?)), read_value)?;
+        match value {
+            FieldValue::U64(n) => log.push_u64(name, n),
+            FieldValue::Str(s) => log.push_str(name, &s),
+        }
         Ok(())
-    })?;
-    let mut exact = Vec::with_capacity(scratch.len());
-    exact.append(scratch);
-    Ok(exact)
+    })
 }
 
-fn read_value(r: &mut Reader) -> Result<Value, JsonError> {
+/// A field value as read, before it goes into the log.
+enum FieldValue<'a> {
+    U64(u64),
+    Str(Cow<'a, str>),
+}
+
+fn read_value<'a>(r: &mut Reader<'a>) -> Result<FieldValue<'a>, JsonError> {
     match r.peek() {
-        Some(b'"') => Ok(Value::Str(r.str()?.into_owned())),
-        Some(b'0'..=b'9') => Ok(Value::U64(r.u64()?)),
+        Some(b'"') => Ok(FieldValue::Str(r.str()?)),
+        Some(b'0'..=b'9') => Ok(FieldValue::U64(r.u64()?)),
         _ => Err(r.err("event field value must be integer or string")),
     }
+}
+
+/// Reads an event array written by [`write_events`], appending each
+/// event to `log`. Members come in any order and unknown ones are
+/// skipped.
+///
+/// # Errors
+///
+/// Malformed input, or an event without its `kind` or `fields`.
+pub fn read_events(r: &mut Reader, log: &mut EventLog) -> Result<(), JsonError> {
+    r.array(|r| {
+        let mut kind = None;
+        let mut fields = false;
+        r.object(|r, key| {
+            match &*key {
+                "kind" => kind = Some(log.intern(&r.str()?)),
+                "fields" => {
+                    if fields {
+                        log.discard_pending();
+                    }
+                    read_fields(r, log)?;
+                    fields = true;
+                }
+                _ => r.skip()?,
+            }
+            Ok(())
+        })?;
+        let kind = r.need(kind, "kind")?;
+        r.need(fields.then_some(()), "fields")?;
+        log.commit(kind);
+        Ok(())
+    })
 }
 
 /// Appends `,"key":n`.
@@ -162,11 +236,11 @@ pub fn encode(reg: &Registry) -> String {
         write_member(&mut out, "n", *n);
         out.push_str("}\n");
     }
-    for ev in &reg.events {
+    for ev in reg.events.iter() {
         out.push_str("{\"t\":\"event\",\"kind\":");
-        write_str(&mut out, &ev.kind);
+        write_name(&mut out, &reg.events, ev.kind);
         out.push_str(",\"fields\":");
-        write_fields(&mut out, &ev.fields);
+        write_fields(&mut out, ev);
         out.push_str("}\n");
     }
     out
@@ -192,23 +266,26 @@ const INT_KEYS: [&str; 10] = [
 struct Record<'a> {
     tag: Option<Cow<'a, str>>,
     name: Option<Cow<'a, str>>,
-    kind: Option<Name>,
+    /// The event kind's id in the log the record is read into.
+    kind: Option<u32>,
     ints: [Option<u64>; INT_KEYS.len()],
     buckets: Option<Vec<(usize, u64)>>,
-    fields: Option<Vec<(Name, Value)>>,
+    /// Whether a `fields` member was read into the log.
+    fields: bool,
 }
 
 impl<'a> Record<'a> {
     /// Reads one line's record; members come in any order and unknown
-    /// ones are skipped.
-    fn read(line: &'a str, scratch: &mut Vec<(Name, Value)>) -> Result<Record<'a>, JsonError> {
+    /// ones are skipped. An event's kind and fields go straight into
+    /// `log`, its fields as the event under construction.
+    fn read(line: &'a str, log: &mut EventLog) -> Result<Record<'a>, JsonError> {
         let mut r = Reader::new(line);
         let mut rec = Record::default();
         r.object(|r, key| {
             match &*key {
                 "t" => rec.tag = Some(r.str()?),
                 "name" => rec.name = Some(r.str()?),
-                "kind" => rec.kind = Some(crate::name(&r.str()?)),
+                "kind" => rec.kind = Some(log.intern(&r.str()?)),
                 "buckets" => {
                     rec.buckets = Some(r.vec(|r| {
                         r.pair(
@@ -221,7 +298,13 @@ impl<'a> Record<'a> {
                         )
                     })?)
                 }
-                "fields" => rec.fields = Some(read_fields(r, scratch)?),
+                "fields" => {
+                    if rec.fields {
+                        log.discard_pending();
+                    }
+                    read_fields(r, log)?;
+                    rec.fields = true;
+                }
                 key => match INT_KEYS.iter().position(|&k| k == key) {
                     Some(i) => rec.ints[i] = Some(r.u64()?),
                     None => r.skip()?,
@@ -279,7 +362,6 @@ fn decode_span(rec: &Record, reg: &mut Registry) -> Result<(), String> {
 pub fn parse(text: &str) -> Result<Registry, CodecError> {
     let mut reg = Registry::default();
     let mut saw_header = false;
-    let mut scratch = Vec::new();
     for (i, line) in text.lines().enumerate() {
         let at = |message: String| CodecError {
             message,
@@ -288,7 +370,10 @@ pub fn parse(text: &str) -> Result<Registry, CodecError> {
         if line.trim().is_empty() {
             continue;
         }
-        let mut rec = Record::read(line, &mut scratch).map_err(|e| at(e.to_string()))?;
+        let mut rec = Record::read(line, &mut reg.events).map_err(|e| at(e.to_string()))?;
+        if rec.fields && rec.tag.as_deref() != Some("event") {
+            reg.events.discard_pending();
+        }
         let tag = rec
             .tag
             .take()
@@ -320,10 +405,10 @@ pub fn parse(text: &str) -> Result<Registry, CodecError> {
             }
             "event" => {
                 let kind = rec.kind.ok_or_else(|| at("missing field 'kind'".into()))?;
-                let fields = rec
-                    .fields
-                    .ok_or_else(|| at("missing field 'fields'".into()))?;
-                reg.events.push_back(Event { kind, fields });
+                if !rec.fields {
+                    return Err(at("missing field 'fields'".into()));
+                }
+                reg.events.commit(kind);
             }
             other => return Err(at(format!("unknown record tag '{other}'"))),
         }
@@ -350,6 +435,7 @@ pub fn parse(text: &str) -> Result<Registry, CodecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Value;
 
     /// SplitMix64 — the deterministic fuzz driver (same recurrence as
     /// the service-frame and soundness fuzzes).
@@ -382,14 +468,14 @@ mod tests {
             format!("{}#{}", POOL[self.below(8) as usize], self.below(4))
         }
 
-        /// An event kind or field name: half from the interned
+        /// An event kind or field name: half from the fixed
         /// vocabulary, half a free-form label.
-        fn event_name(&mut self) -> crate::Name {
+        fn event_name(&mut self) -> String {
             const KNOWN: [&str; 4] = ["run_end", "checkpoint_commit", "cp", "gain_pj"];
             if self.below(2) == 0 {
-                Cow::Borrowed(KNOWN[self.below(4) as usize])
+                KNOWN[self.below(4) as usize].to_string()
             } else {
-                Cow::Owned(self.label())
+                self.label()
             }
         }
 
@@ -424,7 +510,8 @@ mod tests {
                     };
                     fields.push((key, value));
                 }
-                reg.events.push_back(Event { kind, fields });
+                let fields = fields.iter().map(|(k, v)| (k.as_str(), v.clone()));
+                reg.events.push(&kind, fields);
             }
             reg.dropped_events = self.below(3);
             reg.spilled_events = self.below(3);
@@ -447,13 +534,12 @@ mod tests {
             let text = encode(&reg);
             let back = parse(&text).unwrap_or_else(|e| panic!("round {round}: {e}"));
             assert_eq!(back, reg, "round {round}");
-            // Decoding interns: vocabulary names come back borrowed.
-            for ev in &back.events {
-                for n in std::iter::once(&ev.kind).chain(ev.fields.iter().map(|(k, _)| k)) {
-                    let borrowed = matches!(n, Cow::Borrowed(_));
-                    assert_eq!(borrowed, matches!(crate::name(n), Cow::Borrowed(_)));
-                }
-            }
+            // Decoding interns the same names the original log did.
+            assert_eq!(
+                back.events.interned_names(),
+                reg.events.interned_names(),
+                "round {round}"
+            );
             // Encoding is deterministic.
             assert_eq!(encode(&back), text, "round {round}");
         }
@@ -562,27 +648,18 @@ mod tests {
             "quote\" back\\slash nl\n tab\t ctrl\u{1} \u{1D11E}".into(),
             7,
         );
-        reg.events.push_back(Event {
-            kind: crate::name("run_end"),
-            fields: vec![
-                (crate::name("status"), Value::Str("completed".into())),
-                (crate::name("cp"), Value::U64(12)),
+        reg.events.push(
+            "run_end",
+            [("status", Value::from("completed")), ("cp", Value::U64(12))],
+        );
+        reg.events.push(
+            "job/custom \u{1F980}",
+            [
+                ("free\tform", Value::from("\"q\" \\ \u{1}\n\u{1D11E}")),
+                ("energy_pj", Value::U64(u64::MAX)),
             ],
-        });
-        reg.events.push_back(Event {
-            kind: crate::name("job/custom \u{1F980}"),
-            fields: vec![
-                (
-                    crate::name("free\tform"),
-                    Value::Str("\"q\" \\ \u{1}\n\u{1D11E}".into()),
-                ),
-                (crate::name("energy_pj"), Value::U64(u64::MAX)),
-            ],
-        });
-        reg.events.push_back(Event {
-            kind: crate::name("boot"),
-            fields: Vec::new(),
-        });
+        );
+        reg.events.push("boot", []);
         reg
     }
 
@@ -604,17 +681,24 @@ mod tests {
     fn read_fields_mixes_compact_and_generic_spellings() {
         let text = r#"[["cp",3],[ "words" , 12 ],["epoch","cp1"],["q\"",4],["cycles",5]]"#;
         let mut r = Reader::new(text);
-        let fields = read_fields(&mut r, &mut Vec::new()).unwrap();
+        let mut log = EventLog::new();
+        read_fields(&mut r, &mut log).unwrap();
         r.finish().unwrap();
-        let want: Vec<(Name, Value)> = vec![
-            ("cp".into(), Value::U64(3)),
-            ("words".into(), Value::U64(12)),
-            ("epoch".into(), Value::Str("cp1".into())),
-            ("q\"".into(), Value::U64(4)),
-            ("cycles".into(), Value::U64(5)),
-        ];
-        assert_eq!(fields, want);
-        let e = read_fields(&mut Reader::new(r#"[["cp",-3]]"#), &mut Vec::new()).unwrap_err();
+        let k = log.intern("k");
+        log.commit(k);
+        let mut want = EventLog::new();
+        want.push(
+            "k",
+            [
+                ("cp", Value::U64(3)),
+                ("words", Value::U64(12)),
+                ("epoch", Value::from("cp1")),
+                ("q\"", Value::U64(4)),
+                ("cycles", Value::U64(5)),
+            ],
+        );
+        assert_eq!(log, want);
+        let e = read_fields(&mut Reader::new(r#"[["cp",-3]]"#), &mut log).unwrap_err();
         assert!(e.message.contains("integer or string"), "{e}");
     }
 

@@ -23,9 +23,10 @@
 //! deeper than [`MAX_DEPTH`] — with a positioned [`JsonError`], rather
 //! than silently rounding or overflowing the stack.
 //!
-//! [`write_str`] / [`write_u64`] append straight into a `String`;
-//! codecs write their own types with no value tree in between, and read
-//! them back by walking a [`Reader`].
+//! [`write_str`] / [`write_u64`] append straight into a [`Sink`]: a
+//! `String`, or a byte slice sized beforehand by running the same writer
+//! into a [`Count`]. Codecs write their own types with no value tree in
+//! between, and read them back by walking a [`Reader`].
 
 use std::borrow::Cow;
 use std::fmt;
@@ -51,11 +52,107 @@ impl fmt::Display for JsonError {
     }
 }
 
+/// Where the writers append text: a `String`, an exactly sized byte
+/// slice ([`SliceSink`]), or a byte count ([`Count`]) for sizing a
+/// text before it is written. Every writer in the workspace is generic
+/// over it, so one encoder both measures and writes a line.
+pub trait Sink {
+    /// Appends `s` verbatim.
+    fn push_str(&mut self, s: &str);
+
+    /// Appends `n` in decimal, two digits per step from a pair table.
+    fn push_u64(&mut self, mut n: u64) {
+        const PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
+            2021222324252627282930313233343536373839\
+            4041424344454647484950515253545556575859\
+            6061626364656667686970717273747576777879\
+            8081828384858687888990919293949596979899";
+        let mut digits = [0u8; 20];
+        let mut i = digits.len();
+        while n >= 100 {
+            let pair = (n % 100) as usize * 2;
+            n /= 100;
+            i -= 2;
+            digits[i..i + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
+        }
+        if n >= 10 {
+            let pair = n as usize * 2;
+            i -= 2;
+            digits[i..i + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
+        } else {
+            i -= 1;
+            digits[i] = b'0' + n as u8;
+        }
+        self.push_str(std::str::from_utf8(&digits[i..]).expect("digits are ASCII"));
+    }
+}
+
+impl Sink for String {
+    #[inline]
+    fn push_str(&mut self, s: &str) {
+        String::push_str(self, s);
+    }
+}
+
+/// A [`Sink`] that only counts the bytes written to it.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct Count(pub usize);
+
+impl Sink for Count {
+    #[inline]
+    fn push_str(&mut self, s: &str) {
+        self.0 += s.len();
+    }
+
+    #[inline]
+    fn push_u64(&mut self, n: u64) {
+        self.0 += n.checked_ilog10().map_or(1, |d| d as usize + 1);
+    }
+}
+
+/// A [`Sink`] over a byte slice sized beforehand with [`Count`]: writes
+/// past its end panic, and [`SliceSink::finish`] checks that the text
+/// filled it exactly.
+pub struct SliceSink<'a> {
+    buf: &'a mut [u8],
+    len: usize,
+}
+
+impl<'a> SliceSink<'a> {
+    /// An empty sink writing from the start of `buf`.
+    pub fn new(buf: &'a mut [u8]) -> SliceSink<'a> {
+        SliceSink { buf, len: 0 }
+    }
+
+    /// Checks that the writes filled the slice exactly.
+    ///
+    /// # Panics
+    ///
+    /// When fewer bytes were written than the slice holds: the sizing
+    /// pass and the writer disagree.
+    pub fn finish(self) {
+        assert_eq!(
+            self.len,
+            self.buf.len(),
+            "sized text and written text differ"
+        );
+    }
+}
+
+impl Sink for SliceSink<'_> {
+    #[inline]
+    fn push_str(&mut self, s: &str) {
+        let end = self.len + s.len();
+        self.buf[self.len..end].copy_from_slice(s.as_bytes());
+        self.len = end;
+    }
+}
+
 /// Appends `s` as a JSON string literal. Runs of characters that need
 /// no escape are copied whole; `"`, `\`, `\n`, `\r`, `\t` get their
 /// shorthand and other control characters `\u00XX`.
-pub fn write_str(out: &mut String, s: &str) {
-    out.push('"');
+pub fn write_str<S: Sink + ?Sized>(out: &mut S, s: &str) {
+    out.push_str("\"");
     let mut run = 0;
     for (i, &b) in s.as_bytes().iter().enumerate() {
         let shorthand = match b {
@@ -71,31 +168,28 @@ pub fn write_str(out: &mut String, s: &str) {
         out.push_str(&s[run..i]);
         if shorthand.is_empty() {
             const HEX: &[u8; 16] = b"0123456789abcdef";
-            out.push_str("\\u00");
-            out.push(HEX[usize::from(b >> 4)] as char);
-            out.push(HEX[usize::from(b & 0xf)] as char);
+            let escape = [
+                b'\\',
+                b'u',
+                b'0',
+                b'0',
+                HEX[usize::from(b >> 4)],
+                HEX[usize::from(b & 0xf)],
+            ];
+            out.push_str(std::str::from_utf8(&escape).expect("escapes are ASCII"));
         } else {
             out.push_str(shorthand);
         }
         run = i + 1;
     }
     out.push_str(&s[run..]);
-    out.push('"');
+    out.push_str("\"");
 }
 
 /// Appends `n` in decimal without allocating.
-pub fn write_u64(out: &mut String, mut n: u64) {
-    let mut digits = [0u8; 20];
-    let mut i = digits.len();
-    loop {
-        i -= 1;
-        digits[i] = b'0' + (n % 10) as u8;
-        n /= 10;
-        if n == 0 {
-            break;
-        }
-    }
-    out.push_str(std::str::from_utf8(&digits[i..]).expect("digits are ASCII"));
+#[inline]
+pub fn write_u64<S: Sink + ?Sized>(out: &mut S, n: u64) {
+    out.push_u64(n);
 }
 
 /// A pull reader over one JSON text in the dialect: decoders walk the

@@ -9,7 +9,9 @@
 //! * **Counters** — monotonic named counters ([`count`]).
 //! * **Events** — structured records ([`event`]) with ordered key/value
 //!   fields, used for the emulator's intermittent-execution lifecycle
-//!   stream and the compiler's decision log.
+//!   stream and the compiler's decision log. They are stored flat in an
+//!   [`EventLog`] ([`log`]): 8 bytes per event plus 16 per field, with
+//!   no allocation per event.
 //!
 //! Everything lands in a thread-local [`Registry`]. The work-stealing
 //! grid driver runs each cell with [`capture`], which swaps in a fresh
@@ -39,12 +41,13 @@
 pub mod codec;
 pub mod hist;
 pub mod json;
+pub mod log;
 
 pub use hist::Histogram;
+pub use log::{Event, EventLog, Events, ValueRef, VOCABULARY};
 
-use std::borrow::Cow;
 use std::cell::RefCell;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
@@ -70,8 +73,9 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// A field value in an [`Event`]: the repo's JSON dialect is
+/// A field value handed to [`event`]: the repo's JSON dialect is
 /// u64-and-string only, and the event stream sticks to the same shape.
+/// Recorded values are read back as [`ValueRef`]s.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Value {
     /// An unsigned integer (cycles, picojoules, ids, ...).
@@ -95,123 +99,6 @@ impl From<&str> for Value {
 impl From<String> for Value {
     fn from(v: String) -> Value {
         Value::Str(v)
-    }
-}
-
-/// An event kind or field name. Names from the fixed vocabulary (see
-/// [`name`]) are borrowed `&'static str`s, so a recorded or decoded
-/// event costs one heap allocation (its field vector) instead of one
-/// per name. Equality compares contents, whichever variant holds them.
-pub type Name = Cow<'static, str>;
-
-/// Declares the interned vocabulary: the `match` behind [`name`]
-/// (rustc lowers a string `match` to length tests plus a comparison or
-/// two, several times cheaper than allocating a copy), and for tests
-/// the same names as a list.
-macro_rules! vocabulary {
-    ($($known:literal,)*) => {
-        fn interned(s: &str) -> Option<&'static str> {
-            match s {
-                $($known => Some($known),)*
-                _ => None,
-            }
-        }
-
-        #[cfg(test)]
-        const VOCABULARY: &[&str] = &[$($known),*];
-    };
-}
-
-// Every event kind and field name the emulator and the compiler emit.
-// The emulator's lifecycle names are listed in `schematic_emu::trace`
-// (`EVENT_KINDS`, `SNAPSHOT_KEYS` and the kind-specific fields of its
-// schema table); the compiler's are the `alloc_pick` (`gain.rs`) and
-// `patch_round` (`pverify.rs`) decision records. The root test
-// `tests/event_vocabulary.rs` fails when an emitted name is missing.
-vocabulary! {
-    "alloc_pick",
-    "block",
-    "boot",
-    "bytes",
-    "charge_permille",
-    "checkpoint_commit",
-    "checkpoint_skip",
-    "checkpoint_torn",
-    "comp_pj",
-    "cp",
-    "cycles",
-    "detail",
-    "energy_pj",
-    "epoch",
-    "func",
-    "gain_pj",
-    "lost_insts",
-    "migrate",
-    "patch_round",
-    "power_failure",
-    "reexec_pj",
-    "restore",
-    "restore_pj",
-    "run_end",
-    "run_start",
-    "save_pj",
-    "scenario",
-    "sleep",
-    "status",
-    "stuck",
-    "tbpf",
-    "var",
-    "violations",
-    "wakeup",
-    "window_cycles",
-    "words",
-}
-
-/// Interns an event kind or field name: a vocabulary name comes back
-/// [`Cow::Borrowed`] (no allocation), any other name as an owned copy.
-/// Decoders call this on every name they read, so an artifact written
-/// by a build with a larger vocabulary still round-trips exactly — its
-/// unknown names just cost an allocation each.
-pub fn name(s: &str) -> Name {
-    match interned(s) {
-        Some(known) => Cow::Borrowed(known),
-        None => Cow::Owned(s.to_owned()),
-    }
-}
-
-/// One structured record: a kind tag plus ordered key/value fields.
-///
-/// Kinds and field names are [`Name`]s: borrowed when they come from
-/// the vocabulary [`name`] knows, owned otherwise (hand-built events,
-/// or an artifact from a build that emits names this one does not).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Event {
-    /// Event kind, e.g. `"checkpoint_commit"` or `"alloc_pick"`.
-    pub kind: Name,
-    /// Ordered fields; order is part of the serialized form.
-    pub fields: Vec<(Name, Value)>,
-}
-
-impl Event {
-    /// The value of field `name`, if present.
-    pub fn field(&self, name: &str) -> Option<&Value> {
-        self.fields.iter().find(|(k, _)| k == name).map(|(_, v)| v)
-    }
-
-    /// The value of u64 field `name`, if present with that type.
-    pub fn u64_field(&self, name: &str) -> Option<u64> {
-        match self.field(name) {
-            Some(Value::U64(v)) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// The label value of field `name`, if present and a string.
-    pub fn str_field(&self, name: &str) -> Option<&str> {
-        match self.field(name) {
-            Some(Value::Str(s)) => Some(s),
-            _ => None,
-        }
     }
 }
 
@@ -255,7 +142,7 @@ pub struct Registry {
     pub counters: BTreeMap<String, u64>,
     /// Structured events in emission order, capped at [`MAX_EVENTS`]
     /// with ring semantics (oldest dropped first).
-    pub events: VecDeque<Event>,
+    pub events: EventLog,
     /// Oldest events discarded after the cap was reached.
     pub dropped_events: u64,
     /// Oldest events handed to a [`set_spill`] sink instead of being
@@ -284,8 +171,9 @@ impl Registry {
         for (name, n) in other.counters {
             *self.counters.entry(name).or_default() += n;
         }
-        for ev in other.events {
-            self.push_event(ev);
+        for ev in other.events.iter() {
+            self.make_room();
+            self.events.push_event(ev);
         }
         self.dropped_events += other.dropped_events;
         self.spilled_events += other.spilled_events;
@@ -308,12 +196,13 @@ impl Registry {
         }
     }
 
-    fn push_event(&mut self, ev: Event) {
+    /// Ring semantics: at the cap, retires the oldest event to make
+    /// room for one more.
+    fn make_room(&mut self) {
         if self.events.len() == MAX_EVENTS {
-            self.events.pop_front();
+            self.events.remove_front(1);
             self.dropped_events += 1;
         }
-        self.events.push_back(ev);
     }
 }
 
@@ -324,7 +213,7 @@ thread_local! {
 
 /// An event spill sink: receives batches of the *oldest* buffered
 /// events when the thread's registry is full. See [`set_spill`].
-pub type SpillFn = Box<dyn FnMut(Vec<Event>)>;
+pub type SpillFn = Box<dyn FnMut(Events<'_>)>;
 
 /// Installs (or clears) the calling thread's event spill sink and
 /// returns the previous one.
@@ -388,39 +277,37 @@ pub fn count(name: &'static str, n: u64) {
 
 /// Records a structured event (no-op when collection is disabled).
 ///
-/// Names are `&'static str`, so they are stored borrowed; the field
-/// vector is built once at the iterator's size hint, which for arrays
-/// and chains of arrays is exact — one allocation per event (plus any
-/// [`Value::Str`] the caller built).
+/// The event goes straight into the registry's [`EventLog`]: its
+/// storage grows by doubling, so recording allocates nothing per event
+/// (a [`Value::Str`] the caller built is copied into the log's text).
 pub fn event(kind: &'static str, fields: impl IntoIterator<Item = (&'static str, Value)>) {
     if enabled() {
-        // Spill before pushing: drain outside the registry borrow so
-        // the sink never observes a half-updated registry.
-        let spill_batch = LOCAL.with(|l| {
+        // Spill before pushing. The sink reads the oldest half in place
+        // while the log is out of the registry, so it never observes a
+        // half-updated registry.
+        let full = LOCAL.with(|l| {
             let mut reg = l.borrow_mut();
             if reg.events.len() >= MAX_EVENTS && SPILL.with(|s| s.borrow().is_some()) {
-                let batch: Vec<Event> = reg.events.drain(..MAX_EVENTS / 2).collect();
-                reg.spilled_events += batch.len() as u64;
-                Some(batch)
+                reg.spilled_events += (MAX_EVENTS / 2) as u64;
+                Some(std::mem::take(&mut reg.events))
             } else {
                 None
             }
         });
-        if let Some(batch) = spill_batch {
+        if let Some(mut log) = full {
             SPILL.with(|s| {
                 if let Some(f) = s.borrow_mut().as_mut() {
-                    f(batch);
+                    f(log.range(0..MAX_EVENTS / 2));
                 }
             });
+            log.remove_front(MAX_EVENTS / 2);
+            LOCAL.with(|l| l.borrow_mut().events = log);
         }
-        let fields = fields.into_iter();
-        let mut named = Vec::with_capacity(fields.size_hint().0);
-        named.extend(fields.map(|(k, v)| (Cow::Borrowed(k), v)));
-        let ev = Event {
-            kind: Cow::Borrowed(kind),
-            fields: named,
-        };
-        LOCAL.with(|l| l.borrow_mut().push_event(ev));
+        LOCAL.with(|l| {
+            let mut reg = l.borrow_mut();
+            reg.make_room();
+            reg.events.push(kind, fields);
+        });
     }
 }
 
@@ -538,10 +425,7 @@ mod tests {
         let mut a = Registry::default();
         a.counters.insert("x".into(), 2);
         a.spans.entry("s".into()).or_default().record(100);
-        a.push_event(Event {
-            kind: "e1".into(),
-            fields: vec![("v".into(), Value::U64(1))],
-        });
+        push(&mut a, "e1", [("v", Value::U64(1))]);
         let mut b = Registry::default();
         b.counters.insert("x".into(), 3);
         b.counters.insert("y".into(), 1);
@@ -563,27 +447,30 @@ mod tests {
         assert_eq!(s.hist.max(), 300);
     }
 
+    /// Records into `r` as [`event`] records into the thread's registry.
+    fn push<'n>(r: &mut Registry, kind: &str, fields: impl IntoIterator<Item = (&'n str, Value)>) {
+        r.make_room();
+        r.events.push(kind, fields);
+    }
+
     #[test]
     fn event_cap_counts_drops() {
         let mut r = Registry::default();
         for i in 0..(MAX_EVENTS + 10) {
-            r.push_event(Event {
-                kind: format!("e{i}").into(),
-                fields: Vec::new(),
-            });
+            push(&mut r, &format!("e{i}"), []);
         }
         assert_eq!(r.events.len(), MAX_EVENTS);
         assert_eq!(r.dropped_events, 10);
         // Ring semantics: the oldest events were dropped, the newest kept.
-        assert_eq!(r.events.front().unwrap().kind, "e10");
+        assert_eq!(r.events.first().unwrap().kind(), "e10");
         assert_eq!(
-            r.events.back().unwrap().kind,
+            r.events.last().unwrap().kind(),
             format!("e{}", MAX_EVENTS + 9)
         );
     }
 
     /// The sequence number the spill tests stamp on each event.
-    fn seq(ev: &Event) -> u64 {
+    fn seq(ev: Event) -> u64 {
         ev.u64_field("i").expect("sequence field")
     }
 
@@ -591,10 +478,13 @@ mod tests {
     fn spill_streams_oldest_events_instead_of_dropping() {
         let _g = GATE.lock().unwrap();
         set_enabled(true);
-        let spilled = std::rc::Rc::new(RefCell::new(Vec::new()));
+        let spilled = std::rc::Rc::new(RefCell::new(EventLog::new()));
         let sink = spilled.clone();
-        let prev = set_spill(Some(Box::new(move |batch: Vec<Event>| {
-            sink.borrow_mut().extend(batch);
+        let prev = set_spill(Some(Box::new(move |batch: Events<'_>| {
+            let mut spilled = sink.borrow_mut();
+            for ev in batch {
+                spilled.push_event(ev);
+            }
         })));
         let total = (MAX_EVENTS + 10) as u64;
         let half = (MAX_EVENTS / 2) as u64;
@@ -610,11 +500,11 @@ mod tests {
         assert_eq!(reg.spilled_events, half);
         let spilled = spilled.borrow();
         assert_eq!(spilled.len() as u64, half);
-        assert_eq!(seq(&spilled[0]), 0);
+        assert_eq!(seq(spilled.first().unwrap()), 0);
         assert_eq!(seq(spilled.last().unwrap()), half - 1);
         // The resident buffer continues exactly where the spill ended.
-        assert_eq!(seq(reg.events.front().unwrap()), half);
-        assert_eq!(seq(reg.events.back().unwrap()), total - 1);
+        assert_eq!(seq(reg.events.first().unwrap()), half);
+        assert_eq!(seq(reg.events.last().unwrap()), total - 1);
         assert_eq!((reg.events.len() + spilled.len()) as u64, total);
     }
 
@@ -630,7 +520,7 @@ mod tests {
         set_enabled(false);
         assert_eq!(reg.dropped_events, 3);
         assert_eq!(reg.spilled_events, 0);
-        assert_eq!(seq(reg.events.front().unwrap()), 3);
+        assert_eq!(seq(reg.events.first().unwrap()), 3);
     }
 
     #[test]
@@ -671,28 +561,36 @@ mod tests {
         assert_eq!(stats.hist.max(), 300);
     }
 
+    /// A log refers to vocabulary names by their fixed ids and owns
+    /// only the other names, each once however often it is used.
     #[test]
     fn name_borrows_vocabulary_names_and_owns_the_rest() {
+        let mut log = EventLog::new();
         for &known in VOCABULARY {
-            assert!(matches!(name(known), Cow::Borrowed(n) if n == known));
+            log.push(known, [(known, Value::U64(1))]);
         }
-        for unknown in ["", "tick", "run_star", "words2", "dæmon"] {
-            assert!(matches!(name(unknown), Cow::Owned(n) if n == unknown));
+        assert_eq!(log.interned_names(), 0);
+        let unknown = ["", "tick", "run_star", "words2", "dæmon"];
+        for _ in 0..3 {
+            for name in unknown {
+                log.push(name, [(name, Value::U64(2))]);
+            }
         }
+        assert_eq!(log.interned_names(), unknown.len());
+        let names: Vec<&str> = log.iter().map(|e| e.kind()).collect();
+        assert_eq!(&names[..VOCABULARY.len()], VOCABULARY);
+        assert_eq!(&names[VOCABULARY.len()..][..unknown.len()], unknown);
     }
 
     #[test]
     fn event_field_lookup() {
-        let ev = Event {
-            kind: "k".into(),
-            fields: vec![
-                ("a".into(), Value::U64(7)),
-                ("b".into(), Value::Str("x".into())),
-            ],
-        };
+        let mut log = EventLog::new();
+        log.push("k", [("a", Value::U64(7)), ("b", Value::from("x"))]);
+        let ev = log.first().unwrap();
         assert_eq!(ev.u64_field("a"), Some(7));
         assert_eq!(ev.u64_field("b"), None);
-        assert_eq!(ev.field("b"), Some(&Value::Str("x".into())));
+        assert_eq!(ev.field("b"), Some(ValueRef::Str("x")));
+        assert_eq!(ev.str_field("b"), Some("x"));
         assert_eq!(ev.field("c"), None);
     }
 }

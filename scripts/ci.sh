@@ -56,7 +56,8 @@ echo "== tracereport smoke (release) =="
 # byte-identical to the untraced one (tracing is observation-only).
 cargo build --release --offline -p schematic-bench --bin tracereport
 TRACEREPORT=target/release/tracereport
-"$GRIDRUN" --quick --trace "$GRIDDIR/trace.jsonl" > "$GRIDDIR/traced.txt"
+"$GRIDRUN" --quick --trace "$GRIDDIR/trace.jsonl" > "$GRIDDIR/traced.txt" \
+  2> "$GRIDDIR/traced.err"
 diff -u "$GRIDDIR/direct.txt" "$GRIDDIR/traced.txt"
 echo "traced render byte-identical to untraced render"
 "$TRACEREPORT" "$GRIDDIR/trace.jsonl" --cell run/Schematic/crc/10000 --top 5 \
@@ -65,6 +66,17 @@ test -s "$GRIDDIR/tracereport.txt"
 grep -q "Phase times across the grid" "$GRIDDIR/tracereport.txt"
 grep -q "Fig. 6 split" "$GRIDDIR/tracereport.txt"
 echo "tracereport rendered $(wc -l < "$GRIDDIR/tracereport.txt") lines"
+# Every event survives the round trip at scale: the events the capture
+# held resident plus those it streamed as spill chunks are the events
+# tracereport reads back from the artifact.
+RESIDENT=$(sed -n 's/.*(\([0-9]*\) events resident, [0-9]* streamed).*/\1/p' "$GRIDDIR/traced.err")
+STREAMED=$(sed -n 's/.*([0-9]* events resident, \([0-9]*\) streamed).*/\1/p' "$GRIDDIR/traced.err")
+READ=$(sed -n 's/^Observability report: [0-9]* cells, \([0-9]*\) events$/\1/p' "$GRIDDIR/tracereport.txt")
+test -n "$RESIDENT" && test -n "$STREAMED" && test -n "$READ" \
+  || { echo "event counts missing: gridrun '$RESIDENT'+'$STREAMED', tracereport '$READ'"; exit 1; }
+test "$((RESIDENT + STREAMED))" -eq "$READ" \
+  || { echo "events lost in the round trip: $RESIDENT resident + $STREAMED streamed, $READ read"; exit 1; }
+echo "all $READ events read back ($RESIDENT resident + $STREAMED streamed)"
 # The artifact's lines are decoded on parallel workers; the render must
 # not depend on how many.
 SCHEMATIC_JOBS=1 "$TRACEREPORT" "$GRIDDIR/trace.jsonl" --cell run/Schematic/crc/10000 --top 5 \

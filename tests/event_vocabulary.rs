@@ -1,15 +1,16 @@
 //! The event vocabulary is complete: every event kind and field name
-//! the emulator and the compiler emit is one that
-//! `schematic_obs::name` interns.
+//! the emulator and the compiler emit has a fixed id in
+//! `schematic_obs::VOCABULARY`.
 //!
-//! Recorded events store `&'static str` names borrowed, and the trace
-//! and registry decoders intern each name they read through
-//! `schematic_obs::name`. A name missing from that vocabulary still
-//! round-trips, but every decoded copy of it costs a heap allocation.
-//! This test makes that drift fail loudly instead: it captures traced
-//! emulator runs under each power model plus compiles with the
-//! collector on, and requires every captured name to be borrowed and
-//! to intern as borrowed.
+//! An event log stores vocabulary names as fixed ids and interns every
+//! other name once per log, both when recording and when decoding. A
+//! name missing from the vocabulary still round-trips, but costs a
+//! lookup table entry in every log, and the writers spell it out
+//! through the escaping path instead of pre-quoted text. This test
+//! makes that drift fail loudly instead: it captures traced emulator
+//! runs under each power model plus compiles with the collector on,
+//! and requires every captured name to be a vocabulary name, before
+//! and after a codec round trip.
 
 use schematic_obs::{self as obs, codec, Event, Registry};
 use schematic_repro::baselines;
@@ -17,13 +18,12 @@ use schematic_repro::benchsuite;
 use schematic_repro::emu::{trace, Machine, PowerModel, RunConfig};
 use schematic_repro::energy::{CostTable, Energy};
 use schematic_repro::schematic::{compile, SchematicConfig};
-use std::borrow::Cow;
 use std::collections::BTreeSet;
 
 const TBPF: u64 = 10_000;
 
-fn names(ev: &Event) -> impl Iterator<Item = &obs::Name> {
-    std::iter::once(&ev.kind).chain(ev.fields.iter().map(|(k, _)| k))
+fn names<'a>(ev: Event<'a>) -> impl Iterator<Item = &'a str> {
+    std::iter::once(ev.kind()).chain(ev.fields().map(|(k, _)| k))
 }
 
 /// Compiles rc4 with SCHEMATIC under a tight budget, and `crc` with
@@ -84,21 +84,17 @@ fn every_emitted_name_is_interned_and_round_trips() {
     assert_eq!(reg.dropped_events, 0);
 
     let mut kinds = BTreeSet::new();
-    for ev in &reg.events {
-        kinds.insert(&*ev.kind);
+    for ev in reg.events.iter() {
+        kinds.insert(ev.kind());
         for n in names(ev) {
             assert!(
-                matches!(n, Cow::Borrowed(_)),
-                "'{n}' in a '{}' event was recorded as an owned name",
-                ev.kind
-            );
-            assert!(
-                matches!(obs::name(n), Cow::Borrowed(_)),
-                "'{n}' in a '{}' event is missing from the obs::name vocabulary",
-                ev.kind
+                obs::VOCABULARY.contains(&n),
+                "'{n}' in a '{}' event is missing from obs::VOCABULARY",
+                ev.kind()
             );
         }
     }
+    assert_eq!(reg.events.interned_names(), 0);
     // Non-vacuity: the capture holds the compiler's decision log, both
     // ends of every run, and each lifecycle class these runs reach.
     for kind in [
@@ -127,9 +123,9 @@ fn every_emitted_name_is_interned_and_round_trips() {
     // The registry crosses the wire unchanged, and decoding interns.
     let back = codec::parse(&codec::encode(&reg)).expect("registry decodes");
     assert_eq!(back, reg);
-    for ev in &back.events {
-        for n in names(ev) {
-            assert!(matches!(n, Cow::Borrowed(_)), "'{n}' decoded as owned");
-        }
-    }
+    assert_eq!(
+        back.events.interned_names(),
+        0,
+        "a name decoded as interned"
+    );
 }
