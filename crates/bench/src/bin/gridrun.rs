@@ -10,7 +10,8 @@
 //! gridrun --merge F...          # load shard, fetch or cache files, merge, verify coverage,
 //!                               # render every report
 //! gridrun --trace F             # compute in-process with tracing on; write the per-cell
-//!                               # trace artifact (JSONL, see `tracereport`) to F
+//!                               # trace artifact (JSONL, see `tracereport`) to file F
+//!                               # ('-' is refused: stdout carries the render)
 //! gridrun --report NAME         # compute one report's slice of the grid and render it
 //!                               # (table1..3, fig6..8, ablations, soundcheck)
 //! gridrun --report soundcheck   # append per-region verdicts and the region-class
@@ -67,8 +68,9 @@ use schematic_bench::grid::{
     evaluate_traced, CellLine, CellStore, GridMode, GridSpec, Job, ReportId, WorkerTelemetry,
 };
 use schematic_bench::json::Json;
-use schematic_bench::{service, trace};
+use schematic_bench::{parallel, service, trace};
 use schematic_energy::CostTable;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
@@ -177,7 +179,12 @@ fn parse_args() -> Options {
                 if trace.is_some() {
                     usage();
                 }
-                trace = Some(it.next().unwrap_or_else(|| usage()));
+                let path = it.next().unwrap_or_else(|| usage());
+                if path == "-" {
+                    eprintln!("gridrun: --trace needs a file: stdout carries the render");
+                    usage();
+                }
+                trace = Some(path);
             }
             "--cache" => cache = CacheOpt::Path(it.next().unwrap_or_else(|| usage())),
             "--no-cache" => cache = CacheOpt::Off,
@@ -314,6 +321,19 @@ fn write_artifact(path: &str, text: &str) -> Result<(), String> {
     }
 }
 
+/// Writes `traces` as a trace artifact, one window of lines per worker
+/// at a time, so the encoded text held at once is a line per worker,
+/// not the whole artifact. Each window's traces are freed once written.
+fn write_traces(file: std::fs::File, traces: Vec<trace::CellTrace>) -> std::io::Result<()> {
+    let mut w = std::io::BufWriter::new(file);
+    let mut traces = traces.into_iter().peekable();
+    while traces.peek().is_some() {
+        let window: Vec<_> = traces.by_ref().take(parallel::jobs()).collect();
+        w.write_all(trace::to_jsonl(&window).as_bytes())?;
+    }
+    w.flush()
+}
+
 /// Cache-aware compute of `jobs`, reporting hit/computed tallies on
 /// stderr. `--no-cache` falls through to the plain compute path.
 fn compute(jobs: &[Job], opts: &Options) -> Result<CellStore, String> {
@@ -340,7 +360,7 @@ fn compute(jobs: &[Job], opts: &Options) -> Result<CellStore, String> {
 /// carries the program digests and a captured per-job registry the
 /// daemon merges into its service telemetry. Returns at stdin EOF.
 fn run_jobs() -> Result<(), String> {
-    use std::io::{BufRead, Write};
+    use std::io::BufRead;
     let table = CostTable::msp430fr5969();
     schematic_obs::set_enabled(true);
     let mut out = std::io::stdout().lock();
@@ -484,26 +504,16 @@ fn run(opts: &Options) -> Result<ExitCode, String> {
         Command::Direct => {
             let store = match &opts.trace {
                 None => compute(spec.jobs(), opts)?,
-                // The artifact streams: overflow event chunks go out
-                // during capture, so no event is ever dropped.
                 Some(path) => {
-                    let sink: Box<dyn std::io::Write + Send> = if path == "-" {
-                        Box::new(std::io::stdout())
-                    } else {
-                        Box::new(
-                            std::fs::File::create(Path::new(path))
-                                .map_err(|e| format!("{path}: {e}"))?,
-                        )
-                    };
-                    let writer = std::io::BufWriter::new(sink);
-                    let (store, traces) = trace::capture_grid_streaming(spec.jobs(), writer)
+                    let file = std::fs::File::create(Path::new(path))
                         .map_err(|e| format!("{path}: {e}"))?;
-                    eprintln!(
-                        "gridrun: wrote {} cell traces ({} events resident, {} streamed) to {path}",
+                    let (store, traces) = trace::capture_grid(spec.jobs());
+                    let (cells, events) = (
                         traces.len(),
                         traces.iter().map(|t| t.events.len()).sum::<usize>(),
-                        traces.iter().map(|t| t.spilled_events).sum::<u64>()
                     );
+                    write_traces(file, traces).map_err(|e| format!("{path}: {e}"))?;
+                    eprintln!("gridrun: wrote {cells} cell traces ({events} events) to {path}");
                     store
                 }
             };

@@ -22,7 +22,8 @@
 //! the grid reports print it.
 //!
 //! Exit codes: 0 on success, 1 when `--diff` flags a regressed cell,
-//! 2 on usage or artifact errors.
+//! 2 on usage or artifact errors (a `--cell` the artifact holds no
+//! trace for among them).
 
 use schematic_bench::trace::{from_jsonl, parse_job_key, render_trace_diff, render_trace_report};
 use std::process::ExitCode;
@@ -122,6 +123,16 @@ fn main() -> ExitCode {
         usage();
     }
     let traces = load(&files[0]);
+    if let Some(job) = cell
+        .as_ref()
+        .filter(|job| traces.iter().all(|t| t.job != **job))
+    {
+        eprintln!(
+            "tracereport: {}: no trace recorded for cell {job}",
+            files[0]
+        );
+        return ExitCode::from(2);
+    }
     print!("{}", render_trace_report(&traces, cell.as_ref(), top_k));
     ExitCode::SUCCESS
 }

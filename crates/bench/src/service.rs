@@ -396,11 +396,8 @@ impl Daemon {
                 // Keep the aggregates (spans, counters, histograms)
                 // but not the event logs: a long-lived daemon would
                 // otherwise hoard them until `stats` frames hit the
-                // protocol cap. Account them as spilled — the count
-                // stays visible, the bytes stay in the worker lines.
-                let spilled = t.registry.events.len() as u64;
+                // protocol cap. The events stay in the worker lines.
                 t.registry.events.clear();
-                t.registry.spilled_events += spilled;
                 self.service_reg.merge_from(t.registry);
                 self.service_reg
                     .record_span("service/job_wall", t.wall_nanos);
@@ -768,12 +765,10 @@ pub fn render_service_report(reg: &Registry, top_k: usize) -> String {
     let mut out = String::new();
     writeln!(
         out,
-        "service registry: {} spans · {} counters · {} events ({} dropped, {} spilled)",
+        "service registry: {} spans · {} counters · {} events",
         reg.spans.len(),
         reg.counters.len(),
         reg.events.len(),
-        reg.dropped_events,
-        reg.spilled_events,
     )
     .unwrap();
 

@@ -22,15 +22,10 @@
 //! cells, and a per-run epoch timeline whose final row reproduces the
 //! cell's Fig. 6 energy split exactly from the event stream alone.
 //!
-//! Event streams used to be hard-capped at [`obs::MAX_EVENTS`] per
-//! cell (ring semantics: oldest dropped). [`capture_grid_streaming`]
-//! lifts the cap by spilling: when a cell's resident buffer fills, the
-//! oldest half is written to the artifact *immediately* as a
-//! `{"spill":{job,seq,events}}` chunk line, and [`from_jsonl`]
-//! reassembles chunks (by per-cell sequence number) back in front of
-//! the cell's resident tail — so `tracereport` sees the complete,
-//! ordered stream no matter how long the run was, while peak memory
-//! stays bounded at the cap.
+//! Every event a cell records is kept: a trace holds the cell's whole
+//! stream, however long the run, and its artifact line carries all of
+//! it. The largest cells of the full grid (shadow runs of aes and
+//! bitcount) record 170k–253k events each.
 
 use crate::grid::{evaluate, read_job, write_job, CellStore, GridError, Job};
 use crate::parallel::{self, par_map, par_map_largest_first};
@@ -40,9 +35,8 @@ use schematic_energy::{CostTable, Energy};
 use schematic_obs as obs;
 use schematic_obs::codec::{read_events, write_events};
 use schematic_obs::json::{write_str, write_u64, Count, JsonError, Reader, Sink, SliceSink};
-use std::collections::{BTreeMap, HashMap};
-use std::io::Write;
-use std::sync::{Arc, Mutex};
+use std::collections::BTreeMap;
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Aggregated timings of one span name within one cell.
@@ -72,14 +66,8 @@ pub struct CellTrace {
     /// Decision counters (e.g. `alloc/picks`), sorted by name.
     pub counters: Vec<(String, u64)>,
     /// Structured events in emission order (compiler decision log +
-    /// emulator lifecycle stream), capped at [`obs::MAX_EVENTS`].
+    /// emulator lifecycle stream), every one kept.
     pub events: obs::EventLog,
-    /// Events discarded past the cap.
-    pub dropped_events: u64,
-    /// Events streamed to the artifact as spill chunks instead of
-    /// dropped (streaming captures only; [`from_jsonl`] reassembles
-    /// them back into [`CellTrace::events`]).
-    pub spilled_events: u64,
 }
 
 impl CellTrace {
@@ -101,59 +89,39 @@ impl CellTrace {
             phases,
             counters: reg.counters.into_iter().collect(),
             events: exact(reg.events),
-            dropped_events: reg.dropped_events,
-            spilled_events: reg.spilled_events,
         }
     }
 }
 
-/// `log` holding exactly its events: the ring's retired prefix and the
-/// growth slack go, so a trace held for encoding costs what it stores.
+/// `log` holding exactly its events: the growth slack goes, so a trace
+/// held for encoding costs what it stores.
 fn exact(mut log: obs::EventLog) -> obs::EventLog {
     log.shrink_to_fit();
     log
 }
 
-/// The shared artifact writer streaming captures spill into: worker
-/// threads serialize chunk writes through the mutex.
-type SharedSink = Arc<Mutex<Box<dyn Write + Send>>>;
-
-/// Captures one cell's evaluation. With a `sink`, a spill hook is
-/// installed for the duration: whenever the cell's event buffer hits
-/// [`obs::MAX_EVENTS`], the oldest half is written to the sink as one
-/// `{"spill":…}` chunk line instead of being ring-dropped.
-fn capture_cell<T>(job: &Job, sink: Option<&SharedSink>, f: impl FnOnce() -> T) -> (T, CellTrace) {
+/// Captures one cell's evaluation.
+fn capture_cell<T>(job: &Job, f: impl FnOnce() -> T) -> (T, CellTrace) {
     let start = Instant::now();
-    let prev_spill = sink.map(|sink| {
-        let sink = Arc::clone(sink);
-        let job = job.clone();
-        let mut seq = 0u64;
-        obs::set_spill(Some(Box::new(move |events: obs::Events<'_>| {
-            let mut line = String::new();
-            write_spill_line(&mut line, &job, seq, events);
-            seq += 1;
-            if let Ok(mut w) = sink.lock() {
-                let _ = w.write_all(line.as_bytes());
-            }
-        })))
-    });
     let (value, reg) = obs::capture(f);
-    if prev_spill.is_some() {
-        obs::set_spill(prev_spill.flatten());
-    }
     let wall = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
     (value, CellTrace::from_registry(job.clone(), wall, reg))
 }
 
-fn capture_grid_with_sink(jobs: &[Job], sink: Option<&SharedSink>) -> (CellStore, Vec<CellTrace>) {
+/// Evaluates `jobs` with observation capture enabled: the cell store
+/// (bit-identical to [`CellStore::compute`]) plus one [`CellTrace`]
+/// per job, in job order, each holding the cell's whole event stream.
+///
+/// Enables the [`schematic_obs`] collector and forces emulator
+/// lifecycle tracing ([`schematic_emu::trace::set_forced`]) for the
+/// duration of the call, restoring both flags afterwards.
+pub fn capture_grid(jobs: &[Job]) -> (CellStore, Vec<CellTrace>) {
     let prev_obs = obs::enabled();
     let prev_forced = schematic_emu::trace::forced();
     obs::set_enabled(true);
     schematic_emu::trace::set_forced(true);
     let table = CostTable::msp430fr5969();
-    let results = par_map(jobs, |job| {
-        capture_cell(job, sink, || evaluate(job, &table))
-    });
+    let results = par_map(jobs, |job| capture_cell(job, || evaluate(job, &table)));
     schematic_emu::trace::set_forced(prev_forced);
     obs::set_enabled(prev_obs);
     let mut store = CellStore::new();
@@ -165,48 +133,6 @@ fn capture_grid_with_sink(jobs: &[Job], sink: Option<&SharedSink>) -> (CellStore
         traces.push(trace);
     }
     (store, traces)
-}
-
-/// Evaluates `jobs` with observation capture enabled: the cell store
-/// (bit-identical to [`CellStore::compute`]) plus one [`CellTrace`]
-/// per job, in job order. Per-cell event streams keep the in-memory
-/// ring cap (oldest dropped past [`obs::MAX_EVENTS`]); use
-/// [`capture_grid_streaming`] to lift it.
-///
-/// Enables the [`schematic_obs`] collector and forces emulator
-/// lifecycle tracing ([`schematic_emu::trace::set_forced`]) for the
-/// duration of the call, restoring both flags afterwards.
-pub fn capture_grid(jobs: &[Job]) -> (CellStore, Vec<CellTrace>) {
-    capture_grid_with_sink(jobs, None)
-}
-
-/// Like [`capture_grid`], but writes the complete artifact to `writer`
-/// incrementally: overflow event chunks stream out *during* capture
-/// (so no event is ever dropped and peak memory stays at the cap), and
-/// the per-cell trace lines follow once evaluation finishes. The
-/// returned traces hold only each cell's resident tail —
-/// [`from_jsonl`] on the written artifact reassembles the full
-/// streams.
-///
-/// # Errors
-///
-/// The underlying writer error from the trailing trace lines; chunk
-/// writes during capture are best-effort (a torn artifact still parses
-/// up to the tear).
-pub fn capture_grid_streaming(
-    jobs: &[Job],
-    writer: impl Write + Send + 'static,
-) -> std::io::Result<(CellStore, Vec<CellTrace>)> {
-    let sink: SharedSink = Arc::new(Mutex::new(Box::new(writer)));
-    let (store, traces) = capture_grid_with_sink(jobs, Some(&sink));
-    let mut w = sink.lock().expect("no worker holds the sink any more");
-    // One line per worker at a time, so the encoded text held at once
-    // is a line per worker, not the whole artifact.
-    for window in traces.chunks(parallel::jobs()) {
-        w.write_all(to_jsonl(window).as_bytes())?;
-    }
-    w.flush()?;
-    Ok((store, traces))
 }
 
 // ---------------------------------------------------------------------
@@ -223,19 +149,18 @@ pub fn capture_grid_streaming(
 //   {"job":{"kind","technique","benchmark","tbpf"|"scenario"} (the cell
 //    line's job members, `grid::write_job`),
 //    "wall_nanos":N,"phases":[{"name","calls","total_nanos","p50_nanos",
-//    "p95_nanos"}…],"counters":[[name,N]…],"events":[EVENT…],
-//    "dropped_events":N,"spilled_events":N}
+//    "p95_nanos"}…],"counters":[[name,N]…],"events":[EVENT…]}
 //
-// and a spill chunk line `{"spill":{"job":KEY,"seq":N,"events":[EVENT…]}}`,
 // where EVENT is `{"kind":K,"fields":[[name,N|"str"]…]}`. Readers take
-// keys in any order and skip unknown ones.
+// keys in any order and skip unknown ones, so lines that still carry
+// the drop and spill tallies of the former event ring load. A
+// `{"spill":…}` chunk line of the former streaming capture is refused:
+// its cell's events would be incomplete without it.
 //
 // Every line is encoded and decoded on its own, with no state shared
-// between lines, so `to_jsonl`, the streaming writer's trace lines and
-// `from_jsonl` fan the lines out over `parallel` workers and put the
-// results back in file order: the bytes and the decoded values do not
-// depend on the worker count. Only spill reassembly, which joins lines,
-// runs after the fan-out.
+// between lines, so `to_jsonl` and `from_jsonl` fan the lines out over
+// `parallel` workers and put the results back in file order: the bytes
+// and the decoded values do not depend on the worker count.
 
 /// Appends one trace as an artifact line, newline included.
 fn write_trace_line<S: Sink + ?Sized>(out: &mut S, t: &CellTrace) {
@@ -269,33 +194,7 @@ fn write_trace_line<S: Sink + ?Sized>(out: &mut S, t: &CellTrace) {
     }
     out.push_str("],\"events\":");
     write_events(out, t.events.iter());
-    out.push_str(",\"dropped_events\":");
-    write_u64(out, t.dropped_events);
-    out.push_str(",\"spilled_events\":");
-    write_u64(out, t.spilled_events);
     out.push_str("}\n");
-}
-
-/// Appends one spill chunk (a streamed-out slice of a cell's event
-/// buffer) as an artifact line, newline included.
-fn write_spill_line(out: &mut String, job: &Job, seq: u64, events: obs::Events<'_>) {
-    out.push_str("{\"spill\":{\"job\":");
-    write_str(out, &job.to_string());
-    out.push_str(",\"seq\":");
-    write_u64(out, seq);
-    out.push_str(",\"events\":");
-    write_events(out, events);
-    out.push_str("}}\n");
-}
-
-/// One decoded artifact line.
-enum Line {
-    Trace(CellTrace),
-    Spill {
-        job: String,
-        seq: u64,
-        events: obs::EventLog,
-    },
 }
 
 /// Reads an event array into a log of its own, held at exact size.
@@ -328,41 +227,17 @@ fn read_phase(r: &mut Reader) -> Result<PhaseLine, JsonError> {
     })
 }
 
-fn read_spill(r: &mut Reader) -> Result<Line, JsonError> {
-    let mut job = None;
-    let mut seq = None;
-    let mut events = None;
-    r.object(|r, key| {
-        match &*key {
-            "job" => job = Some(r.str()?.into_owned()),
-            "seq" => seq = Some(r.u64()?),
-            "events" => events = Some(read_event_log(r)?),
-            _ => r.skip()?,
-        }
-        Ok(())
-    })?;
-    Ok(Line::Spill {
-        job: r.need(job, "job")?,
-        seq: r.need(seq, "seq")?,
-        events: r.need(events, "events")?,
-    })
-}
-
-/// Decodes one artifact line: a spill chunk when it has a `spill` key,
-/// a cell trace otherwise.
-fn read_line(text: &str) -> Result<Line, JsonError> {
+/// Decodes one trace line.
+fn read_line(text: &str) -> Result<CellTrace, JsonError> {
     let mut r = Reader::new(text);
-    let mut spill = None;
     let mut job = None;
     let mut wall_nanos = None;
     let mut phases = None;
     let mut counters = None;
     let mut events = None;
-    let mut dropped_events = None;
-    let mut spilled_events = None;
     r.object(|r, key| {
         match &*key {
-            "spill" => spill = Some(read_spill(r)?),
+            "spill" => return Err(r.err("spill chunk lines are not read (re-capture the grid)")),
             "job" => job = Some(read_job(r)?),
             "wall_nanos" => wall_nanos = Some(r.u64()?),
             "phases" => phases = Some(r.vec(read_phase)?),
@@ -371,26 +246,18 @@ fn read_line(text: &str) -> Result<Line, JsonError> {
                     Some(r.vec(|r| r.pair("counter", |r| Ok(r.str()?.into_owned()), Reader::u64))?)
             }
             "events" => events = Some(read_event_log(r)?),
-            "dropped_events" => dropped_events = Some(r.u64()?),
-            "spilled_events" => spilled_events = Some(r.u64()?),
             _ => r.skip()?,
         }
         Ok(())
     })?;
     r.finish()?;
-    if let Some(spill) = spill {
-        return Ok(spill);
-    }
-    Ok(Line::Trace(CellTrace {
+    Ok(CellTrace {
         job: r.need(job, "job")?,
         wall_nanos: r.need(wall_nanos, "wall_nanos")?,
         phases: r.need(phases, "phases")?,
         counters: r.need(counters, "counters")?,
         events: r.need(events, "events")?,
-        dropped_events: r.need(dropped_events, "dropped_events")?,
-        // Absent in pre-streaming artifacts: default to 0.
-        spilled_events: spilled_events.unwrap_or(0),
-    }))
+    })
 }
 
 /// Serializes traces, one JSON object per line, in the given order.
@@ -428,17 +295,12 @@ pub fn to_jsonl(traces: &[CellTrace]) -> String {
     String::from_utf8(bytes).expect("the writers emit UTF-8")
 }
 
-/// Parses a trace artifact produced by [`to_jsonl`] or
-/// [`capture_grid_streaming`] (blank lines tolerated). Spill chunk
-/// lines (`{"spill":…}`) are reassembled: each cell's chunks are
-/// ordered by sequence number and spliced back in front of the cell's
-/// resident event tail, so the returned traces carry the complete
-/// streams.
+/// Parses a trace artifact produced by [`to_jsonl`] (blank lines
+/// tolerated).
 ///
 /// # Errors
 ///
-/// A [`GridError`] naming the offending line, a chunk whose cell has
-/// no trace line, or a missing chunk in a cell's sequence.
+/// A [`GridError`] naming the first offending line.
 pub fn from_jsonl(text: &str) -> Result<Vec<CellTrace>, GridError> {
     decode_artifact(text, parallel::jobs())
 }
@@ -459,47 +321,13 @@ fn decode_artifact(text: &str, workers: usize) -> Result<Vec<CellTrace>, GridErr
         |(_, line)| line.len(),
         |(_, line)| read_line(line),
     );
-    let mut traces: Vec<CellTrace> = Vec::new();
-    let mut chunks: BTreeMap<String, Vec<(u64, obs::EventLog)>> = BTreeMap::new();
-    for ((lineno, _), line) in lines.iter().zip(decoded) {
-        match line.map_err(|e| GridError(format!("line {}: {e}", lineno + 1)))? {
-            Line::Trace(t) => traces.push(t),
-            Line::Spill { job, seq, events } => chunks.entry(job).or_default().push((seq, events)),
-        }
-    }
-    if chunks.is_empty() {
-        return Ok(traces);
-    }
-    // Chunks attach to the first trace line of their cell.
-    let mut index: HashMap<String, usize> = HashMap::with_capacity(traces.len());
-    for (i, t) in traces.iter().enumerate() {
-        index.entry(t.job.to_string()).or_insert(i);
-    }
-    for (job, mut cell_chunks) in chunks {
-        let &i = index
-            .get(&job)
-            .ok_or_else(|| GridError(format!("spill chunks for '{job}' have no trace line")))?;
-        let trace = &mut traces[i];
-        cell_chunks.sort_by_key(|(seq, _)| *seq);
-        if let Some((i, (seq, _))) = cell_chunks
-            .iter()
-            .enumerate()
-            .find(|(i, (seq, _))| *seq != *i as u64)
-        {
-            return Err(GridError(format!(
-                "spill chunk {i} for '{job}' missing (next has seq {seq})"
-            )));
-        }
-        // The first chunk's log takes the rest of the stream in order.
-        let mut logs = cell_chunks.into_iter().map(|(_, log)| log);
-        let mut events = logs.next().expect("a cell with chunks has a first one");
-        for chunk in logs {
-            events.append(&chunk);
-        }
-        events.append(&trace.events);
-        trace.events = exact(events);
-    }
-    Ok(traces)
+    lines
+        .iter()
+        .zip(decoded)
+        .map(|((lineno, _), trace)| {
+            trace.map_err(|e| GridError(format!("line {}: {e}", lineno + 1)))
+        })
+        .collect()
 }
 
 /// Parses a grid cell key in the artifact spelling
@@ -657,12 +485,6 @@ pub fn render_timeline(trace: &CellTrace) -> String {
         "{} emulator run(s) in this cell; showing the last ({shown} events)\n",
         runs.max(1),
     ));
-    if trace.dropped_events > 0 {
-        out.push_str(&format!(
-            "warning: event stream truncated ({} events dropped past the cap)\n",
-            trace.dropped_events
-        ));
-    }
     let mut table = Table::new(&[
         "event",
         "detail",
@@ -696,7 +518,7 @@ pub fn render_timeline(trace: &CellTrace) -> String {
             uj(Energy::from_pj(prev[3])),
         ));
     } else {
-        out.push_str("run did not reach run_end (event stream truncated?)\n");
+        out.push_str("run did not reach run_end\n");
     }
     out
 }
@@ -706,23 +528,11 @@ pub fn render_timeline(trace: &CellTrace) -> String {
 /// that cell's epoch timeline.
 pub fn render_trace_report(traces: &[CellTrace], cell: Option<&Job>, top_k: usize) -> String {
     let total_events: usize = traces.iter().map(|t| t.events.len()).sum();
-    let dropped: u64 = traces.iter().map(|t| t.dropped_events).sum();
-    let spilled: u64 = traces.iter().map(|t| t.spilled_events).sum();
     let mut out = format!(
         "Observability report: {} cells, {} events\n",
         traces.len(),
         total_events
     );
-    if spilled > 0 {
-        out.push_str(&format!(
-            "({spilled} events streamed to the artifact as spill chunks)\n"
-        ));
-    }
-    if dropped > 0 {
-        out.push_str(&format!(
-            "({dropped} events dropped past the per-cell cap)\n"
-        ));
-    }
     out.push_str("\n== Phase times across the grid ==\n");
     out.push_str(&render_phase_table(traces));
     out.push_str("\n== Hottest cells ==\n");
@@ -901,147 +711,47 @@ mod tests {
         assert_eq!(parse_job_key("run/Schematic/crc/zero"), None);
     }
 
-    /// A sink handing its bytes back through a shared buffer, so the
-    /// test can read what streaming capture wrote.
-    struct VecSink(Arc<Mutex<Vec<u8>>>);
-
-    impl Write for VecSink {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.0.lock().unwrap().extend_from_slice(buf);
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
-    #[test]
-    fn streaming_capture_spills_past_the_cap_and_reassembles() {
-        let was = obs::enabled();
-        obs::set_enabled(true);
-        let buf = Arc::new(Mutex::new(Vec::new()));
-        let sink: SharedSink = Arc::new(Mutex::new(Box::new(VecSink(Arc::clone(&buf)))));
-        // Past the cap by 1.5 buffers: two spill batches of half a
-        // buffer each must stream out, the rest stays resident.
-        let total = 2 * obs::MAX_EVENTS;
-        let job = Job::bare("crc");
-        let ((), trace) = capture_cell(&job, Some(&sink), || {
-            for i in 0..total {
-                obs::event("tick", vec![("i", obs::Value::U64(i as u64))]);
-            }
-        });
-        obs::set_enabled(was);
-        assert_eq!(trace.spilled_events as usize + trace.events.len(), total);
-        assert!(trace.spilled_events > 0, "flood past the cap must spill");
-        assert_eq!(trace.dropped_events, 0, "spilling replaces dropping");
-
-        // The artifact = streamed chunks + the trace line; reassembly
-        // restores the full ordered stream.
-        let mut text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
-        write_trace_line(&mut text, &trace);
-        let back = from_jsonl(&text).unwrap();
-        assert_eq!(back.len(), 1);
-        assert_eq!(back[0].events.len(), total);
-        for (i, ev) in back[0].events.iter().enumerate() {
-            assert_eq!(ev.u64_field("i"), Some(i as u64), "event {i} out of order");
-        }
-    }
-
-    fn spill_line(job: &Job, seq: u64, events: &obs::EventLog) -> String {
-        let mut line = String::new();
-        write_spill_line(&mut line, job, seq, events.iter());
-        line
-    }
-
-    /// Ticks numbered by an `i` field.
-    fn ticks(range: std::ops::Range<u64>) -> obs::EventLog {
-        let mut log = obs::EventLog::new();
-        for i in range {
-            log.push("tick", [("i", obs::Value::U64(i))]);
-        }
-        log
-    }
-
-    #[test]
-    fn spill_chunks_reassemble_by_seq_regardless_of_line_order() {
-        let job = Job::bare("crc");
-        let trace = CellTrace {
-            job: job.clone(),
-            wall_nanos: 1,
-            phases: Vec::new(),
-            counters: Vec::new(),
-            events: ticks(4..6),
-            dropped_events: 0,
-            spilled_events: 4,
-        };
-        // Chunks written out of order (seq 1 before seq 0) still
-        // splice back in sequence, ahead of the resident tail.
-        let text = [
-            spill_line(&job, 1, &ticks(2..4)),
-            to_jsonl(std::slice::from_ref(&trace)),
-            spill_line(&job, 0, &ticks(0..2)),
-        ]
-        .concat();
-        let back = from_jsonl(&text).unwrap();
-        assert_eq!(back.len(), 1);
-        let got: Vec<u64> = back[0]
-            .events
-            .iter()
-            .map(|e| e.u64_field("i").unwrap())
-            .collect();
-        assert_eq!(got, vec![0, 1, 2, 3, 4, 5]);
-
-        // An orphan chunk (no trace line for its cell) is an error…
-        let orphan = spill_line(&Job::bare("fft"), 0, &ticks(0..1));
-        let e = from_jsonl(&orphan).unwrap_err();
-        assert!(e.to_string().contains("no trace line"), "got: {e}");
-
-        // …and so is a gap in the sequence.
-        let gap = [
-            spill_line(&job, 1, &ticks(2..3)),
-            to_jsonl(std::slice::from_ref(&trace)),
-        ]
-        .concat();
-        let e = from_jsonl(&gap).unwrap_err();
-        assert!(e.to_string().contains("missing"), "got: {e}");
-    }
-
     const GOLDEN_ARTIFACT: &str = include_str!("../../../tests/goldens/trace_artifact.jsonl");
     const GOLDEN_REPORT: &str = include_str!("../../../tests/goldens/trace_report.txt");
 
-    /// The golden artifact pins the wire format: one spill chunk, a
-    /// periodic and a stochastic cell, fixed wall times and every
-    /// escape class. Decoding it and writing it back — spilled prefix
-    /// as a chunk line, the rest through `to_jsonl` — reproduces it
+    /// The golden artifact pins the wire format: a periodic and a
+    /// stochastic cell, fixed wall times and every escape class.
+    /// Decoding it and writing it back through `to_jsonl` reproduces it
     /// byte for byte, and it renders the golden report.
     #[test]
     fn golden_artifact_roundtrips_byte_for_byte() {
         let traces = from_jsonl(GOLDEN_ARTIFACT).unwrap();
         assert_eq!(traces.len(), 2);
-        let mut text = String::new();
-        let mut resident = traces.clone();
-        for t in &mut resident {
-            let spilled = t.spilled_events as usize;
-            if spilled > 0 {
-                write_spill_line(&mut text, &t.job, 0, t.events.range(0..spilled));
-                t.events.remove_front(spilled);
-            }
-        }
-        text.push_str(&to_jsonl(&resident));
-        assert_eq!(text, GOLDEN_ARTIFACT);
+        assert_eq!(to_jsonl(&traces), GOLDEN_ARTIFACT);
 
         let cell = Job::run("Schematic", "crc", 10_000);
         assert_eq!(render_trace_report(&traces, Some(&cell), 5), GOLDEN_REPORT);
     }
 
+    /// A line that still carries the former event ring's tallies
+    /// loads: unknown members are skipped.
     #[test]
-    fn pre_streaming_line_reads_spilled_events_as_zero() {
+    fn a_line_with_the_former_ring_tallies_still_loads() {
         let line = GOLDEN_ARTIFACT.lines().last().unwrap();
-        let old = line.replace(",\"spilled_events\":0", "");
-        assert_ne!(old, line, "golden line carries the field");
-        let back = from_jsonl(&old).unwrap();
-        assert_eq!(back, from_jsonl(line).unwrap());
-        assert_eq!(back[0].spilled_events, 0);
+        let old = format!(
+            "{},\"dropped_events\":1,\"spilled_events\":0}}",
+            line.strip_suffix('}').unwrap()
+        );
+        assert_eq!(from_jsonl(&old).unwrap(), from_jsonl(line).unwrap());
+    }
+
+    /// A spill chunk line of the former streaming capture held the
+    /// front of a cell's stream; the reader refuses it by line number
+    /// rather than load a cell without it.
+    #[test]
+    fn a_spill_chunk_line_is_refused_with_its_line_number() {
+        let spill = "{\"spill\":{\"job\":\"bare/-/crc/0\",\"seq\":0,\"events\":[]}}";
+        let text = format!("{GOLDEN_ARTIFACT}\n{spill}\n");
+        let e = from_jsonl(&text).unwrap_err().to_string();
+        assert!(
+            e.starts_with("line 4: spill chunk lines are not read"),
+            "got: {e}"
+        );
     }
 
     #[test]
@@ -1053,19 +763,6 @@ mod tests {
             e.starts_with("line 2: missing field 'wall_nanos'"),
             "got: {e}"
         );
-        for (field, spill) in [
-            (
-                "seq",
-                "{\"spill\":{\"job\":\"bare/-/crc/0\",\"events\":[]}}",
-            ),
-            ("events", "{\"spill\":{\"job\":\"bare/-/crc/0\",\"seq\":0}}"),
-        ] {
-            let e = from_jsonl(spill).unwrap_err().to_string();
-            assert!(
-                e.starts_with(&format!("line 1: missing field '{field}'")),
-                "got: {e}"
-            );
-        }
     }
 
     #[test]
@@ -1116,8 +813,6 @@ mod tests {
             phases: Vec::new(),
             counters: Vec::new(),
             events: obs::EventLog::new(),
-            dropped_events: 0,
-            spilled_events: 0,
         };
         let text = to_jsonl(std::slice::from_ref(&t));
         assert_eq!(from_jsonl(&text).unwrap(), vec![t]);
@@ -1132,8 +827,6 @@ mod tests {
             phases: Vec::new(),
             counters: Vec::new(),
             events: obs::EventLog::new(),
-            dropped_events: 0,
-            spilled_events: 0,
         };
         assert!(render_timeline(&t).contains("no emulator events"));
         let report = render_trace_report(&[t], Some(&Job::bare("fft")), 3);
@@ -1153,8 +846,6 @@ mod tests {
             }],
             counters: Vec::new(),
             events: obs::EventLog::new(),
-            dropped_events: 0,
-            spilled_events: 0,
         }
     }
 

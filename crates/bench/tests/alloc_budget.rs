@@ -211,8 +211,6 @@ fn decoding_events_allocates_only_amortised_growth() {
         phases: Vec::new(),
         counters: vec![("alloc/picks".to_string(), 3)],
         events: reg.events,
-        dropped_events: 0,
-        spilled_events: 0,
     };
     let text = trace::to_jsonl(std::slice::from_ref(&trace));
 

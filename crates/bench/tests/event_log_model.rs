@@ -1,9 +1,8 @@
 //! Model test for the flat event log.
 //!
 //! A seeded property test drives an `EventLog` through random pushes,
-//! ring overflows, spill drains, merges and reassemblies, next to a
-//! plain `Vec<(String, Vec<(String, Value)>)>` model of the same
-//! stream. Names mix vocabulary names with names the log must intern,
+//! appends, clears and registry merges, next to a plain
+//! `Vec<(String, Vec<(String, Value)>)>` model of the same stream. Names mix vocabulary names with names the log must intern,
 //! and string values carry quotes, backslashes, control bytes and
 //! non-ASCII text. After every round the log must equal the model by
 //! value, and encode → decode → encode must give identical bytes
@@ -13,15 +12,10 @@ use schematic_bench::grid::Job;
 use schematic_bench::trace::{self, CellTrace};
 use schematic_benchsuite::inputs::SplitMix64;
 use schematic_obs::codec;
-use schematic_obs::json::{write_str, write_u64};
 use schematic_obs::{EventLog, Registry, Value, ValueRef};
 
 /// The model: each event as its kind and owned fields.
 type Model = Vec<(String, Vec<(String, Value)>)>;
-
-/// Events a round's log holds before the ring drops or the spill
-/// drains; small, so every round crosses it.
-const CAP: usize = 24;
 
 fn pick<'a>(rng: &mut SplitMix64, from: &[&'a str]) -> &'a str {
     from[(rng.next_u64() % from.len() as u64) as usize]
@@ -94,18 +88,6 @@ fn matches(log: &EventLog, model: &Model) -> bool {
         })
 }
 
-/// A spill chunk line, as streaming capture writes one.
-fn spill_line(job: &Job, seq: u64, log: &EventLog, n: usize) -> String {
-    let mut line = String::from("{\"spill\":{\"job\":");
-    write_str(&mut line, &job.to_string());
-    line.push_str(",\"seq\":");
-    write_u64(&mut line, seq);
-    line.push_str(",\"events\":");
-    codec::write_events(&mut line, log.range(0..n));
-    line.push_str("}}\n");
-    line
-}
-
 #[test]
 fn the_event_log_matches_a_plain_model() {
     let mut rng = SplitMix64::new(0x10C_0DE1);
@@ -113,37 +95,28 @@ fn the_event_log_matches_a_plain_model() {
     let mut merged = Registry::default();
     let mut merged_model = Model::new();
     for round in 0..120 {
-        let spilling = rng.next_u64().is_multiple_of(2);
         let mut log = EventLog::new();
         let mut model = Model::new();
-        let (mut dropped, mut spilled) = (0u64, Model::new());
-        let mut chunks = Vec::new();
         for _ in 0..rng.next_u64() % 160 {
-            if rng.next_u64().is_multiple_of(8) {
-                // Merge: another log's events, appended in order.
-                let other: Model = (0..rng.next_u64() % 6)
-                    .map(|_| random_event(&mut rng))
-                    .collect();
-                if log.len() + other.len() <= CAP {
+            match rng.next_u64() % 32 {
+                0 => {
+                    // Clear: the log empties and is refilled from scratch.
+                    log.clear();
+                    model.clear();
+                    continue;
+                }
+                1..=4 => {
+                    // Append: another log's events, in order.
+                    let other: Model = (0..rng.next_u64() % 6)
+                        .map(|_| random_event(&mut rng))
+                        .collect();
                     let mut other_log = EventLog::new();
                     other.iter().for_each(|ev| push(&mut other_log, ev));
                     log.append(&other_log);
                     model.extend(other);
+                    continue;
                 }
-                continue;
-            }
-            if log.len() == CAP {
-                if spilling {
-                    // Spill drain: the oldest half streams out as a chunk.
-                    chunks.push(spill_line(&job, chunks.len() as u64, &log, CAP / 2));
-                    log.remove_front(CAP / 2);
-                    spilled.extend(model.drain(..CAP / 2));
-                } else {
-                    // Ring overflow: the oldest event is dropped.
-                    log.remove_front(1);
-                    model.remove(0);
-                    dropped += 1;
-                }
+                _ => {}
             }
             let ev = random_event(&mut rng);
             push(&mut log, &ev);
@@ -154,36 +127,23 @@ fn the_event_log_matches_a_plain_model() {
             "round {round}: log differs from model"
         );
 
-        // The trace artifact: encode → decode → encode is byte-stable,
-        // and spill chunks (in any line order) reassemble in front of
-        // the resident tail.
+        // The trace artifact: encode → decode → encode is byte-stable.
         let t = CellTrace {
             job: job.clone(),
             wall_nanos: round,
             phases: Vec::new(),
             counters: Vec::new(),
             events: log.clone(),
-            dropped_events: dropped,
-            spilled_events: spilled.len() as u64,
         };
         let text = trace::to_jsonl(std::slice::from_ref(&t));
         let back = trace::from_jsonl(&text).unwrap_or_else(|e| panic!("round {round}: {e}"));
-        assert_eq!(back, vec![t.clone()], "round {round}");
+        assert_eq!(back, vec![t], "round {round}");
+        assert!(matches(&back[0].events, &model), "round {round}: decode");
         assert_eq!(trace::to_jsonl(&back), text, "round {round}");
-        chunks.reverse();
-        chunks.push(text);
-        let whole = trace::from_jsonl(&chunks.concat()).unwrap();
-        let mut full = spilled;
-        full.extend(model.iter().cloned());
-        assert!(
-            matches(&whole[0].events, &full),
-            "round {round}: reassembly"
-        );
 
         // The registry codec: the same round trip.
         let reg = Registry {
             events: log,
-            dropped_events: dropped,
             ..Registry::default()
         };
         let encoded = codec::encode(&reg);
@@ -203,5 +163,4 @@ fn the_event_log_matches_a_plain_model() {
         merged.events.interned_names() > 0,
         "names beyond the vocabulary"
     );
-    assert!(merged.dropped_events > 0, "some round overflowed the ring");
 }

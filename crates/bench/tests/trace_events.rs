@@ -122,8 +122,6 @@ fn golden_crc_epoch_timeline() {
         phases: Vec::new(),
         counters: Vec::new(),
         events,
-        dropped_events: 0,
-        spilled_events: 0,
     };
     let timeline = trace::render_timeline(&t);
     assert!(timeline.contains("Fig. 6 split"));
@@ -293,8 +291,6 @@ fn random_trace(rng: &mut SplitMix64) -> trace::CellTrace {
         phases,
         counters: vec![(random_text(rng, "alloc/picks"), rng.next_u64())],
         events,
-        dropped_events: rng.next_u64() % 3,
-        spilled_events: rng.next_u64() % 3,
     }
 }
 

@@ -2,8 +2,7 @@
 //! full capture enabled (spans + counters + emulator lifecycle events,
 //! fused dispatch disabled) must produce cell values whose rendered
 //! reports are byte-identical to an untraced run, and the trace
-//! artifact must roundtrip losslessly. The same holds for the
-//! streaming capture `gridrun --trace` writes through.
+//! artifact must roundtrip losslessly.
 //!
 //! Kept as a single test function: the obs/emu trace flags are
 //! process-global, so splitting this into parallel tests would race
@@ -14,22 +13,6 @@ use schematic_bench::grid::{CellStore, GridMode, GridSpec, Job};
 use schematic_bench::trace;
 use schematic_bench::ENERGY_TBPF;
 use schematic_benchsuite::inputs::SplitMix64;
-use std::io::Write;
-use std::sync::{Arc, Mutex};
-
-/// An in-memory artifact writer whose bytes the test reads back
-/// through the shared buffer.
-struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-
-impl Write for SharedBuf {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0.lock().unwrap().extend_from_slice(buf);
-        Ok(buf.len())
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
 
 /// Decodes `text`, which must either parse or return an error that
 /// names its line.
@@ -109,37 +92,6 @@ fn traced_quick_grid_is_byte_identical_and_roundtrips() {
     // reader: it either still parses or fails with a line-numbered error.
     damaged_lines_fail_cleanly(&trace::to_jsonl(std::slice::from_ref(t)));
     drop((traces, text, back));
-
-    // The streaming capture renders like the untraced run, and its
-    // artifact decodes to the returned traces, each cell's spilled
-    // chunks spliced back in front of its resident events.
-    let buf = Arc::new(Mutex::new(Vec::new()));
-    let (store, streamed) = trace::capture_grid_streaming(spec.jobs(), SharedBuf(Arc::clone(&buf)))
-        .expect("in-memory writes succeed");
-    assert_eq!(
-        render_all(&store, GridMode::Quick),
-        expected,
-        "streaming capture changed a rendered report"
-    );
-    let bytes = std::mem::take(&mut *buf.lock().unwrap());
-    let decoded = trace::from_jsonl(std::str::from_utf8(&bytes).expect("artifact is UTF-8"))
-        .expect("streamed artifact parses");
-    assert_eq!(decoded.len(), streamed.len());
-    for (mut d, t) in decoded.into_iter().zip(&streamed) {
-        assert_eq!(t.dropped_events, 0, "{}: streaming drops no event", t.job);
-        let spilled = d
-            .events
-            .len()
-            .checked_sub(t.events.len())
-            .expect("the decoded stream holds the resident tail");
-        assert_eq!(spilled as u64, t.spilled_events, "{}: spilled count", t.job);
-        d.events.remove_front(spilled);
-        assert_eq!(
-            &d, t,
-            "{}: decoded trace differs from the returned one",
-            t.job
-        );
-    }
 
     // Flags were restored: a fresh compute sees no tracing.
     assert!(!schematic_obs::enabled());

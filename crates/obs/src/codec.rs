@@ -24,7 +24,7 @@
 //! One record per line, tagged by `"t"`:
 //!
 //! ```text
-//! {"t":"reg","codec":1,"dropped_events":0,"spilled_events":0}
+//! {"t":"reg","codec":1}
 //! {"t":"span","name":"cell/compile","calls":2,"total_nanos":900, ...}
 //! {"t":"counter","name":"cache/miss","n":34}
 //! {"t":"event","kind":"run_end","fields":[["status","completed"]]}
@@ -205,8 +205,6 @@ pub fn encode(reg: &Registry) -> String {
     let mut out = String::new();
     out.push_str("{\"t\":\"reg\"");
     write_member(&mut out, "codec", CODEC_VERSION);
-    write_member(&mut out, "dropped_events", reg.dropped_events);
-    write_member(&mut out, "spilled_events", reg.spilled_events);
     out.push_str("}\n");
     for (name, stats) in &reg.spans {
         out.push_str("{\"t\":\"span\",\"name\":");
@@ -247,10 +245,8 @@ pub fn encode(reg: &Registry) -> String {
 }
 
 /// The integer members a record may carry, by name.
-const INT_KEYS: [&str; 10] = [
+const INT_KEYS: [&str; 8] = [
     "codec",
-    "dropped_events",
-    "spilled_events",
     "calls",
     "total_nanos",
     "count",
@@ -388,8 +384,6 @@ pub fn parse(text: &str) -> Result<Registry, CodecError> {
                     "codec version {version} (this build reads {CODEC_VERSION})"
                 )));
             }
-            reg.dropped_events = rec.int("dropped_events").map_err(at)?;
-            reg.spilled_events = rec.int("spilled_events").map_err(at)?;
             saw_header = true;
             continue;
         }
@@ -416,16 +410,6 @@ pub fn parse(text: &str) -> Result<Registry, CodecError> {
     if !saw_header {
         return Err(CodecError {
             message: "empty input (no 'reg' header)".into(),
-            line: 1,
-        });
-    }
-    if reg.events.len() > crate::MAX_EVENTS {
-        return Err(CodecError {
-            message: format!(
-                "{} events exceed the {} ring cap",
-                reg.events.len(),
-                crate::MAX_EVENTS
-            ),
             line: 1,
         });
     }
@@ -513,8 +497,6 @@ mod tests {
                 let fields = fields.iter().map(|(k, v)| (k.as_str(), v.clone()));
                 reg.events.push(&kind, fields);
             }
-            reg.dropped_events = self.below(3);
-            reg.spilled_events = self.below(3);
             reg
         }
     }
@@ -580,14 +562,15 @@ mod tests {
             "",
             "\n\n",
             "{\"t\":\"span\"}",
-            "{\"t\":\"reg\",\"codec\":99,\"dropped_events\":0,\"spilled_events\":0}",
-            "{\"t\":\"reg\",\"codec\":1,\"dropped_events\":0,\"spilled_events\":0}\n{\"t\":\"wat\"}",
-            "{\"t\":\"reg\",\"codec\":1,\"dropped_events\":0,\"spilled_events\":0}\n\
+            "{\"t\":\"reg\",\"codec\":99}",
+            "{\"t\":\"reg\",\"codec\":1}\n{\"t\":\"wat\"}",
+            "{\"t\":\"reg\",\"codec\":1}\n\
              {\"t\":\"span\",\"name\":\"s\",\"calls\":1,\"total_nanos\":1,\"count\":2,\
              \"sum\":1,\"min\":1,\"max\":1,\"buckets\":[[0,1]]}",
-            "{\"t\":\"reg\",\"codec\":1,\"dropped_events\":0,\"spilled_events\":0}\n\
+            "{\"t\":\"reg\",\"codec\":1}\n\
              {\"t\":\"counter\",\"name\":\"x\",\"n\":1}\n{\"t\":\"counter\",\"name\":\"x\",\"n\":2}",
-            "{\"t\":\"reg\",\"codec\":1,\"dropped_events\":0,\"spilled_events\":0}\n{\"t\":\"event\"}",
+            "{\"t\":\"reg\",\"codec\":1}\n{\"t\":\"event\"}",
+            "{\"t\":\"reg\"}",
             "[1,2,3]",
             "{\"t\":\"reg\",\"codec\":1,\"dropped_events\":-1,\"spilled_events\":0}",
         ] {
@@ -621,15 +604,11 @@ mod tests {
     }
 
     /// The registry pinned by `tests/goldens/registry.jsonl`: every
-    /// record tag, nonzero drop and spill tallies, a sparse histogram,
+    /// record tag, a sparse histogram,
     /// vocabulary and free-form event names, and every escape class
     /// (`\u0001`, `"`, `\\`, `\n`, `\t` and a non-BMP character).
     fn golden_registry() -> Registry {
-        let mut reg = Registry {
-            dropped_events: 3,
-            spilled_events: 17,
-            ..Registry::default()
-        };
+        let mut reg = Registry::default();
         let compile = reg.spans.entry("cell/compile".into()).or_default();
         for v in [0, 7, 900, 900, 1 << 20, u64::MAX >> 8] {
             compile.calls += 1;
@@ -675,6 +654,20 @@ mod tests {
         }
     }
 
+    /// A dump whose header still carries the `dropped_events` and
+    /// `spilled_events` tallies of the former event ring loads: unknown
+    /// members are skipped.
+    #[test]
+    fn a_header_with_the_former_ring_tallies_still_loads() {
+        let old = GOLDEN.replacen(
+            "\"codec\":1}",
+            "\"codec\":1,\"dropped_events\":3,\"spilled_events\":17}",
+            1,
+        );
+        assert_ne!(old, GOLDEN);
+        assert_eq!(parse(&old).unwrap(), golden_registry());
+    }
+
     /// Compact integer fields take the reader's fast path, every other
     /// spelling the generic pair; both decode into one field list.
     #[test]
@@ -707,7 +700,7 @@ mod tests {
         let deep = "[".repeat(100_000);
         assert!(parse(&deep).is_err());
         // Under an unknown member, which the decoder skips unread.
-        let header = "{\"t\":\"reg\",\"codec\":1,\"dropped_events\":0,\"spilled_events\":0}";
+        let header = "{\"t\":\"reg\",\"codec\":1}";
         let e = parse(&format!("{header}\n{{\"t\":\"counter\",\"extra\":{deep}")).unwrap_err();
         assert_eq!(e.line, 2);
         assert!(e.message.contains("nesting"), "{e}");

@@ -11,7 +11,8 @@
 //!   fields, used for the emulator's intermittent-execution lifecycle
 //!   stream and the compiler's decision log. They are stored flat in an
 //!   [`EventLog`] ([`log`]): 8 bytes per event plus 16 per field, with
-//!   no allocation per event.
+//!   no allocation per event. The log is append-only, so a capture
+//!   keeps every event it was given.
 //!
 //! Everything lands in a thread-local [`Registry`]. The work-stealing
 //! grid driver runs each cell with [`capture`], which swaps in a fresh
@@ -50,14 +51,6 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
-
-/// Hard cap on buffered events per registry. Pathological cells (tiny
-/// TBPF on a large benchmark) can otherwise emit millions of lifecycle
-/// events; past the cap the buffer behaves as a ring — the *oldest*
-/// event is discarded (counted in [`Registry::dropped_events`]) so the
-/// most recent run's lifecycle, including its closing `run_end`
-/// snapshot, always survives truncation.
-pub const MAX_EVENTS: usize = 1 << 17;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
@@ -140,24 +133,14 @@ pub struct Registry {
     pub spans: BTreeMap<String, PhaseStats>,
     /// Monotonic counters keyed by name.
     pub counters: BTreeMap<String, u64>,
-    /// Structured events in emission order, capped at [`MAX_EVENTS`]
-    /// with ring semantics (oldest dropped first).
+    /// Structured events in emission order, every one kept.
     pub events: EventLog,
-    /// Oldest events discarded after the cap was reached.
-    pub dropped_events: u64,
-    /// Oldest events handed to a [`set_spill`] sink instead of being
-    /// dropped — still part of the stream, just resident on disk.
-    pub spilled_events: u64,
 }
 
 impl Registry {
     /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
-            && self.counters.is_empty()
-            && self.events.is_empty()
-            && self.dropped_events == 0
-            && self.spilled_events == 0
+        self.spans.is_empty() && self.counters.is_empty() && self.events.is_empty()
     }
 
     /// Folds `other` into `self`. Keyed aggregates add; events append
@@ -171,12 +154,7 @@ impl Registry {
         for (name, n) in other.counters {
             *self.counters.entry(name).or_default() += n;
         }
-        for ev in other.events.iter() {
-            self.make_room();
-            self.events.push_event(ev);
-        }
-        self.dropped_events += other.dropped_events;
-        self.spilled_events += other.spilled_events;
+        self.events.append(&other.events);
     }
 
     /// Records one `nanos` sample into the named span aggregate — the
@@ -195,41 +173,10 @@ impl Registry {
                 .record(nanos),
         }
     }
-
-    /// Ring semantics: at the cap, retires the oldest event to make
-    /// room for one more.
-    fn make_room(&mut self) {
-        if self.events.len() == MAX_EVENTS {
-            self.events.remove_front(1);
-            self.dropped_events += 1;
-        }
-    }
 }
 
 thread_local! {
     static LOCAL: RefCell<Registry> = RefCell::new(Registry::default());
-    static SPILL: RefCell<Option<SpillFn>> = RefCell::new(None);
-}
-
-/// An event spill sink: receives batches of the *oldest* buffered
-/// events when the thread's registry is full. See [`set_spill`].
-pub type SpillFn = Box<dyn FnMut(Events<'_>)>;
-
-/// Installs (or clears) the calling thread's event spill sink and
-/// returns the previous one.
-///
-/// Without a sink, a full event buffer behaves as a ring: the oldest
-/// record is dropped (counted in [`Registry::dropped_events`]). With a
-/// sink installed, [`event`] instead drains the oldest half of the
-/// buffer into the sink — typically a writer streaming them to disk —
-/// so the full stream survives in order: spilled batches first, the
-/// resident buffer after. Spilled records are counted in
-/// [`Registry::spilled_events`].
-///
-/// The sink runs on the emitting thread while the spill bookkeeping is
-/// live; it must not call [`event`] itself.
-pub fn set_spill(f: Option<SpillFn>) -> Option<SpillFn> {
-    SPILL.with(|s| std::mem::replace(&mut *s.borrow_mut(), f))
 }
 
 /// A live span; records into the thread-local registry on drop. Created
@@ -282,32 +229,7 @@ pub fn count(name: &'static str, n: u64) {
 /// (a [`Value::Str`] the caller built is copied into the log's text).
 pub fn event(kind: &'static str, fields: impl IntoIterator<Item = (&'static str, Value)>) {
     if enabled() {
-        // Spill before pushing. The sink reads the oldest half in place
-        // while the log is out of the registry, so it never observes a
-        // half-updated registry.
-        let full = LOCAL.with(|l| {
-            let mut reg = l.borrow_mut();
-            if reg.events.len() >= MAX_EVENTS && SPILL.with(|s| s.borrow().is_some()) {
-                reg.spilled_events += (MAX_EVENTS / 2) as u64;
-                Some(std::mem::take(&mut reg.events))
-            } else {
-                None
-            }
-        });
-        if let Some(mut log) = full {
-            SPILL.with(|s| {
-                if let Some(f) = s.borrow_mut().as_mut() {
-                    f(log.range(0..MAX_EVENTS / 2));
-                }
-            });
-            log.remove_front(MAX_EVENTS / 2);
-            LOCAL.with(|l| l.borrow_mut().events = log);
-        }
-        LOCAL.with(|l| {
-            let mut reg = l.borrow_mut();
-            reg.make_room();
-            reg.events.push(kind, fields);
-        });
+        LOCAL.with(|l| l.borrow_mut().events.push(kind, fields));
     }
 }
 
@@ -425,7 +347,7 @@ mod tests {
         let mut a = Registry::default();
         a.counters.insert("x".into(), 2);
         a.spans.entry("s".into()).or_default().record(100);
-        push(&mut a, "e1", [("v", Value::U64(1))]);
+        a.events.push("e1", [("v", Value::U64(1))]);
         let mut b = Registry::default();
         b.counters.insert("x".into(), 3);
         b.counters.insert("y".into(), 1);
@@ -447,80 +369,24 @@ mod tests {
         assert_eq!(s.hist.max(), 300);
     }
 
-    /// Records into `r` as [`event`] records into the thread's registry.
-    fn push<'n>(r: &mut Registry, kind: &str, fields: impl IntoIterator<Item = (&'n str, Value)>) {
-        r.make_room();
-        r.events.push(kind, fields);
-    }
-
+    /// Every recorded event stays in the registry, in emission order:
+    /// a stream far longer than any one run's lifecycle loses nothing.
     #[test]
-    fn event_cap_counts_drops() {
-        let mut r = Registry::default();
-        for i in 0..(MAX_EVENTS + 10) {
-            push(&mut r, &format!("e{i}"), []);
-        }
-        assert_eq!(r.events.len(), MAX_EVENTS);
-        assert_eq!(r.dropped_events, 10);
-        // Ring semantics: the oldest events were dropped, the newest kept.
-        assert_eq!(r.events.first().unwrap().kind(), "e10");
-        assert_eq!(
-            r.events.last().unwrap().kind(),
-            format!("e{}", MAX_EVENTS + 9)
-        );
-    }
-
-    /// The sequence number the spill tests stamp on each event.
-    fn seq(ev: Event) -> u64 {
-        ev.u64_field("i").expect("sequence field")
-    }
-
-    #[test]
-    fn spill_streams_oldest_events_instead_of_dropping() {
+    fn every_event_is_kept_in_emission_order() {
         let _g = GATE.lock().unwrap();
         set_enabled(true);
-        let spilled = std::rc::Rc::new(RefCell::new(EventLog::new()));
-        let sink = spilled.clone();
-        let prev = set_spill(Some(Box::new(move |batch: Events<'_>| {
-            let mut spilled = sink.borrow_mut();
-            for ev in batch {
-                spilled.push_event(ev);
-            }
-        })));
-        let total = (MAX_EVENTS + 10) as u64;
-        let half = (MAX_EVENTS / 2) as u64;
+        let total = (1 << 17) + 10;
         let (_, reg) = capture(|| {
             for i in 0..total {
                 event("e", [("i", Value::U64(i))]);
             }
         });
-        set_spill(prev);
         set_enabled(false);
-        // Nothing dropped: the overflow went to the sink, oldest first.
-        assert_eq!(reg.dropped_events, 0);
-        assert_eq!(reg.spilled_events, half);
-        let spilled = spilled.borrow();
-        assert_eq!(spilled.len() as u64, half);
-        assert_eq!(seq(spilled.first().unwrap()), 0);
-        assert_eq!(seq(spilled.last().unwrap()), half - 1);
-        // The resident buffer continues exactly where the spill ended.
-        assert_eq!(seq(reg.events.first().unwrap()), half);
-        assert_eq!(seq(reg.events.last().unwrap()), total - 1);
-        assert_eq!((reg.events.len() + spilled.len()) as u64, total);
-    }
-
-    #[test]
-    fn without_spill_sink_ring_semantics_hold() {
-        let _g = GATE.lock().unwrap();
-        set_enabled(true);
-        let (_, reg) = capture(|| {
-            for i in 0..(MAX_EVENTS + 3) as u64 {
-                event("e", [("i", Value::U64(i))]);
-            }
-        });
-        set_enabled(false);
-        assert_eq!(reg.dropped_events, 3);
-        assert_eq!(reg.spilled_events, 0);
-        assert_eq!(seq(reg.events.first().unwrap()), 3);
+        assert_eq!(reg.events.len() as u64, total);
+        let seq = |ev: Option<Event>| ev.and_then(|e| e.u64_field("i"));
+        assert_eq!(seq(reg.events.first()), Some(0));
+        assert_eq!(seq(reg.events.get(77_777)), Some(77_777));
+        assert_eq!(seq(reg.events.last()), Some(total - 1));
     }
 
     #[test]

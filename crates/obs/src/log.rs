@@ -1,5 +1,5 @@
-//! [`EventLog`]: the one flat store that recorded, decoded, spilled and
-//! merged events live in.
+//! [`EventLog`]: the one flat, append-only store that recorded, decoded
+//! and merged events live in.
 //!
 //! A log is three growable arrays and a name table, so neither
 //! recording an event nor decoding one allocates per event:
@@ -14,10 +14,8 @@
 //!   [`VOCABULARY`] names, and any other name is interned once per log.
 //!
 //! A seven-field lifecycle event with integer values takes 8 + 7 × 16 =
-//! 120 bytes. Retiring the oldest events ([`EventLog::remove_front`],
-//! the ring and the spill drain) only advances a start mark; the
-//! retired prefix is reclaimed once it is as long as what remains, so
-//! the copying amounts to at most one moved event per retired one.
+//! 120 bytes. Events are only ever appended, never retired: a log holds
+//! the whole stream it was given.
 //!
 //! Logs compare by value: two logs are equal when they hold the same
 //! kinds, names and values in the same order, however their names were
@@ -165,9 +163,6 @@ pub struct EventLog {
     /// vocabulary's length.
     names: Vec<Box<str>>,
     ids: HashMap<Box<str>, u32>,
-    /// Heads at the front retired by [`EventLog::remove_front`] and not
-    /// yet reclaimed.
-    dead: usize,
 }
 
 /// Converts a length to the `u32` a head or field stores it in.
@@ -186,7 +181,7 @@ impl EventLog {
 
     /// Events in the log.
     pub fn len(&self) -> usize {
-        self.heads.len() - self.dead
+        self.heads.len()
     }
 
     /// True when the log holds no event.
@@ -196,7 +191,7 @@ impl EventLog {
 
     /// The `i`-th event, oldest first.
     pub fn get(&self, i: usize) -> Option<Event<'_>> {
-        (i < self.len()).then(|| self.at(self.dead + i))
+        (i < self.len()).then(|| self.at(i))
     }
 
     /// The oldest event.
@@ -223,12 +218,12 @@ impl EventLog {
         assert!(range.start <= range.end && range.end <= self.len());
         Events {
             log: self,
-            front: self.dead + range.start,
-            back: self.dead + range.end,
+            front: range.start,
+            back: range.end,
         }
     }
 
-    /// The event at head index `h` (counting retired heads).
+    /// The event at head index `h`.
     fn at(&self, h: usize) -> Event<'_> {
         let start = h.checked_sub(1).map_or(0, |p| self.heads[p].end as usize);
         let head = self.heads[h];
@@ -257,7 +252,7 @@ impl EventLog {
     }
 
     /// Appends a copy of `ev`, which may belong to another log.
-    pub fn push_event(&mut self, ev: Event<'_>) {
+    fn push_event(&mut self, ev: Event<'_>) {
         for &f in ev.fields {
             let name = self.intern_from(ev.log, f.name);
             match ev.log.value(f) {
@@ -278,21 +273,6 @@ impl EventLog {
         }
     }
 
-    /// Retires the `n` oldest events: the ring's drop and the spill
-    /// drain. Their storage is reclaimed once the retired prefix is as
-    /// long as what remains.
-    ///
-    /// # Panics
-    ///
-    /// When the log holds fewer than `n` events.
-    pub fn remove_front(&mut self, n: usize) {
-        assert!(n <= self.len(), "removing {n} of {} events", self.len());
-        self.dead += n;
-        if self.dead >= self.len() {
-            self.reclaim();
-        }
-    }
-
     /// How many names other than the vocabulary's the log has interned.
     pub fn interned_names(&self) -> usize {
         self.names.len()
@@ -305,41 +285,14 @@ impl EventLog {
         self.text.clear();
         self.names.clear();
         self.ids.clear();
-        self.dead = 0;
     }
 
-    /// Reclaims retired events and releases spare capacity, so the log
-    /// holds exactly what it stores.
+    /// Releases spare capacity, so the log holds exactly what it
+    /// stores.
     pub fn shrink_to_fit(&mut self) {
-        self.reclaim();
         self.heads.shrink_to_fit();
         self.fields.shrink_to_fit();
         self.text.shrink_to_fit();
-    }
-
-    /// Drops the retired prefix: its heads, its fields and its strings,
-    /// which precede every live string because text is appended in
-    /// event order.
-    fn reclaim(&mut self) {
-        if self.dead == 0 {
-            return;
-        }
-        let base = self.heads[self.dead - 1].end;
-        self.heads.drain(..self.dead);
-        self.dead = 0;
-        for h in &mut self.heads {
-            h.end -= base;
-        }
-        self.fields.drain(..base as usize);
-        let cut = self
-            .fields
-            .iter()
-            .find(|f| f.len != INT)
-            .map_or(self.text.len(), |f| f.value as usize);
-        self.text.drain(..cut);
-        for f in self.fields.iter_mut().filter(|f| f.len != INT) {
-            f.value -= cut as u64;
-        }
     }
 
     // -----------------------------------------------------------------
@@ -572,21 +525,6 @@ mod tests {
     }
 
     #[test]
-    fn reclaiming_keeps_values_and_strings() {
-        let mut log = text_log();
-        let want: Vec<String> = log.iter().skip(1).map(|e| format!("{e:?}")).collect();
-        log.remove_front(1);
-        // One retired, two live: not yet reclaimed.
-        assert_eq!(log.dead, 1);
-        assert_eq!(log.first().unwrap().kind(), "tick");
-        log.remove_front(1);
-        assert_eq!(log.dead, 0, "retired half reclaimed");
-        assert_eq!(log.text, "boot");
-        assert_eq!(format!("{:?}", log.first().unwrap()), want[1]);
-        assert_eq!(log.last().unwrap().str_field("epoch"), Some("boot"));
-    }
-
-    #[test]
     fn discarding_pending_fields_truncates_their_text() {
         let mut log = text_log();
         let before = log.clone();
@@ -604,8 +542,6 @@ mod tests {
         let a = text_log();
         let mut b = EventLog::new();
         b.intern("unused");
-        b.push("boot", [("words", Value::U64(0))]);
-        b.remove_front(1);
         b.append(&a);
         assert_eq!(a, b);
         assert_ne!(b.names.len(), a.names.len());

@@ -81,7 +81,6 @@ fn capture_everything() -> Registry {
 #[test]
 fn every_emitted_name_is_interned_and_round_trips() {
     let reg = capture_everything();
-    assert_eq!(reg.dropped_events, 0);
 
     let mut kinds = BTreeSet::new();
     for ev in reg.events.iter() {
