@@ -26,15 +26,16 @@
 //!                               #   --submit SPEC   evaluate 'all' or shard 'i/N' remotely
 //!                               #   --fetch -o F    download accumulated cells as JSONL
 //!                               #   --stats [-o F]  print daemon tallies and merged service
-//!                               #                   telemetry; -o dumps the registry (codec
-//!                               #                   JSONL) for `tracereport --service`
+//!                               #                   telemetry; -o dumps the registry (one
+//!                               #                   JSON object) for `tracereport --service`
 //!                               #   --shutdown      stop the daemon
 //! ```
 //!
 //! Worker mode is how `gridd --workers N` evaluates a batch: the daemon
 //! feeds each of its N workers keys by pull, and a worker evaluates one
-//! job at a time. It captures a per-job [`schematic_obs`] registry (span
-//! timings, per-job wall latency) and ships it on each answer line.
+//! job at a time. It captures a per-job [`schematic_obs`] registry and
+//! ships its spans and counters, with the job's wall time, on each
+//! answer line.
 //!
 //! In-process computes (the default run and `--report`) go through the
 //! content-addressed cell cache at `target/gridcache.jsonl` (`--cache F`
@@ -65,7 +66,7 @@ use schematic_bench::experiments::{
     render, render_all, render_robust, render_soundcheck, render_soundcheck_explain, robust_jobs,
 };
 use schematic_bench::grid::{
-    evaluate_traced, CellLine, CellStore, GridMode, GridSpec, Job, ReportId, WorkerTelemetry,
+    evaluate_traced, CellLine, CellStore, GridMode, GridSpec, Job, ReportId,
 };
 use schematic_bench::json::Json;
 use schematic_bench::{parallel, service, trace};
@@ -357,8 +358,9 @@ fn compute(jobs: &[Job], opts: &Options) -> Result<CellStore, String> {
 /// job key per line from stdin, evaluate it (no cache: the parent owns
 /// it), and answer with one cell line on stdout, flushed at once because
 /// the daemon hands out the next key only after an answer. Each line
-/// carries the program digests and a captured per-job registry the
-/// daemon merges into its service telemetry. Returns at stdin EOF.
+/// carries the program digests, the job's wall time and the spans and
+/// counters its evaluation recorded, which the daemon merges into its
+/// service telemetry. Returns at stdin EOF.
 fn run_jobs() -> Result<(), String> {
     use std::io::BufRead;
     let table = CostTable::msp430fr5969();
@@ -375,15 +377,12 @@ fn run_jobs() -> Result<(), String> {
         let t0 = Instant::now();
         let ((value, ims), mut registry) = schematic_obs::capture(|| evaluate_traced(&job, &table));
         let wall_nanos = t0.elapsed().as_nanos() as u64;
-        registry.record_span(&format!("job/{job}"), wall_nanos);
-        let telemetry = WorkerTelemetry {
-            wall_nanos,
-            registry,
-        };
+        // The daemon keeps spans and counters only.
+        registry.events.clear();
         answer.clear();
         CellLine {
             ims: Some(ims),
-            telemetry: Some(telemetry),
+            telemetry: Some((wall_nanos, registry)),
             ..CellLine::plain(job, value)
         }
         .write(&mut answer);
@@ -455,7 +454,7 @@ fn connect(spec: &GridSpec, addr: &str, action: &ClientAction) -> Result<(), Str
                     .get("registry")
                     .and_then(Json::as_str)
                     .expect("StatsSnapshot::parse checked the registry field");
-                write_artifact(out, text)?;
+                write_artifact(out, &format!("{text}\n"))?;
                 eprintln!("gridrun: dumped service registry from {addr} to {out}");
             }
             print!("{}", service::render_stats(&snap));

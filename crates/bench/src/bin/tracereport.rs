@@ -25,7 +25,8 @@
 //! 2 on usage or artifact errors (a `--cell` the artifact holds no
 //! trace for among them).
 
-use schematic_bench::trace::{from_jsonl, parse_job_key, render_trace_diff, render_trace_report};
+use schematic_bench::grid::Job;
+use schematic_bench::trace::{from_jsonl, render_trace_diff, render_trace_report};
 use std::process::ExitCode;
 
 fn usage() -> ! {
@@ -70,10 +71,8 @@ fn main() -> ExitCode {
             }
             "--cell" => {
                 let key = it.next().unwrap_or_else(|| usage());
-                cell = Some(parse_job_key(&key).unwrap_or_else(|| {
-                    eprintln!(
-                        "tracereport: bad cell key '{key}' (want KIND/TECHNIQUE/BENCHMARK/TBPF)"
-                    );
+                cell = Some(Job::parse(&key).unwrap_or_else(|e| {
+                    eprintln!("tracereport: bad --cell: {e}");
                     std::process::exit(2);
                 }));
             }

@@ -36,7 +36,9 @@ use schematic_core::{compile, SchematicConfig};
 use schematic_emu::{InstrumentedModule, Machine, Metrics, PowerModel, RunConfig, RunStatus};
 use schematic_energy::CostTable;
 use schematic_ir::hash::Digest;
+use schematic_obs::codec::{write_members, Members};
 use schematic_obs::json::{write_str, write_u64, JsonError, Reader, Sink};
+use schematic_obs::Registry;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -1054,11 +1056,14 @@ fn evaluate_shadow(job: &Job, table: &CostTable) -> (CellValue, Vec<Digest>) {
 //
 //   {"kind":K,"technique":T,"benchmark":B,"tbpf":N|"scenario":S,
 //    "value":{…}[,"ims":[HEX…]][,"schema":V,"memo_key":HEX,"cell_key":HEX]
-//    [,"wall_nanos":N,"telemetry":STR]}
+//    [,"wall_nanos":N,"spans":[…],"counters":[…],"events":[…]]}
 //
-// A plain line stops after `value`. Periodic jobs keep the legacy
-// numeric `tbpf` member; other scenarios spell themselves in
-// `scenario`. Readers take members in any order and skip unknown ones.
+// A plain line stops after `value`. A worker line ends with the job's
+// wall time and the registry its evaluation captured, in the members
+// every registry on the wire carries (`schematic_obs::codec`).
+// Periodic jobs keep the legacy numeric `tbpf` member; other scenarios
+// spell themselves in `scenario`. Readers take members in any order
+// and skip unknown ones.
 
 /// The cache keys a keyed line is filed under (see [`crate::cache`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1073,17 +1078,6 @@ pub struct CellKeys {
     pub memo: Digest,
     /// [`crate::cache::cell_key`]: the evaluation inputs.
     pub cell: Digest,
-}
-
-/// Per-job telemetry a worker attaches to its line: the job's
-/// wall-clock nanoseconds plus everything the job's [`schematic_obs`]
-/// capture recorded (phase spans, counters, events).
-#[derive(Debug, Clone, PartialEq)]
-pub struct WorkerTelemetry {
-    /// Wall-clock nanoseconds the worker spent evaluating the job.
-    pub wall_nanos: u64,
-    /// The job's captured observation registry.
-    pub registry: schematic_obs::Registry,
 }
 
 /// One cell line: a job and its value, plus what travels with it. A
@@ -1101,8 +1095,9 @@ pub struct CellLine {
     pub ims: Option<Vec<Digest>>,
     /// The cache keys, when the line is a cache record.
     pub keys: Option<CellKeys>,
-    /// A worker's per-job telemetry.
-    pub telemetry: Option<WorkerTelemetry>,
+    /// A worker's per-job telemetry: the wall-clock nanoseconds it
+    /// spent on the job, and the registry the job's evaluation captured.
+    pub telemetry: Option<(u64, Registry)>,
 }
 
 impl CellLine {
@@ -1132,10 +1127,10 @@ impl CellLine {
             put_str(out, ",\"memo_key\":", &keys.memo.to_hex());
             put_str(out, ",\"cell_key\":", &keys.cell.to_hex());
         }
-        if let Some(t) = &self.telemetry {
-            put_u64(out, ",\"wall_nanos\":", t.wall_nanos);
-            let registry = schematic_obs::codec::encode(&t.registry);
-            put_str(out, ",\"telemetry\":", &registry);
+        if let Some((wall_nanos, reg)) = &self.telemetry {
+            put_u64(out, ",\"wall_nanos\":", *wall_nanos);
+            out.push(',');
+            write_members(out, &reg.spans, &reg.counters, &reg.events);
         }
         out.push('}');
     }
@@ -1145,8 +1140,8 @@ impl CellLine {
     /// # Errors
     ///
     /// A [`GridError`] naming the malformed or missing member and its
-    /// byte offset — a present but corrupt telemetry payload included,
-    /// so it never silently vanishes from service aggregates.
+    /// byte offset — a present but corrupt registry included, so it
+    /// never silently vanishes from service aggregates.
     pub fn parse(text: &str) -> Result<CellLine, GridError> {
         read_line(text).map_err(|e| GridError(e.to_string()))
     }
@@ -1501,9 +1496,10 @@ fn read_line(text: &str) -> Result<CellLine, JsonError> {
     let mut value = None;
     let mut ims = None;
     let (mut schema, mut memo, mut cell) = (None, None, None);
-    let (mut wall_nanos, mut telemetry) = (None, None);
+    let mut wall_nanos = None;
+    let mut members = Members::default();
     r.object(|r, key| {
-        if job.read(r, &key)? {
+        if job.read(r, &key)? || members.read(r, &key)? {
             return Ok(());
         }
         match &*key {
@@ -1513,12 +1509,6 @@ fn read_line(text: &str) -> Result<CellLine, JsonError> {
             "memo_key" => memo = Some(read_digest(r)?),
             "cell_key" => cell = Some(read_digest(r)?),
             "wall_nanos" => wall_nanos = Some(r.u64()?),
-            "telemetry" => {
-                let text = r.str()?;
-                let registry = schematic_obs::codec::parse(&text)
-                    .map_err(|e| r.err(format!("bad telemetry payload: {e}")))?;
-                telemetry = Some(registry);
-            }
             _ => r.skip()?,
         }
         Ok(())
@@ -1531,13 +1521,10 @@ fn read_line(text: &str) -> Result<CellLine, JsonError> {
         (Some(schema), Some(memo), Some(cell), Some(_)) => Some(CellKeys { schema, memo, cell }),
         _ => return Err(r.err("keys need 'schema', 'memo_key', 'cell_key' and 'ims'")),
     };
-    let telemetry = match (wall_nanos, telemetry) {
+    let telemetry = match (wall_nanos, members.finish(&r)?) {
         (None, None) => None,
-        (Some(wall_nanos), Some(registry)) => Some(WorkerTelemetry {
-            wall_nanos,
-            registry,
-        }),
-        _ => return Err(r.err("'wall_nanos' and 'telemetry' must appear together")),
+        (Some(wall_nanos), Some(reg)) => Some((wall_nanos, reg)),
+        _ => return Err(r.err("'wall_nanos' and the registry members must appear together")),
     };
     Ok(CellLine {
         job,
@@ -1783,9 +1770,8 @@ mod tests {
         assert!(CellLine::parse("garbage").is_err());
         assert!(CellLine::parse("{\"cell\":{}}").is_err());
 
-        let mut registry = schematic_obs::Registry::default();
+        let mut registry = Registry::default();
         registry.record_span("cell/compile", 1234);
-        registry.record_span(&format!("job/{job}"), 5678);
         *registry.counters.entry("cells".into()).or_default() += 1;
         let digest = |n| Digest { hi: n, lo: n + 1 };
         let full = CellLine {
@@ -1796,10 +1782,7 @@ mod tests {
                 memo: digest(1),
                 cell: digest(2),
             }),
-            telemetry: Some(WorkerTelemetry {
-                wall_nanos: 5678,
-                registry,
-            }),
+            telemetry: Some((5678, registry)),
             ..plain.clone()
         };
         text.clear();
@@ -1807,12 +1790,12 @@ mod tests {
         let open = artifact.strip_suffix('}').unwrap();
         assert!(text.starts_with(open), "{text}");
         assert_eq!(CellLine::parse(&text).unwrap(), full);
-        // A corrupt telemetry payload is an error, not a silent drop.
-        let corrupt = text.replace("\\\"t\\\":\\\"reg\\\"", "\\\"t\\\":\\\"wat\\\"");
+        // A corrupt registry is an error, not a silent drop.
+        let corrupt = text.replace("\"calls\":1,", "\"calls\":2,");
         assert_ne!(corrupt, text);
         assert!(CellLine::parse(&corrupt).is_err());
         // Keys need the digests they were derived from; wall time and
-        // telemetry come together.
+        // the registry come together, and so do the registry's members.
         text.clear();
         CellLine {
             ims: None,
@@ -1822,5 +1805,9 @@ mod tests {
         assert!(CellLine::parse(&text).is_err());
         let half = format!("{open},\"wall_nanos\":1}}");
         assert!(CellLine::parse(&half).is_err());
+        let members = format!("{open},\"spans\":[],\"counters\":[],\"events\":[]}}");
+        assert!(CellLine::parse(&members).is_err());
+        let partial = format!("{open},\"wall_nanos\":1,\"spans\":[],\"events\":[]}}");
+        assert!(CellLine::parse(&partial).is_err());
     }
 }

@@ -35,18 +35,21 @@
 //!
 //! ## Service telemetry
 //!
-//! Worker children attach a serialized [`schematic_obs::Registry`] to
-//! every cell line they answer ([`crate::grid::WorkerTelemetry`]); the
-//! daemon folds them into one **service registry**, adds a
-//! `service/job_wall` latency histogram per dispatched job, and folds
-//! in the process-global counters (`cache/hit`, `cache/miss`,
-//! `cache/verify`, `daemon/op/*`) when answering `stats`. The response
-//! carries daemon gauges (uptime, batch and cache tallies, queue depth)
-//! plus the merged registry as a [`schematic_obs::codec`] string; the
-//! registry is the one copy of every tally it holds (worker jobs and
-//! busy time are its `service/job_wall` span). [`render_stats`]
-//! renders a response human-readable, and `tracereport --service`
-//! renders the registry offline from a dumped file.
+//! Worker children end every cell line they answer with the job's wall
+//! time and the spans and counters its evaluation captured
+//! ([`crate::grid::CellLine::telemetry`]); a worker clears the job's
+//! event log before it answers, since no reader of the service
+//! registry wants it. The daemon folds the lines into one **service
+//! registry**, records each job's wall time as a `service/job_wall`
+//! sample and a `job/<key>` span, and folds in the process-global
+//! counters (`cache/hit`, `cache/miss`, `cache/verify`, `daemon/op/*`)
+//! when answering `stats`. The response carries daemon gauges (uptime,
+//! batch and cache tallies, queue depth) plus the merged registry as a
+//! [`schematic_obs::codec`] string; the registry is the one copy of
+//! every tally it holds (worker jobs and busy time are its
+//! `service/job_wall` span). [`render_stats`] renders a response
+//! human-readable, and `tracereport --service` renders the registry
+//! offline from a dumped file.
 
 use crate::cache::{self, CellCache, SourceDigests};
 use crate::grid::{write_cell, CellLine, CellStore, GridError, GridMode, Job};
@@ -392,15 +395,11 @@ impl Daemon {
                     &mut self.sources,
                 ));
             }
-            if let Some(mut t) = line.telemetry {
-                // Keep the aggregates (spans, counters, histograms)
-                // but not the event logs: a long-lived daemon would
-                // otherwise hoard them until `stats` frames hit the
-                // protocol cap. The events stay in the worker lines.
-                t.registry.events.clear();
-                self.service_reg.merge_from(t.registry);
+            if let Some((wall_nanos, reg)) = line.telemetry {
+                self.service_reg.merge_from(reg);
+                self.service_reg.record_span("service/job_wall", wall_nanos);
                 self.service_reg
-                    .record_span("service/job_wall", t.wall_nanos);
+                    .record_span(&format!("job/{}", line.job), wall_nanos);
             }
             self.store.insert(line.job, line.value)?;
             folded += 1;

@@ -30,64 +30,41 @@
 use crate::grid::{evaluate, read_job, write_job, CellStore, GridError, Job};
 use crate::parallel::{self, par_map, par_map_largest_first};
 use crate::{render_table, uj, write_uj, Table};
-use schematic_emu::trace::SNAPSHOT_KEYS;
+use schematic_emu::trace::{EVENT_KINDS, SNAPSHOT_KEYS};
 use schematic_energy::{CostTable, Energy};
 use schematic_obs as obs;
-use schematic_obs::codec::{read_events, write_events};
-use schematic_obs::json::{write_str, write_u64, Count, JsonError, Reader, Sink, SliceSink};
+use schematic_obs::codec::{write_members, Members};
+use schematic_obs::json::{write_u64, Count, JsonError, Reader, Sink, SliceSink};
+use schematic_obs::PhaseStats;
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// Aggregated timings of one span name within one cell.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PhaseLine {
-    /// Span name (e.g. `"cell/emulate"` or `"analyze/rcg"`).
-    pub name: String,
-    /// Completed spans under this name.
-    pub calls: u64,
-    /// Total wall-clock nanoseconds (inclusive; spans may nest).
-    pub total_nanos: u64,
-    /// Median per-call nanoseconds.
-    pub p50_nanos: u64,
-    /// 95th-percentile per-call nanoseconds.
-    pub p95_nanos: u64,
-}
-
-/// Everything one traced cell recorded.
+/// Everything one traced cell recorded: its captured registry, with
+/// the cell's key and wall time.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellTrace {
     /// The cell's grid key.
     pub job: Job,
     /// Wall-clock nanoseconds of the whole cell evaluation.
     pub wall_nanos: u64,
-    /// Per-phase timings, sorted by span name.
-    pub phases: Vec<PhaseLine>,
-    /// Decision counters (e.g. `alloc/picks`), sorted by name.
-    pub counters: Vec<(String, u64)>,
+    /// Phase timings by span name (inclusive; spans may nest).
+    pub spans: BTreeMap<String, PhaseStats>,
+    /// Decision counters (e.g. `alloc/picks`) by name.
+    pub counters: BTreeMap<String, u64>,
     /// Structured events in emission order (compiler decision log +
     /// emulator lifecycle stream), every one kept.
     pub events: obs::EventLog,
 }
 
 impl CellTrace {
+    /// The trace of `job` from the registry its evaluation recorded.
     fn from_registry(job: Job, wall_nanos: u64, reg: obs::Registry) -> CellTrace {
-        let phases = reg
-            .spans
-            .iter()
-            .map(|(name, s)| PhaseLine {
-                name: name.clone(),
-                calls: s.calls,
-                total_nanos: s.total_nanos,
-                p50_nanos: s.hist.quantile(50, 100),
-                p95_nanos: s.hist.quantile(95, 100),
-            })
-            .collect();
         CellTrace {
             job,
             wall_nanos,
-            phases,
-            counters: reg.counters.into_iter().collect(),
+            spans: reg.spans,
+            counters: reg.counters,
             events: exact(reg.events),
         }
     }
@@ -141,21 +118,21 @@ pub fn capture_grid(jobs: &[Job]) -> (CellStore, Vec<CellTrace>) {
 //
 // Lines are written and read directly, with no `Json` tree in between:
 // `write_*` append to a `Sink` through the dialect's writer, and
-// `read_*` pull from its `Reader` (both `schematic_obs::json`). Event
-// arrays go through `schematic_obs::codec`'s event codec, whose field
-// format the telemetry registry shares; it reads events straight into
-// the trace's `EventLog`. A trace line is
+// `read_*` pull from its `Reader` (both `schematic_obs::json`). A trace
+// line is
 //
 //   {"job":{"kind","technique","benchmark","tbpf"|"scenario"} (the cell
 //    line's job members, `grid::write_job`),
-//    "wall_nanos":N,"phases":[{"name","calls","total_nanos","p50_nanos",
-//    "p95_nanos"}…],"counters":[[name,N]…],"events":[EVENT…]}
+//    "wall_nanos":N,"spans":[…],"counters":[…],"events":[…]}
 //
-// where EVENT is `{"kind":K,"fields":[[name,N|"str"]…]}`. Readers take
-// keys in any order and skip unknown ones, so lines that still carry
-// the drop and spill tallies of the former event ring load. A
-// `{"spill":…}` chunk line of the former streaming capture is refused:
-// its cell's events would be incomplete without it.
+// where the last three are the registry members every registry on the
+// wire carries (`schematic_obs::codec`); events are read straight into
+// the trace's `EventLog`. Readers take keys in any order and skip
+// unknown ones, so lines that still carry the drop and spill tallies of
+// the former event ring load. A `{"spill":…}` chunk line of the former
+// streaming capture is refused, since its cell's events would be
+// incomplete without it, and so is a line of the former `phases` form,
+// whose spans held no histograms.
 //
 // Every line is encoded and decoded on its own, with no state shared
 // between lines, so `to_jsonl` and `from_jsonl` fan the lines out over
@@ -169,62 +146,9 @@ fn write_trace_line<S: Sink + ?Sized>(out: &mut S, t: &CellTrace) {
     write_job(out, &t.job);
     out.push_str("},\"wall_nanos\":");
     write_u64(out, t.wall_nanos);
-    out.push_str(",\"phases\":[");
-    for (i, p) in t.phases.iter().enumerate() {
-        out.push_str(if i > 0 { ",{\"name\":" } else { "{\"name\":" });
-        write_str(out, &p.name);
-        for (key, n) in [
-            (",\"calls\":", p.calls),
-            (",\"total_nanos\":", p.total_nanos),
-            (",\"p50_nanos\":", p.p50_nanos),
-            (",\"p95_nanos\":", p.p95_nanos),
-        ] {
-            out.push_str(key);
-            write_u64(out, n);
-        }
-        out.push_str("}");
-    }
-    out.push_str("],\"counters\":[");
-    for (i, (name, n)) in t.counters.iter().enumerate() {
-        out.push_str(if i > 0 { ",[" } else { "[" });
-        write_str(out, name);
-        out.push_str(",");
-        write_u64(out, *n);
-        out.push_str("]");
-    }
-    out.push_str("],\"events\":");
-    write_events(out, t.events.iter());
+    out.push_str(",");
+    write_members(out, &t.spans, &t.counters, &t.events);
     out.push_str("}\n");
-}
-
-/// Reads an event array into a log of its own, held at exact size.
-fn read_event_log(r: &mut Reader) -> Result<obs::EventLog, JsonError> {
-    let mut log = obs::EventLog::new();
-    read_events(r, &mut log)?;
-    Ok(exact(log))
-}
-
-fn read_phase(r: &mut Reader) -> Result<PhaseLine, JsonError> {
-    let mut name = None;
-    let mut n = [None; 4];
-    r.object(|r, key| {
-        match &*key {
-            "name" => name = Some(r.str()?.into_owned()),
-            "calls" => n[0] = Some(r.u64()?),
-            "total_nanos" => n[1] = Some(r.u64()?),
-            "p50_nanos" => n[2] = Some(r.u64()?),
-            "p95_nanos" => n[3] = Some(r.u64()?),
-            _ => r.skip()?,
-        }
-        Ok(())
-    })?;
-    Ok(PhaseLine {
-        name: r.need(name, "name")?,
-        calls: r.need(n[0], "calls")?,
-        total_nanos: r.need(n[1], "total_nanos")?,
-        p50_nanos: r.need(n[2], "p50_nanos")?,
-        p95_nanos: r.need(n[3], "p95_nanos")?,
-    })
 }
 
 /// Decodes one trace line.
@@ -232,32 +156,25 @@ fn read_line(text: &str) -> Result<CellTrace, JsonError> {
     let mut r = Reader::new(text);
     let mut job = None;
     let mut wall_nanos = None;
-    let mut phases = None;
-    let mut counters = None;
-    let mut events = None;
+    let mut members = Members::default();
     r.object(|r, key| {
+        if members.read(r, &key)? {
+            return Ok(());
+        }
         match &*key {
             "spill" => return Err(r.err("spill chunk lines are not read (re-capture the grid)")),
+            "phases" => return Err(r.err("phases lines are not read (re-capture the grid)")),
             "job" => job = Some(read_job(r)?),
             "wall_nanos" => wall_nanos = Some(r.u64()?),
-            "phases" => phases = Some(r.vec(read_phase)?),
-            "counters" => {
-                counters =
-                    Some(r.vec(|r| r.pair("counter", |r| Ok(r.str()?.into_owned()), Reader::u64))?)
-            }
-            "events" => events = Some(read_event_log(r)?),
             _ => r.skip()?,
         }
         Ok(())
     })?;
     r.finish()?;
-    Ok(CellTrace {
-        job: r.need(job, "job")?,
-        wall_nanos: r.need(wall_nanos, "wall_nanos")?,
-        phases: r.need(phases, "phases")?,
-        counters: r.need(counters, "counters")?,
-        events: r.need(events, "events")?,
-    })
+    let job = r.need(job, "job")?;
+    let wall_nanos = r.need(wall_nanos, "wall_nanos")?;
+    let reg = r.need(members.finish(&r)?, "spans")?;
+    Ok(CellTrace::from_registry(job, wall_nanos, reg))
 }
 
 /// Serializes traces, one JSON object per line, in the given order.
@@ -330,20 +247,9 @@ fn decode_artifact(text: &str, workers: usize) -> Result<Vec<CellTrace>, GridErr
         .collect()
 }
 
-/// Parses a grid cell key in the artifact spelling
-/// `kind/technique/benchmark/scenario` (the [`Job`] display form, e.g.
-/// `run/Schematic/crc/10000` or `run/Schematic/crc/stoch:10000:2000:3`).
-pub fn parse_job_key(key: &str) -> Option<Job> {
-    Job::parse(key).ok()
-}
-
 // ---------------------------------------------------------------------
 // Renderers
 // ---------------------------------------------------------------------
-
-/// The emulator lifecycle event kinds, in no particular order (see
-/// [`schematic_emu::trace`] for the schema).
-pub use schematic_emu::trace::EVENT_KINDS as EMU_EVENT_KINDS;
 
 fn ms(nanos: u64) -> String {
     format!("{:.3}", nanos as f64 / 1e6)
@@ -364,10 +270,10 @@ fn us_per_call(total_nanos: u64, calls: u64) -> String {
 pub fn render_phase_table(traces: &[CellTrace]) -> String {
     let mut agg: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
     for t in traces {
-        for p in &t.phases {
-            let e = agg.entry(&p.name).or_default();
-            e.0 += p.calls;
-            e.1 += p.total_nanos;
+        for (name, s) in &t.spans {
+            let e = agg.entry(name).or_default();
+            e.0 += s.calls;
+            e.1 += s.total_nanos;
         }
     }
     if agg.is_empty() {
@@ -416,10 +322,10 @@ pub fn render_hot_cells(traces: &[CellTrace], k: usize) -> String {
         .take(k)
         .map(|t| {
             let dominant = t
-                .phases
+                .spans
                 .iter()
-                .max_by_key(|p| p.total_nanos)
-                .map(|p| format!("{} ({} ms)", p.name, ms(p.total_nanos)))
+                .max_by_key(|(_, s)| s.total_nanos)
+                .map(|(name, s)| format!("{name} ({} ms)", ms(s.total_nanos)))
                 .unwrap_or_else(|| "-".to_string());
             vec![t.job.to_string(), ms(t.wall_nanos), dominant]
         })
@@ -474,7 +380,7 @@ pub fn render_timeline(trace: &CellTrace) -> String {
     let last_start = log.iter().rposition(|e| is_start(&e)).unwrap_or(0);
     let segment = log
         .range(last_start..log.len())
-        .filter(|e| EMU_EVENT_KINDS.contains(&e.kind()));
+        .filter(|e| EVENT_KINDS.contains(&e.kind()));
     let shown = segment.clone().count();
     if shown == 0 {
         out.push_str("no emulator events recorded\n");
@@ -581,10 +487,10 @@ pub fn render_trace_diff(
     let agg = |traces: &[CellTrace]| {
         let mut m: BTreeMap<String, (u64, u64)> = BTreeMap::new();
         for t in traces {
-            for p in &t.phases {
-                let e = m.entry(p.name.clone()).or_default();
-                e.0 += p.calls;
-                e.1 += p.total_nanos;
+            for (name, s) in &t.spans {
+                let e = m.entry(name.clone()).or_default();
+                e.0 += s.calls;
+                e.1 += s.total_nanos;
             }
         }
         m
@@ -702,13 +608,14 @@ pub fn render_trace_diff(
 mod tests {
     use super::*;
 
+    /// `tracereport --cell` takes a key in the [`Job`] display form.
     #[test]
     fn job_key_roundtrips_display_form() {
         let job = Job::run("Schematic", "crc", 10_000);
-        assert_eq!(parse_job_key(&job.to_string()), Some(job));
-        assert_eq!(parse_job_key("run/Schematic/crc"), None);
-        assert_eq!(parse_job_key("nope/Schematic/crc/0"), None);
-        assert_eq!(parse_job_key("run/Schematic/crc/zero"), None);
+        assert_eq!(Job::parse(&job.to_string()), Ok(job));
+        assert!(Job::parse("run/Schematic/crc").is_err());
+        assert!(Job::parse("nope/Schematic/crc/0").is_err());
+        assert!(Job::parse("run/Schematic/crc/zero").is_err());
     }
 
     const GOLDEN_ARTIFACT: &str = include_str!("../../../tests/goldens/trace_artifact.jsonl");
@@ -750,6 +657,22 @@ mod tests {
         let e = from_jsonl(&text).unwrap_err().to_string();
         assert!(
             e.starts_with("line 4: spill chunk lines are not read"),
+            "got: {e}"
+        );
+    }
+
+    /// A line of the former form carried `phases` (call counts and two
+    /// quantiles, no histograms) where spans now are; the reader refuses
+    /// it by line number rather than load a cell without its spans.
+    #[test]
+    fn a_phases_line_is_refused_with_its_line_number() {
+        let old = "{\"job\":{\"kind\":\"bare\",\"technique\":\"-\",\"benchmark\":\"crc\",\"tbpf\":0},\
+                   \"wall_nanos\":5,\"phases\":[{\"name\":\"cell/emulate\",\"calls\":1,\
+                   \"total_nanos\":4,\"p50_nanos\":4,\"p95_nanos\":4}],\"counters\":[],\"events\":[]}";
+        let text = format!("{GOLDEN_ARTIFACT}{old}\n");
+        let e = from_jsonl(&text).unwrap_err().to_string();
+        assert!(
+            e.starts_with("line 3: phases lines are not read"),
             "got: {e}"
         );
     }
@@ -807,13 +730,7 @@ mod tests {
 
     #[test]
     fn empty_trace_roundtrips() {
-        let t = CellTrace {
-            job: Job::bare("crc"),
-            wall_nanos: 42,
-            phases: Vec::new(),
-            counters: Vec::new(),
-            events: obs::EventLog::new(),
-        };
+        let t = CellTrace::from_registry(Job::bare("crc"), 42, obs::Registry::default());
         let text = to_jsonl(std::slice::from_ref(&t));
         assert_eq!(from_jsonl(&text).unwrap(), vec![t]);
     }
@@ -821,32 +738,16 @@ mod tests {
     #[test]
     fn renderers_tolerate_empty_input() {
         assert!(render_phase_table(&[]).contains("no spans"));
-        let t = CellTrace {
-            job: Job::bare("crc"),
-            wall_nanos: 1,
-            phases: Vec::new(),
-            counters: Vec::new(),
-            events: obs::EventLog::new(),
-        };
+        let t = CellTrace::from_registry(Job::bare("crc"), 1, obs::Registry::default());
         assert!(render_timeline(&t).contains("no emulator events"));
         let report = render_trace_report(&[t], Some(&Job::bare("fft")), 3);
         assert!(report.contains("no trace recorded for cell bare/-/fft/0"));
     }
 
     fn cell(name: &str, wall: u64, phase_nanos: u64) -> CellTrace {
-        CellTrace {
-            job: Job::bare(name),
-            wall_nanos: wall,
-            phases: vec![PhaseLine {
-                name: "cell/emulate".into(),
-                calls: 1,
-                total_nanos: phase_nanos,
-                p50_nanos: phase_nanos,
-                p95_nanos: phase_nanos,
-            }],
-            counters: Vec::new(),
-            events: obs::EventLog::new(),
-        }
+        let mut reg = obs::Registry::default();
+        reg.record_span("cell/emulate", phase_nanos);
+        CellTrace::from_registry(Job::bare(name), wall, reg)
     }
 
     #[test]

@@ -208,8 +208,8 @@ fn decoding_events_allocates_only_amortised_growth() {
     let trace = CellTrace {
         job: Job::run("Schematic", "crc", 1000),
         wall_nanos: 1_000,
-        phases: Vec::new(),
-        counters: vec![("alloc/picks".to_string(), 3)],
+        spans: Default::default(),
+        counters: [("alloc/picks".to_string(), 3)].into(),
         events: reg.events,
     };
     let text = trace::to_jsonl(std::slice::from_ref(&trace));

@@ -131,8 +131,8 @@ fn the_event_log_matches_a_plain_model() {
         let t = CellTrace {
             job: job.clone(),
             wall_nanos: round,
-            phases: Vec::new(),
-            counters: Vec::new(),
+            spans: Default::default(),
+            counters: Default::default(),
             events: log.clone(),
         };
         let text = trace::to_jsonl(std::slice::from_ref(&t));

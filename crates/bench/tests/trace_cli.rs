@@ -1,6 +1,7 @@
 //! Exit statuses of the trace command lines: `gridrun --trace` needs a
-//! file, because stdout carries the render, and `tracereport --cell`
-//! on a cell the artifact holds no trace for is an artifact error.
+//! file, because stdout carries the render, `tracereport --cell` on a
+//! cell the artifact holds no trace for is an artifact error, and a
+//! `--cell` key that is not a job key is a usage error naming why.
 
 use std::process::{Command, Output};
 
@@ -54,4 +55,20 @@ fn a_cell_without_a_trace_exits_2_and_prints_nothing() {
     );
     assert_eq!(out.status.code(), Some(0), "{out:?}");
     assert_eq!(String::from_utf8_lossy(&out.stdout), GOLDEN_REPORT);
+}
+
+#[test]
+fn a_bad_cell_key_exits_2_with_the_reason() {
+    let tracereport = env!("CARGO_BIN_EXE_tracereport");
+    for (key, reason) in [
+        ("run/Schematic/crc", "got 3 field(s)"),
+        ("nope/Schematic/crc/0", "unknown kind \"nope\""),
+    ] {
+        let out = run(tracereport, &[GOLDEN_ARTIFACT, "--cell", key]);
+        assert_eq!(out.status.code(), Some(2), "{out:?}");
+        assert!(out.stdout.is_empty(), "{out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(&format!("job key \"{key}\"")), "{stderr}");
+        assert!(stderr.contains(reason), "{stderr}");
+    }
 }

@@ -16,6 +16,7 @@ use schematic_benchsuite::inputs::SplitMix64;
 use schematic_emu::{Machine, Metrics, PowerModel, RunConfig, RunStatus};
 use schematic_energy::CostTable;
 use schematic_obs as obs;
+use std::collections::BTreeMap;
 use std::sync::{Mutex, PoisonError};
 
 fn traced_crc_run() -> (RunStatus, Metrics, obs::EventLog) {
@@ -119,8 +120,8 @@ fn golden_crc_epoch_timeline() {
     let t = trace::CellTrace {
         job: Job::run("Schematic", "crc", ENERGY_TBPF),
         wall_nanos: 0,
-        phases: Vec::new(),
-        counters: Vec::new(),
+        spans: Default::default(),
+        counters: Default::default(),
         events,
     };
     let timeline = trace::render_timeline(&t);
@@ -152,11 +153,7 @@ fn golden_quick_grid_timeline() {
 }
 
 fn counter(t: &trace::CellTrace, name: &str) -> u64 {
-    t.counters
-        .iter()
-        .filter(|(n, _)| n == name)
-        .map(|(_, v)| *v)
-        .sum()
+    t.counters.get(name).copied().unwrap_or(0)
 }
 
 /// Profiling runs are compile-time work and never traced, so a traced
@@ -265,16 +262,19 @@ fn random_trace(rng: &mut SplitMix64) -> trace::CellTrace {
             .collect();
         events.push(&kind, fields.iter().map(|(k, v)| (k.as_str(), v.clone())));
     }
-    let n_phases = (rng.next_u64() % 4) as usize;
-    let phases = (0..n_phases)
-        .map(|i| trace::PhaseLine {
-            name: random_text(rng, &format!("phase/{i}")),
-            calls: rng.next_u64() % 1000,
-            total_nanos: rng.next_u64(),
-            p50_nanos: rng.next_u64(),
-            p95_nanos: rng.next_u64(),
-        })
-        .collect();
+    let mut spans = BTreeMap::new();
+    for i in 0..rng.next_u64() % 4 {
+        let stats: &mut obs::PhaseStats = spans
+            .entry(random_text(rng, &format!("phase/{i}")))
+            .or_default();
+        for _ in 0..rng.next_u64() % 1000 {
+            // Samples spread over the whole bucket range.
+            let v = rng.next_u64() >> (rng.next_u64() % 64);
+            stats.calls += 1;
+            stats.total_nanos = stats.total_nanos.saturating_add(v);
+            stats.hist.record(v);
+        }
+    }
     let job = match rng.next_u64() % 4 {
         0 => Job::bare("crc"),
         1 => Job::run("Schematic", "fft", rng.next_u64() % 1_000_000),
@@ -288,8 +288,8 @@ fn random_trace(rng: &mut SplitMix64) -> trace::CellTrace {
     trace::CellTrace {
         job,
         wall_nanos: rng.next_u64(),
-        phases,
-        counters: vec![(random_text(rng, "alloc/picks"), rng.next_u64())],
+        spans,
+        counters: [(random_text(rng, "alloc/picks"), rng.next_u64())].into(),
         events,
     }
 }

@@ -68,7 +68,7 @@ fn traced_quick_grid_is_byte_identical_and_roundtrips() {
     let total_events: usize = traces.iter().map(|t| t.events.len()).sum();
     assert!(total_events > 0, "capture collected no events");
     assert!(
-        traces.iter().any(|t| !t.phases.is_empty()),
+        traces.iter().any(|t| !t.spans.is_empty()),
         "capture collected no spans"
     );
 

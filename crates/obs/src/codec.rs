@@ -1,78 +1,48 @@
-//! JSONL (de)serialization for [`Registry`] — the cross-process leg of
-//! the observability layer.
+//! The registry's one wire form — the cross-process leg of the
+//! observability layer.
 //!
-//! A worker process captures a registry, encodes it with [`encode`],
-//! and ships the text to its parent (over a pipe, a file, or the
-//! `gridd` frame protocol); the parent decodes with [`parse`] and folds
-//! the result into its own registry via [`Registry::merge_from`]. The
-//! contract is **deterministic-merge round-trip**: decoding an encoded
-//! registry reproduces it exactly (`parse(encode(r)) == r`), so merging
-//! decoded copies is indistinguishable from merging the originals —
-//! telemetry aggregated across process boundaries equals telemetry
-//! aggregated in one process.
-//!
-//! The wire form is the repo's integer-JSON dialect, written and read
-//! through [`crate::json`]'s writer and pull [`Reader`] with no value
-//! tree in between: numbers are unsigned integers only, members are
-//! written in a fixed order so encoding is deterministic, and strings
-//! escape quotes, backslashes and control characters. An event's
-//! `fields` array has one codec, [`write_fields`] / [`read_fields`],
-//! which the trace artifact's event arrays ([`write_events`] /
-//! [`read_events`]) share. Both read straight into an [`EventLog`], and
-//! write vocabulary names from pre-quoted text.
-//!
-//! One record per line, tagged by `"t"`:
+//! A registry travels as three members of an enclosing JSON object:
 //!
 //! ```text
-//! {"t":"reg","codec":1}
-//! {"t":"span","name":"cell/compile","calls":2,"total_nanos":900, ...}
-//! {"t":"counter","name":"cache/miss","n":34}
-//! {"t":"event","kind":"run_end","fields":[["status","completed"]]}
+//! "spans":[{"name":"cell/compile","calls":2,"total_nanos":900,"min":400,"max":500,
+//!           "buckets":[[89,1],[95,1]]}…],
+//! "counters":[["cache/miss",34]…],
+//! "events":[{"kind":"run_end","fields":[["status","completed"]]}…]
 //! ```
 //!
-//! Histograms are serialized sparsely (exact tallies plus the nonzero
-//! buckets), which both keeps worker lines small and makes the
-//! round-trip exact — see [`crate::Histogram::from_parts`].
+//! Spans come in name order, counters in name order and events in
+//! emission order, so equal registries encode to equal bytes. A span's
+//! histogram is written sparsely: its nonzero buckets, its `min` and
+//! `max`, and `calls` and `total_nanos`, which are its sample count and
+//! sum (see [`crate::Histogram::from_parts`]).
+//!
+//! Three places carry the members, all through [`write_members`] and
+//! [`Members`]: a trace line (`{"job":{…},"wall_nanos":N,<members>}`),
+//! a worker line (the cell line plus `"wall_nanos":N,<members>`), and
+//! a registry on its own, `{<members>}`, which [`encode`] writes and
+//! [`parse`] reads — the `gridd` `stats` frame's `registry` string and
+//! the dump `tracereport --service` renders.
+//!
+//! The contract is **deterministic-merge round-trip**: decoding an
+//! encoded registry reproduces it exactly (`parse(encode(r)) == r`), so
+//! merging decoded copies is indistinguishable from merging the
+//! originals — telemetry aggregated across process boundaries equals
+//! telemetry aggregated in one process.
+//!
+//! Everything is written and read through [`crate::json`]'s writer and
+//! pull [`Reader`], with no value tree in between. Events and their
+//! fields are read straight into an [`EventLog`], and vocabulary names
+//! are written from pre-quoted text.
 
 use crate::json::{write_str, write_u64, JsonError, Reader, Sink};
-use crate::log::{EVENT_OPEN, FIELD_OPEN, QUOTED};
+use crate::log::{EVENT_OPEN, FIELD_OPEN};
 use crate::{Event, EventLog, Events, Histogram, PhaseStats, Registry, ValueRef};
 use std::borrow::Cow;
-use std::fmt;
+use std::collections::BTreeMap;
 
-/// Version tag on the header line; bump on any wire-format change so a
-/// mixed-version worker fleet fails loudly instead of merging garbage.
-pub const CODEC_VERSION: u64 = 1;
-
-/// Why a registry text failed to decode (with its 1-based line number).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CodecError {
-    /// What went wrong.
-    pub message: String,
-    /// 1-based line the error occurred on.
-    pub line: usize,
-}
-
-impl fmt::Display for CodecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "line {}: {}", self.line, self.message)
-    }
-}
-
-impl std::error::Error for CodecError {}
-
-/// Appends the name with id `id` of `log` as a string literal.
-fn write_name<S: Sink + ?Sized>(out: &mut S, log: &EventLog, id: u32) {
-    match QUOTED.get(id as usize) {
-        Some(quoted) => out.push_str(quoted),
-        None => write_str(out, log.name(id)),
-    }
-}
-
-/// Appends an event's fields as `[[name, N|"str"]…]`: the field format
-/// of both the registry's `event` record and the trace artifact's
-/// events. Vocabulary names are written from pre-quoted text.
-pub fn write_fields<S: Sink + ?Sized>(out: &mut S, ev: Event<'_>) {
+/// Appends an event's fields as `[[name, N|"str"]…]`. Vocabulary names
+/// are written from pre-quoted text.
+fn write_fields<S: Sink + ?Sized>(out: &mut S, ev: Event<'_>) {
     let log = ev.log();
     out.push_str("[");
     for (i, &f) in ev.fields.iter().enumerate() {
@@ -96,9 +66,8 @@ pub fn write_fields<S: Sink + ?Sized>(out: &mut S, ev: Event<'_>) {
     out.push_str("]");
 }
 
-/// Appends events as the trace artifact's event array,
-/// `[{"kind":K,"fields":[…]}…]`.
-pub fn write_events<S: Sink + ?Sized>(out: &mut S, events: Events<'_>) {
+/// Appends events as `[{"kind":K,"fields":[…]}…]`.
+fn write_events<S: Sink + ?Sized>(out: &mut S, events: Events<'_>) {
     out.push_str("[");
     for (i, ev) in events.enumerate() {
         if i > 0 {
@@ -118,6 +87,204 @@ pub fn write_events<S: Sink + ?Sized>(out: &mut S, events: Events<'_>) {
     out.push_str("]");
 }
 
+/// Appends one span as `{"name","calls","total_nanos","min","max",
+/// "buckets"}`.
+fn write_span<S: Sink + ?Sized>(out: &mut S, name: &str, stats: &PhaseStats) {
+    out.push_str("{\"name\":");
+    write_str(out, name);
+    for (key, n) in [
+        (",\"calls\":", stats.calls),
+        (",\"total_nanos\":", stats.total_nanos),
+        (",\"min\":", stats.hist.min()),
+        (",\"max\":", stats.hist.max()),
+    ] {
+        out.push_str(key);
+        write_u64(out, n);
+    }
+    out.push_str(",\"buckets\":[");
+    for (i, (index, count)) in stats.hist.nonzero_buckets().enumerate() {
+        out.push_str(if i > 0 { ",[" } else { "[" });
+        write_u64(out, index as u64);
+        out.push_str(",");
+        write_u64(out, count);
+        out.push_str("]");
+    }
+    out.push_str("]}");
+}
+
+/// Appends a registry's members, `"spans":[…],"counters":[…],"events":[…]`,
+/// with no braces around them: the caller's object holds them next to
+/// its own members.
+pub fn write_members<S: Sink + ?Sized>(
+    out: &mut S,
+    spans: &BTreeMap<String, PhaseStats>,
+    counters: &BTreeMap<String, u64>,
+    events: &EventLog,
+) {
+    out.push_str("\"spans\":[");
+    for (i, (name, stats)) in spans.iter().enumerate() {
+        if i > 0 {
+            out.push_str(",");
+        }
+        write_span(out, name, stats);
+    }
+    out.push_str("],\"counters\":[");
+    for (i, (name, n)) in counters.iter().enumerate() {
+        out.push_str(if i > 0 { ",[" } else { "[" });
+        write_str(out, name);
+        out.push_str(",");
+        write_u64(out, *n);
+        out.push_str("]");
+    }
+    out.push_str("],\"events\":");
+    write_events(out, events.iter());
+}
+
+/// Serializes a registry on its own, as the one object `{<members>}`.
+/// Deterministic: equal registries encode to equal bytes.
+pub fn encode(reg: &Registry) -> String {
+    let mut out = String::from("{");
+    write_members(&mut out, &reg.spans, &reg.counters, &reg.events);
+    out.push('}');
+    out
+}
+
+/// Parses a registry serialized by [`encode`] (surrounding whitespace
+/// allowed). Members come in any order and unknown ones are skipped.
+///
+/// # Errors
+///
+/// A positioned [`JsonError`]: malformed input, a missing or duplicate
+/// member, a duplicate span or counter name, inconsistent histogram
+/// parts, or a record of the former tagged line codec. Garbage input is
+/// an error, never a panic — registries cross process boundaries.
+pub fn parse(text: &str) -> Result<Registry, JsonError> {
+    let mut r = Reader::new(text);
+    let mut members = Members::default();
+    r.object(|r, key| {
+        if members.read(r, &key)? {
+            return Ok(());
+        }
+        if key == "t" {
+            return Err(r.err("tagged registry records are not read (dump the registry again)"));
+        }
+        r.skip()
+    })?;
+    r.finish()?;
+    let reg = members.finish(&r)?;
+    r.need(reg, MEMBERS[0])
+}
+
+/// The member names, in the order [`write_members`] writes them.
+const MEMBERS: [&str; 3] = ["spans", "counters", "events"];
+
+/// A registry read member by member out of an enclosing object: the
+/// object's reader hands every key to [`Members::read`], then takes the
+/// registry with [`Members::finish`].
+#[derive(Default)]
+pub struct Members {
+    reg: Registry,
+    /// Which of [`MEMBERS`] were read.
+    seen: [bool; 3],
+}
+
+impl Members {
+    /// Reads the value under `key` when `key` is a registry member;
+    /// returns whether it was one, leaving any other value unread.
+    ///
+    /// # Errors
+    ///
+    /// Malformed input, a member given twice, a span or counter name
+    /// given twice, or a span whose histogram parts disagree.
+    pub fn read(&mut self, r: &mut Reader, key: &str) -> Result<bool, JsonError> {
+        let Some(i) = MEMBERS.iter().position(|&m| m == key) else {
+            return Ok(false);
+        };
+        if std::mem::replace(&mut self.seen[i], true) {
+            return Err(r.err(format!("duplicate field '{key}'")));
+        }
+        let reg = &mut self.reg;
+        match i {
+            0 => r.array(|r| read_span(r, &mut reg.spans))?,
+            1 => r.array(|r| {
+                let (name, n) = match r.compact_str_u64_pair() {
+                    Some((name, n)) => (Cow::Borrowed(name), n),
+                    None => r.pair("counter", Reader::str, Reader::u64)?,
+                };
+                if reg.counters.contains_key(&*name) {
+                    return Err(r.err(format!("duplicate counter '{name}'")));
+                }
+                reg.counters.insert(name.into_owned(), n);
+                Ok(())
+            })?,
+            _ => read_events(r, &mut reg.events)?,
+        }
+        Ok(true)
+    }
+
+    /// The registry read: `None` when the object held none of its
+    /// members.
+    ///
+    /// # Errors
+    ///
+    /// `missing field` when the object held some members but not all.
+    pub fn finish(self, r: &Reader) -> Result<Option<Registry>, JsonError> {
+        if !self.seen.contains(&true) {
+            return Ok(None);
+        }
+        match self.seen.iter().position(|&seen| !seen) {
+            Some(i) => Err(r.err(format!("missing field '{}'", MEMBERS[i]))),
+            None => Ok(Some(self.reg)),
+        }
+    }
+}
+
+/// Reads one span written by [`write_span`] into `spans`.
+fn read_span(r: &mut Reader, spans: &mut BTreeMap<String, PhaseStats>) -> Result<(), JsonError> {
+    const INTS: [&str; 4] = ["calls", "total_nanos", "min", "max"];
+    let mut name = None;
+    let mut ints = [None; INTS.len()];
+    let mut buckets = None;
+    r.object(|r, key| {
+        match &*key {
+            "name" => name = Some(r.str()?),
+            "buckets" => {
+                buckets = Some(r.vec(|r| {
+                    r.pair(
+                        "bucket entry",
+                        |r| usize::try_from(r.u64()?).map_err(|_| r.err("bucket index too large")),
+                        Reader::u64,
+                    )
+                })?)
+            }
+            key => match INTS.iter().position(|&k| k == key) {
+                Some(i) => ints[i] = Some(r.u64()?),
+                None => r.skip()?,
+            },
+        }
+        Ok(())
+    })?;
+    let name = r.need(name, "name")?;
+    let mut n = [0; INTS.len()];
+    for ((n, int), key) in n.iter_mut().zip(ints).zip(INTS) {
+        *n = r.need(int, key)?;
+    }
+    let [calls, total_nanos, min, max] = n;
+    let buckets = r.need(buckets, "buckets")?;
+    let hist = Histogram::from_parts(calls, total_nanos, min, max, &buckets)
+        .ok_or_else(|| r.err(format!("span '{name}': inconsistent histogram parts")))?;
+    if spans.contains_key(&*name) {
+        return Err(r.err(format!("duplicate span '{name}'")));
+    }
+    let stats = PhaseStats {
+        calls,
+        total_nanos,
+        hist,
+    };
+    spans.insert(name.into_owned(), stats);
+    Ok(())
+}
+
 /// Reads a fields array written by [`write_fields`] straight into
 /// `log`, as the fields of the event under construction: the caller
 /// closes them into an event. Names are interned by the log, so a
@@ -127,7 +294,7 @@ pub fn write_events<S: Sink + ?Sized>(out: &mut S, events: Events<'_>) {
 ///
 /// Malformed input, an entry that is not a `[name, value]` pair, or a
 /// value that is neither an unsigned integer nor a string.
-pub fn read_fields(r: &mut Reader, log: &mut EventLog) -> Result<(), JsonError> {
+fn read_fields(r: &mut Reader, log: &mut EventLog) -> Result<(), JsonError> {
     r.array(|r| {
         if let Some((name, n)) = r.compact_str_u64_pair() {
             let name = log.intern(name);
@@ -164,7 +331,7 @@ fn read_value<'a>(r: &mut Reader<'a>) -> Result<FieldValue<'a>, JsonError> {
 /// # Errors
 ///
 /// Malformed input, or an event without its `kind` or `fields`.
-pub fn read_events(r: &mut Reader, log: &mut EventLog) -> Result<(), JsonError> {
+fn read_events(r: &mut Reader, log: &mut EventLog) -> Result<(), JsonError> {
     r.array(|r| {
         let mut kind = None;
         let mut fields = false;
@@ -187,233 +354,6 @@ pub fn read_events(r: &mut Reader, log: &mut EventLog) -> Result<(), JsonError> 
         log.commit(kind);
         Ok(())
     })
-}
-
-/// Appends `,"key":n`.
-fn write_member(out: &mut String, key: &str, n: u64) {
-    out.push_str(",\"");
-    out.push_str(key);
-    out.push_str("\":");
-    write_u64(out, n);
-}
-
-/// Serializes a registry to JSONL: a header line, then one line per
-/// span (in name order), counter (in name order), and event (in
-/// emission order). Deterministic: equal registries encode to equal
-/// bytes.
-pub fn encode(reg: &Registry) -> String {
-    let mut out = String::new();
-    out.push_str("{\"t\":\"reg\"");
-    write_member(&mut out, "codec", CODEC_VERSION);
-    out.push_str("}\n");
-    for (name, stats) in &reg.spans {
-        out.push_str("{\"t\":\"span\",\"name\":");
-        write_str(&mut out, name);
-        write_member(&mut out, "calls", stats.calls);
-        write_member(&mut out, "total_nanos", stats.total_nanos);
-        write_member(&mut out, "count", stats.hist.count());
-        write_member(&mut out, "sum", stats.hist.sum());
-        write_member(&mut out, "min", stats.hist.min());
-        write_member(&mut out, "max", stats.hist.max());
-        out.push_str(",\"buckets\":[");
-        for (i, (index, count)) in stats.hist.nonzero_buckets().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('[');
-            write_u64(&mut out, index as u64);
-            out.push(',');
-            write_u64(&mut out, count);
-            out.push(']');
-        }
-        out.push_str("]}\n");
-    }
-    for (name, n) in &reg.counters {
-        out.push_str("{\"t\":\"counter\",\"name\":");
-        write_str(&mut out, name);
-        write_member(&mut out, "n", *n);
-        out.push_str("}\n");
-    }
-    for ev in reg.events.iter() {
-        out.push_str("{\"t\":\"event\",\"kind\":");
-        write_name(&mut out, &reg.events, ev.kind);
-        out.push_str(",\"fields\":");
-        write_fields(&mut out, ev);
-        out.push_str("}\n");
-    }
-    out
-}
-
-/// The integer members a record may carry, by name.
-const INT_KEYS: [&str; 8] = [
-    "codec",
-    "calls",
-    "total_nanos",
-    "count",
-    "sum",
-    "min",
-    "max",
-    "n",
-];
-
-/// One decoded line: every member any record kind carries. Which ones
-/// must be present depends on the record's tag.
-#[derive(Default)]
-struct Record<'a> {
-    tag: Option<Cow<'a, str>>,
-    name: Option<Cow<'a, str>>,
-    /// The event kind's id in the log the record is read into.
-    kind: Option<u32>,
-    ints: [Option<u64>; INT_KEYS.len()],
-    buckets: Option<Vec<(usize, u64)>>,
-    /// Whether a `fields` member was read into the log.
-    fields: bool,
-}
-
-impl<'a> Record<'a> {
-    /// Reads one line's record; members come in any order and unknown
-    /// ones are skipped. An event's kind and fields go straight into
-    /// `log`, its fields as the event under construction.
-    fn read(line: &'a str, log: &mut EventLog) -> Result<Record<'a>, JsonError> {
-        let mut r = Reader::new(line);
-        let mut rec = Record::default();
-        r.object(|r, key| {
-            match &*key {
-                "t" => rec.tag = Some(r.str()?),
-                "name" => rec.name = Some(r.str()?),
-                "kind" => rec.kind = Some(log.intern(&r.str()?)),
-                "buckets" => {
-                    rec.buckets = Some(r.vec(|r| {
-                        r.pair(
-                            "bucket entry",
-                            |r| {
-                                usize::try_from(r.u64()?)
-                                    .map_err(|_| r.err("bucket index too large"))
-                            },
-                            Reader::u64,
-                        )
-                    })?)
-                }
-                "fields" => {
-                    if rec.fields {
-                        log.discard_pending();
-                    }
-                    read_fields(r, log)?;
-                    rec.fields = true;
-                }
-                key => match INT_KEYS.iter().position(|&k| k == key) {
-                    Some(i) => rec.ints[i] = Some(r.u64()?),
-                    None => r.skip()?,
-                },
-            }
-            Ok(())
-        })?;
-        r.finish()?;
-        Ok(rec)
-    }
-
-    fn int(&self, key: &str) -> Result<u64, String> {
-        let i = INT_KEYS.iter().position(|&k| k == key);
-        i.and_then(|i| self.ints[i])
-            .ok_or_else(|| format!("missing field '{key}'"))
-    }
-
-    fn name(&self) -> Result<&str, String> {
-        self.name
-            .as_deref()
-            .ok_or_else(|| "missing field 'name'".into())
-    }
-}
-
-fn decode_span(rec: &Record, reg: &mut Registry) -> Result<(), String> {
-    let name = rec.name()?;
-    let buckets = rec.buckets.as_deref().ok_or("missing field 'buckets'")?;
-    let hist = Histogram::from_parts(
-        rec.int("count")?,
-        rec.int("sum")?,
-        rec.int("min")?,
-        rec.int("max")?,
-        buckets,
-    )
-    .ok_or("inconsistent histogram parts")?;
-    let stats = PhaseStats {
-        calls: rec.int("calls")?,
-        total_nanos: rec.int("total_nanos")?,
-        hist,
-    };
-    if reg.spans.insert(name.to_string(), stats).is_some() {
-        return Err(format!("duplicate span '{name}'"));
-    }
-    Ok(())
-}
-
-/// Parses a registry serialized by [`encode`].
-///
-/// # Errors
-///
-/// A [`CodecError`] naming the offending line: syntax errors, a
-/// missing or foreign-version header, unknown record tags, duplicate
-/// keys, or inconsistent histogram parts. Garbage input is an error,
-/// never a panic — worker output crosses a process boundary.
-pub fn parse(text: &str) -> Result<Registry, CodecError> {
-    let mut reg = Registry::default();
-    let mut saw_header = false;
-    for (i, line) in text.lines().enumerate() {
-        let at = |message: String| CodecError {
-            message,
-            line: i + 1,
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let mut rec = Record::read(line, &mut reg.events).map_err(|e| at(e.to_string()))?;
-        if rec.fields && rec.tag.as_deref() != Some("event") {
-            reg.events.discard_pending();
-        }
-        let tag = rec
-            .tag
-            .take()
-            .ok_or_else(|| at("missing field 't'".into()))?;
-        if !saw_header {
-            if tag != "reg" {
-                return Err(at("first record must be the 'reg' header".into()));
-            }
-            let version = rec.int("codec").map_err(at)?;
-            if version != CODEC_VERSION {
-                return Err(at(format!(
-                    "codec version {version} (this build reads {CODEC_VERSION})"
-                )));
-            }
-            saw_header = true;
-            continue;
-        }
-        match &*tag {
-            "reg" => return Err(at("duplicate 'reg' header".into())),
-            "span" => decode_span(&rec, &mut reg).map_err(at)?,
-            "counter" => {
-                let name = rec.name().map_err(at)?;
-                let n = rec.int("n").map_err(at)?;
-                if reg.counters.insert(name.to_string(), n).is_some() {
-                    return Err(at(format!("duplicate counter '{name}'")));
-                }
-            }
-            "event" => {
-                let kind = rec.kind.ok_or_else(|| at("missing field 'kind'".into()))?;
-                if !rec.fields {
-                    return Err(at("missing field 'fields'".into()));
-                }
-                reg.events.commit(kind);
-            }
-            other => return Err(at(format!("unknown record tag '{other}'"))),
-        }
-    }
-    if !saw_header {
-        return Err(CodecError {
-            message: "empty input (no 'reg' header)".into(),
-            line: 1,
-        });
-    }
-    Ok(reg)
 }
 
 #[cfg(test)]
@@ -505,6 +445,7 @@ mod tests {
     fn empty_registry_roundtrips() {
         let reg = Registry::default();
         let text = encode(&reg);
+        assert_eq!(text, "{\"spans\":[],\"counters\":[],\"events\":[]}");
         assert_eq!(parse(&text).unwrap(), reg);
     }
 
@@ -558,21 +499,31 @@ mod tests {
             let _ = parse(&text);
         }
         // Structured near-misses.
+        let span = "\"name\":\"s\",\"calls\":1,\"total_nanos\":1,\"min\":1,\"max\":1";
         for bad in [
             "",
             "\n\n",
-            "{\"t\":\"span\"}",
-            "{\"t\":\"reg\",\"codec\":99}",
-            "{\"t\":\"reg\",\"codec\":1}\n{\"t\":\"wat\"}",
-            "{\"t\":\"reg\",\"codec\":1}\n\
-             {\"t\":\"span\",\"name\":\"s\",\"calls\":1,\"total_nanos\":1,\"count\":2,\
-             \"sum\":1,\"min\":1,\"max\":1,\"buckets\":[[0,1]]}",
-            "{\"t\":\"reg\",\"codec\":1}\n\
-             {\"t\":\"counter\",\"name\":\"x\",\"n\":1}\n{\"t\":\"counter\",\"name\":\"x\",\"n\":2}",
-            "{\"t\":\"reg\",\"codec\":1}\n{\"t\":\"event\"}",
-            "{\"t\":\"reg\"}",
+            "{}",
+            "{\"spans\":[]}",
+            "{\"spans\":[],\"counters\":[]}",
+            "{\"spans\":[],\"counters\":[],\"events\":[],\"spans\":[]}",
+            &format!(
+                "{{\"spans\":[{{{span},\"buckets\":[[0,2]]}}],\"counters\":[],\"events\":[]}}"
+            ),
+            &format!(
+                "{{\"spans\":[{{{span},\"buckets\":[[976,1]]}}],\"counters\":[],\"events\":[]}}"
+            ),
+            &format!(
+                "{{\"spans\":[{{{span},\"buckets\":[[1,1]]}},{{{span},\"buckets\":[[1,1]]}}],\
+                 \"counters\":[],\"events\":[]}}"
+            ),
+            "{\"spans\":[{\"name\":\"s\",\"calls\":1}],\"counters\":[],\"events\":[]}",
+            "{\"spans\":[],\"counters\":[[\"x\",1],[\"x\",2]],\"events\":[]}",
+            "{\"spans\":[],\"counters\":[[\"x\"]],\"events\":[]}",
+            "{\"spans\":[],\"counters\":[],\"events\":[{}]}",
+            "{\"spans\":[],\"counters\":[],\"events\":[]} {}",
             "[1,2,3]",
-            "{\"t\":\"reg\",\"codec\":1,\"dropped_events\":-1,\"spilled_events\":0}",
+            "{\"spans\":[],\"counters\":[],\"events\":[],\"dropped_events\":-1}",
         ] {
             assert!(parse(bad).is_err(), "accepted: {bad:?}");
         }
@@ -599,12 +550,12 @@ mod tests {
         );
         let text = encode(&reg);
         assert_eq!(parse(&text).unwrap(), reg);
-        // The encoded form is a single well-formed line per record.
-        assert_eq!(text.lines().count(), 2);
+        // The encoded form is a single well-formed line.
+        assert_eq!(text.lines().count(), 1);
     }
 
     /// The registry pinned by `tests/goldens/registry.jsonl`: every
-    /// record tag, a sparse histogram,
+    /// member, a sparse histogram,
     /// vocabulary and free-form event names, and every escape class
     /// (`\u0001`, `"`, `\\`, `\n`, `\t` and a non-BMP character).
     fn golden_registry() -> Registry {
@@ -642,30 +593,40 @@ mod tests {
         reg
     }
 
+    /// The golden: one object, newline-terminated as a dump file is.
     const GOLDEN: &str = include_str!("../../../tests/goldens/registry.jsonl");
 
     #[test]
     fn golden_decodes_and_reencodes_byte_for_byte() {
         let reg = parse(GOLDEN).unwrap();
         assert_eq!(reg, golden_registry());
-        assert_eq!(encode(&reg), GOLDEN);
-        for tag in ["reg", "span", "counter", "event"] {
-            assert!(GOLDEN.contains(&format!("{{\"t\":\"{tag}\"")), "{tag}");
+        assert_eq!(encode(&reg) + "\n", GOLDEN);
+        for member in MEMBERS {
+            assert!(GOLDEN.contains(&format!("\"{member}\":[")), "{member}");
+            assert!(!GOLDEN.contains(&format!("\"{member}\":[]")), "{member}");
         }
     }
 
-    /// A dump whose header still carries the `dropped_events` and
+    /// A dump that still carries the `dropped_events` and
     /// `spilled_events` tallies of the former event ring loads: unknown
     /// members are skipped.
     #[test]
     fn a_header_with_the_former_ring_tallies_still_loads() {
-        let old = GOLDEN.replacen(
-            "\"codec\":1}",
-            "\"codec\":1,\"dropped_events\":3,\"spilled_events\":17}",
-            1,
-        );
+        let old = GOLDEN.replacen('{', "{\"dropped_events\":3,\"spilled_events\":17,", 1);
         assert_ne!(old, GOLDEN);
         assert_eq!(parse(&old).unwrap(), golden_registry());
+    }
+
+    /// A dump of the former tagged line codec — a `reg` header line,
+    /// then one record per line — is refused at its first tag, not read
+    /// as an empty registry.
+    #[test]
+    fn a_tagged_multi_line_dump_is_refused_with_a_positioned_error() {
+        let tagged = "{\"t\":\"reg\",\"codec\":1}\n\
+             {\"t\":\"counter\",\"name\":\"cache/hit\",\"n\":34}\n";
+        let e = parse(tagged).unwrap_err();
+        assert_eq!(e.at, 5, "{e}");
+        assert!(e.message.contains("tagged registry records"), "{e}");
     }
 
     /// Compact integer fields take the reader's fast path, every other
@@ -700,9 +661,9 @@ mod tests {
         let deep = "[".repeat(100_000);
         assert!(parse(&deep).is_err());
         // Under an unknown member, which the decoder skips unread.
-        let header = "{\"t\":\"reg\",\"codec\":1}";
-        let e = parse(&format!("{header}\n{{\"t\":\"counter\",\"extra\":{deep}")).unwrap_err();
-        assert_eq!(e.line, 2);
+        let open = "{\"spans\":[],\"extra\":";
+        let e = parse(&format!("{open}{deep}")).unwrap_err();
+        assert!(e.at > open.len(), "{e}");
         assert!(e.message.contains("nesting"), "{e}");
     }
 }

@@ -34,8 +34,9 @@
 //! Two modules carry data across process boundaries. [`json`] is the
 //! workspace's one integer-JSON writer and pull reader: grid cells,
 //! cache records, `gridd` frames, trace artifacts and registries all go
-//! through it. [`codec`] is the registry's JSONL form, built on it,
-//! with the event-field codec the trace artifact shares.
+//! through it. [`codec`] is the registry's one wire form, built on it:
+//! the `spans`, `counters` and `events` members that trace lines,
+//! worker lines and registry dumps all carry.
 
 #![warn(missing_docs)]
 

@@ -36,9 +36,6 @@ macro_rules! vocabulary {
         /// Every event kind and field name with a fixed id, in id order.
         pub const VOCABULARY: &[&str] = &[$($known),*];
 
-        /// [`VOCABULARY`] as JSON string literals, by id.
-        pub(crate) const QUOTED: &[&str] = &[$(concat!("\"", $known, "\"")),*];
-
         /// The artifact text that opens a field named by each
         /// vocabulary name, up to its value.
         pub(crate) const FIELD_OPEN: &[&str] = &[$(concat!("[\"", $known, "\",")),*];
@@ -517,7 +514,6 @@ mod tests {
     fn vocabulary_ids_follow_the_list() {
         for (i, &name) in VOCABULARY.iter().enumerate() {
             assert_eq!(vocabulary_id(name), Some(i as u32));
-            assert_eq!(QUOTED[i], format!("\"{name}\""));
             assert_eq!(FIELD_OPEN[i], format!("[\"{name}\","));
             assert_eq!(EVENT_OPEN[i], format!("{{\"kind\":\"{name}\",\"fields\":"));
         }

@@ -189,18 +189,19 @@ start_gridd() {
   test -n "$ADDR" || { echo "gridd never reported its address"; exit 1; }
 }
 
-# Prints a counter's value from a registry dump (0 when the counter
-# never fired).
+# Prints a counter's value from a registry dump, one JSON object whose
+# counters read ["name",N] (0 when the counter never fired).
 reg_counter() {
   local v
-  v="$(sed -n "s|^{\"t\":\"counter\",\"name\":\"$2\",\"n\":\([0-9]*\)}\$|\1|p" "$1")"
+  v="$(sed -n "s|.*\[\"$2\",\([0-9]*\)\].*|\1|p" "$1")"
   echo "${v:-0}"
 }
 
-# Prints a span's call count from a registry dump (0 when it never ran).
+# Prints a span's call count from a registry dump, whose spans open
+# {"name":"…","calls":N (0 when it never ran).
 reg_span_calls() {
   local v
-  v="$(sed -n "s|^{\"t\":\"span\",\"name\":\"$2\",\"calls\":\([0-9]*\),.*|\1|p" "$1")"
+  v="$(sed -n "s|.*{\"name\":\"$2\",\"calls\":\([0-9]*\),.*|\1|p" "$1")"
   echo "${v:-0}"
 }
 
